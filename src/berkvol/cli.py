@@ -3,13 +3,14 @@
 Usage:
     berkvol list
     berkvol describe <kind>
-    berkvol run <config.json> [--out-dir DIR] [--threads N] [--seed S] [--m-max M]
+    berkvol run <config.json> [--out-dir DIR] [--seed S] [--m-max M]
 
 Configs are JSON with every rational written exactly, either as the
 string "num/den" or as a [num, den] pair; decimals never appear.  Reports
 carry both the exact rational (as "num/den") and a display decimal.
 Exit status: 0 all assertions pass, 1 assertion failure, 2 parse error,
-3 validation error.
+3 validation error (a malformed config, or an input outside the domain of
+the experiment).
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import __version__
+from .errors import BerkvolError
 from .field import is_prime
-from .metrics import Metric, ma_measure
-from .tree import PLFunction, SkeletonTree, TreePoint, build_tree, meet
+from .metrics import Metric
+from .tree import PLFunction, TreePoint, build_tree, meet
 from . import experiments as ex
 from . import volumes as vo
 
@@ -188,6 +190,10 @@ def parse_m_range(obj: Any, where: str, m_max: Optional[int]) -> List[int]:
             step = obj.get("step", 1)
         except KeyError as e:
             raise ConfigError(f"{where}: missing {e}") from None
+        if not all(isinstance(x, int) for x in (start, stop, step)):
+            raise ConfigError(f"{where}: start, stop and step must be integers")
+        if step < 1:
+            raise ConfigError(f"{where}: step must be >= 1")
         ms = list(range(start, stop + 1, step))
     else:
         raise ConfigError(f"{where}: expected a list of ints or start/stop/step")
@@ -270,7 +276,7 @@ def run_diff(cfg: Dict[str, Any], opts) -> Tuple[Dict, List, List]:
     f = parse_pl_function(cfg.get("direction"), p, "direction")
     t_grid = [parse_rational(t, "t_grid") for t in cfg.get("t_grid", ["1/8", "1/16"])]
     ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max)
-    rep = ex.diff_experiment(phi, f, t_grid, ms, workers=opts.threads)
+    rep = ex.diff_experiment(phi, f, t_grid, ms)
     tol = cfg.get("tolerance")
     tol = parse_rational(tol, "tolerance") if tol is not None else None
     results = {
@@ -308,7 +314,7 @@ def run_sandwich(cfg: Dict[str, Any], opts) -> Tuple[Dict, List, List]:
     psi1 = parse_metric(cfg.get("psi1"), p, "psi1")
     psi2 = parse_metric(cfg.get("psi2"), p, "psi2")
     ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max)
-    rep = ex.sandwich_check(phi, psi1, psi2, ms, workers=opts.threads)
+    rep = ex.sandwich_check(phi, psi1, psi2, ms)
     results = {
         "lower": fmt_rational(rep.lower),
         "middle": fmt_rational(rep.middle),
@@ -324,7 +330,7 @@ def run_vol_energy(cfg: Dict[str, Any], opts) -> Tuple[Dict, List, List]:
     phi = parse_metric(cfg.get("metric"), p, "metric")
     psi = parse_metric(cfg.get("metric2"), p, "metric2")
     ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max)
-    rep = vo.check_vol_equals_energy(phi, psi, ms, workers=opts.threads)
+    rep = vo.check_vol_equals_energy(phi, psi, ms)
     results = {
         "volume": _vol_report_json(rep.volume),
         "energy": fmt_rational(rep.energy),
@@ -346,7 +352,7 @@ def run_rr(cfg: Dict[str, Any], opts) -> Tuple[Dict, List, List]:
     phi_D = parse_pl_function(cfg.get("divisor"), p, "divisor")
     phi_A = parse_metric(cfg.get("ample"), p, "ample")
     ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max)
-    rep = vo.rr_slope_experiment(phi_D, phi_A, ms, workers=opts.threads)
+    rep = vo.rr_slope_experiment(phi_D, phi_A, ms)
     results = {
         "slope_estimate": fmt_rational(rep.slope_estimate),
         "target": fmt_rational(rep.target),
@@ -447,7 +453,7 @@ def cmd_run(args) -> int:
             raise ConfigError(f"field.p: {p!r} is not prime")
         cfg["_p"] = p
         results, assertions, rows = RUNNERS[kind](cfg, args)
-    except ConfigError as e:
+    except (ConfigError, BerkvolError) as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 
@@ -504,7 +510,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")
     p_run.add_argument("--out-dir", default=None)
-    p_run.add_argument("--threads", type=int, default=1)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--m-max", type=int, default=None, dest="m_max")
     p_run.set_defaults(func=cmd_run)

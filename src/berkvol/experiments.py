@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from .errors import BerkvolError
 from .metrics import (
     Metric,
-    MetricError,
-    common_tree,
     envelope,
     equilibrium_metric,
     integrate_against,
@@ -29,7 +28,7 @@ from .tree import DiscreteMeasure, PLFunction, SkeletonTree, TreePoint, refine
 from .volumes import ExtrapolationReport, vol_limit
 
 
-class ExperimentError(Exception):
+class ExperimentError(BerkvolError):
     pass
 
 
@@ -53,17 +52,12 @@ class DiffReport:
     legs: List[DiffLeg]
     derivatives: List[Tuple[Fraction, Fraction, Fraction]]  # (|t|, estimate, bound)
 
-    def worst_gap(self) -> Fraction:
-        return max(abs(est - self.target) for _, est, _ in self.derivatives)
-
 
 def diff_experiment(
     phi: Metric,
     f: PLFunction,
     t_grid: Sequence[Fraction],
     m_range: Iterable[int],
-    window: int = 8,
-    workers: int = 1,
 ) -> DiffReport:
     """Symmetric finite differences of t -> vol(L, phi + t f, phi)."""
     if not is_psh(phi):
@@ -74,8 +68,8 @@ def diff_experiment(
     derivs: List[Tuple[Fraction, Fraction, Fraction]] = []
     ms = list(m_range)
     for t in ts:
-        rep_p = vol_limit(_add_direction(phi, f, t), phi, ms, window, workers)
-        rep_m = vol_limit(_add_direction(phi, f, -t), phi, ms, window, workers)
+        rep_p = vol_limit(_add_direction(phi, f, t), phi, ms)
+        rep_m = vol_limit(_add_direction(phi, f, -t), phi, ms)
         legs.extend([DiffLeg(t, rep_p), DiffLeg(-t, rep_m)])
         est = (rep_p.estimate - rep_m.estimate) / (2 * t)
         bound = (rep_p.error_bound + rep_m.error_bound) / (2 * t)
@@ -101,8 +95,6 @@ def sandwich_check(
     psi1: Metric,
     psi2: Metric,
     m_range: Iterable[int],
-    window: int = 8,
-    workers: int = 1,
 ) -> SandwichReport:
     """Siu-type bound: with f = psi1 - psi2 on O(e) and C = e,
     C inf f <= int f d(MA(phi) + MA(psi1)) - vol(L, phi + f, phi) <= C sup f."""
@@ -114,7 +106,7 @@ def sandwich_check(
     f = psi1.g - psi2.g
     mixed = ma_measure(phi).add(ma_measure(psi1))
     pairing = mixed.integrate(f)
-    rep = vol_limit(_add_direction(phi, f, Fraction(1)), phi, list(m_range), window, workers)
+    rep = vol_limit(_add_direction(phi, f, Fraction(1)), phi, m_range)
     middle = pairing - rep.estimate
     return SandwichReport(e * f.min_value(), middle, e * f.max_value(), rep.error_bound)
 

@@ -12,13 +12,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+from .errors import BerkvolError
+
 #: Valuation of zero.
 INF = float("inf")
 
 Rational = Union[int, Fraction]
 
 
-class FieldError(Exception):
+class FieldError(BerkvolError):
     pass
 
 

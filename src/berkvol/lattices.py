@@ -12,11 +12,12 @@ from fractions import Fraction
 from typing import List, Union
 
 from . import linalg
+from .errors import BerkvolError
 from .field import INF, FieldContext, FieldElement
 from .linalg import Matrix
 
 
-class LatticeError(Exception):
+class LatticeError(BerkvolError):
     pass
 
 
@@ -41,9 +42,6 @@ class Lattice:
 
     def scaled(self, a: FieldElement) -> "Lattice":
         return Lattice(self.ctx, [[x * a for x in row] for row in self.basis])
-
-    def embed(self, M2: int) -> "Lattice":
-        return Lattice(FieldContext(self.ctx.p, M2), linalg.embed_matrix(self.basis, M2))
 
 
 @dataclass
@@ -116,17 +114,12 @@ def content(T: TorsionModule) -> Fraction:
     return sum(d, Fraction(0))
 
 
-@dataclass
-class RelativeVolume:
-    value: Fraction
-
-
-def relative_volume(N1: Norm, N2: Norm) -> RelativeVolume:
+def relative_volume(N1: Norm, N2: Norm) -> Fraction:
     """vol(||.||_1, ||.||_2) = v(det B_2) - v(det B_1) for unit-ball bases B_i."""
     B1, B2 = _ball(N1), _ball(N2)
     if B1.dim != B2.dim:
         raise LatticeError("dimension mismatch")
-    return RelativeVolume(B2.det_valuation() - B1.det_valuation())
+    return B2.det_valuation() - B1.det_valuation()
 
 
 def intersect(L1: Lattice, L2: Lattice) -> Lattice:

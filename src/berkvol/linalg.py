@@ -9,21 +9,18 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from .errors import BerkvolError
 from .field import INF, FieldContext, FieldElement
 
 Matrix = List[List[FieldElement]]
 
 
-class SingularMatrixError(Exception):
+class SingularMatrixError(BerkvolError):
     pass
 
 
 def identity(ctx: FieldContext, n: int) -> Matrix:
     return [[ctx.one() if i == j else ctx.zero() for j in range(n)] for i in range(n)]
-
-
-def from_rationals(ctx: FieldContext, rows) -> Matrix:
-    return [[ctx.from_rational(x) for x in row] for row in rows]
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
@@ -53,14 +50,6 @@ def sum_elems(elems: List[FieldElement]) -> FieldElement:
 
 def copy_matrix(A: Matrix) -> Matrix:
     return [row[:] for row in A]
-
-
-def transpose(A: Matrix) -> Matrix:
-    return [list(col) for col in zip(*A)]
-
-
-def embed_matrix(A: Matrix, M2: int) -> Matrix:
-    return [[x.embed(M2) for x in row] for row in A]
 
 
 def _pivot_min_val(B: Matrix, k: int, rows: int, cols: int):

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import simplex
+from .errors import BerkvolError
 from .tree import (
     DiscreteMeasure,
     PLFunction,
@@ -25,7 +26,7 @@ from .tree import (
 )
 
 
-class MetricError(Exception):
+class MetricError(BerkvolError):
     pass
 
 
@@ -57,11 +58,6 @@ class Metric:
         return self.g.evaluate(x)
 
 
-@dataclass
-class EnergyValue:
-    value: Fraction
-
-
 def trivial_metric(p: int, d: int) -> Metric:
     tree = build_tree(p, [])
     return Metric(d, constant_function(tree, Fraction(0)))
@@ -84,7 +80,7 @@ def common_tree(*metrics: Metric) -> SkeletonTree:
     return build_tree(metrics[0].p, pts)
 
 
-def energy(phi: Metric, psi: Metric) -> EnergyValue:
+def energy(phi: Metric, psi: Metric) -> Fraction:
     """E(phi, psi) = (1/2) [ int (phi-psi) MA(phi) + int (phi-psi) MA(psi) ]."""
     if phi.d != psi.d:
         raise MetricError("metrics live on different line bundles")
@@ -96,7 +92,7 @@ def energy(phi: Metric, psi: Metric) -> EnergyValue:
     a, b = phi.on_tree(tree), psi.on_tree(tree)
     diff = PLFunction(tree, {v: a.g.values[v] - b.g.values[v] for v in tree.vertices})
     total = ma_measure(a).integrate(diff) + ma_measure(b).integrate(diff)
-    return EnergyValue(total / 2)
+    return total / 2
 
 
 def _psh_rows(
@@ -130,9 +126,11 @@ def _componentwise_max(
 ) -> Dict[TreePoint, Fraction]:
     """Componentwise maximum of {h psh-feasible, h <= obstacle where given}.
 
-    The feasible set is closed under max, so per-coordinate exact LPs give
-    the greatest element.  `base` must be a feasible constant, which keeps
-    the shifted problem in the b >= 0 form the solver wants.
+    The feasible set is closed under max, so it has a greatest element h*.
+    One exact LP maximizing sum_v h_v finds it: a maximizer h satisfies
+    h <= h* with the same sum, hence h = h*.  `base` must be a feasible
+    constant, which keeps the shifted problem in the b >= 0 form the
+    solver wants.
     """
     rows, rhs, verts = _psh_rows(tree, d)
     idx = {v: i for i, v in enumerate(verts)}
@@ -145,13 +143,8 @@ def _componentwise_max(
         b.append(bound - base)
         if bound - base < 0:
             raise MetricError("base constant is not feasible")
-    out: Dict[TreePoint, Fraction] = {}
-    for v in verts:
-        c = [Fraction(0)] * len(verts)
-        c[idx[v]] = Fraction(1)
-        val, _ = simplex.maximize(c, A, b)
-        out[v] = base + val
-    return out
+    _, h = simplex.maximize([Fraction(1)] * len(verts), A, b)
+    return {v: base + h[idx[v]] for v in verts}
 
 
 def envelope(phi: Metric) -> Metric:
@@ -168,8 +161,8 @@ def envelope(phi: Metric) -> Metric:
     obstacle = {v: g.values[v] for v in phi.tree.vertices}
     hvals = _componentwise_max(phi.tree, phi.d, obstacle, base)
     env = Metric(phi.d, PLFunction(phi.tree, hvals))
-    assert is_psh(env)
-    assert all(env.g.values[v] <= g.values[v] for v in phi.tree.vertices)
+    if not is_psh(env) or any(env.g.values[v] > g.values[v] for v in phi.tree.vertices):
+        raise MetricError("envelope solve returned an infeasible point")
     return env
 
 
@@ -182,8 +175,8 @@ def equilibrium_metric(x: TreePoint, phi: Metric) -> Metric:
     base = g.values[x]
     hvals = _componentwise_max(tree, phi.d, {x: g.values[x]}, base)
     eq = Metric(phi.d, PLFunction(tree, hvals))
-    assert is_psh(eq)
-    assert eq.g.values[x] <= g.values[x]
+    if not is_psh(eq) or eq.g.values[x] > g.values[x]:
+        raise MetricError("equilibrium solve returned an infeasible point")
     return eq
 
 

@@ -16,16 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from . import linalg
+from .errors import BerkvolError
 from .field import INF, FieldContext, padic_valuation
-from .lattices import Lattice, intersect, lattice_norm
+from .lattices import Lattice, intersect
 from .metrics import Metric
 from .tree import PLFunction, TreePoint
 
 
-class SectionError(Exception):
+class SectionError(BerkvolError):
     pass
 
 
@@ -151,7 +151,8 @@ def sup_norm_lattice(
             cols.append([ctx.from_rational(poly[i]) * scale for i in range(N)])
         vertex_lattice = Lattice(ctx, [list(row) for row in zip(*cols)])
         result = vertex_lattice if result is None else intersect(result, vertex_lattice)
-    assert result is not None
+    if result is None:
+        raise SectionError("tree has no vertices")
     return result
 
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Tuple
 
+from .errors import BerkvolError
 
-class UnboundedError(Exception):
+
+class UnboundedError(BerkvolError):
     pass
 
 

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from .errors import BerkvolError
 from .field import padic_valuation
 
 
-class TreeError(Exception):
+class TreeError(BerkvolError):
     pass
 
 
@@ -186,9 +187,6 @@ class PLFunction:
 
     def __post_init__(self):
         self.values = {v: Fraction(self.values[v]) for v in self.tree.vertices}
-
-    def value_at_vertex(self, v: TreePoint) -> Fraction:
-        return self.values[v]
 
     def evaluate(self, x: TreePoint) -> Fraction:
         r = self.tree.retract(x.center, x.q)

@@ -1,24 +1,22 @@
 """Asymptotics of relative volumes and the Riemann-Roch slope experiment.
 
-The finite-level volumes vol_m are exact rationals; the limit is read off
-an exact least-squares affine fit of vol_m / m^2 against 1/m over the
-largest window of m-values.  The reported error bound is twice the
-largest fit residual, a conservative empirical figure (no convergence
-rate is assumed).
+The finite-level values are exact rationals; a limit is read off an exact
+least-squares affine fit of value / m^power against 1/m over the last
+DEFAULT_WINDOW levels.  The reported error bound is twice the largest fit
+residual, a conservative empirical figure (no convergence rate is assumed).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Tuple
 
+from .errors import BerkvolError
 from .field import FieldContext
-from .metrics import Metric, envelope, energy, integrate_against, is_psh, ma_measure
+from .metrics import Metric, envelope, energy, is_psh, ma_measure
 from .sections import (
-    SectionError,
     required_ramification,
     sup_norm_lattice,
     vol_m,
@@ -28,7 +26,7 @@ from .sections import (
 from .tree import PLFunction, refine
 
 
-class VolumeError(Exception):
+class VolumeError(BerkvolError):
     pass
 
 
@@ -63,23 +61,23 @@ class ExtrapolationReport:
         return [(m, v / (m * m)) for m, v in self.samples]
 
 
-def _compute_series(fn, ms: List[int], workers: int = 1) -> List[Tuple[int, Fraction]]:
-    ms = sorted(set(ms))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            vals = list(ex.map(fn, ms))
-    else:
-        vals = [fn(m) for m in ms]
-    return list(zip(ms, vals))
-
-
-def vol_limit(
-    phi: Metric,
-    psi: Metric,
-    m_range: Iterable[int],
-    window: int = DEFAULT_WINDOW,
-    workers: int = 1,
+def _extrapolate(
+    fn: Callable[[int], Fraction], m_range: Iterable[int], power: int
 ) -> ExtrapolationReport:
+    """Fit fn(m) / m^power = a + b/m over the last DEFAULT_WINDOW levels."""
+    samples = [(m, fn(m)) for m in sorted(set(m_range))]
+    tail = samples[-DEFAULT_WINDOW:]
+    if len(tail) < 4:
+        raise VolumeError(f"window of {len(tail)} samples is too small (need >= 4)")
+    xs = [Fraction(1, m) for m, _ in tail]
+    ys = [v / m**power for m, v in tail]
+    a, b = affine_fit(xs, ys)
+    residuals = [(m, y - (a + b * x)) for (m, _), x, y in zip(tail, xs, ys)]
+    bound = 2 * max(abs(r) for _, r in residuals)
+    return ExtrapolationReport(a, b, samples, [m for m, _ in tail], residuals, bound)
+
+
+def vol_limit(phi: Metric, psi: Metric, m_range: Iterable[int]) -> ExtrapolationReport:
     """Extrapolated vol(L, phi, psi) from exact finite-level volumes."""
     if phi.d != psi.d:
         raise VolumeError("metrics live on different line bundles")
@@ -89,16 +87,7 @@ def vol_limit(
             Fraction(0), Fraction(0), samples, [m for m, _ in samples],
             [(m, Fraction(0)) for m, _ in samples], Fraction(0),
         )
-    samples = _compute_series(lambda m: vol_m(phi, psi, m), list(m_range), workers)
-    tail = samples[-window:]
-    if len(tail) < 4:
-        raise VolumeError(f"window of {len(tail)} samples is too small (need >= 4)")
-    xs = [Fraction(1, m) for m, _ in tail]
-    ys = [v / (m * m) for m, v in tail]
-    a, b = affine_fit(xs, ys)
-    residuals = [(m, y - (a + b * x)) for (m, _), x, y in zip(tail, xs, ys)]
-    bound = 2 * max((abs(r) for _, r in residuals), default=Fraction(0))
-    return ExtrapolationReport(a, b, samples, [m for m, _ in tail], residuals, bound)
+    return _extrapolate(lambda m: vol_m(phi, psi, m), m_range, power=2)
 
 
 @dataclass
@@ -112,12 +101,11 @@ class VolEnergyReport:
 
 
 def check_vol_equals_energy(
-    phi: Metric, psi: Metric, m_range: Iterable[int], window: int = DEFAULT_WINDOW,
-    workers: int = 1,
+    phi: Metric, psi: Metric, m_range: Iterable[int]
 ) -> VolEnergyReport:
     """Compare vol(L, phi, psi) against E(env(phi), env(psi))."""
-    rep = vol_limit(phi, psi, m_range, window, workers)
-    e = energy(envelope(phi), envelope(psi)).value
+    rep = vol_limit(phi, psi, m_range)
+    e = energy(envelope(phi), envelope(psi))
     return VolEnergyReport(rep, e, rep.estimate - e)
 
 
@@ -164,22 +152,10 @@ class RRReport:
 
 
 def rr_slope_experiment(
-    phi_D: PLFunction,
-    phi_A: Metric,
-    m_range: Iterable[int],
-    window: int = DEFAULT_WINDOW,
-    workers: int = 1,
+    phi_D: PLFunction, phi_A: Metric, m_range: Iterable[int]
 ) -> RRReport:
     """Fit rr_content(m)/m against 1/m; the intercept should approach
     the pairing of phi_D with the Monge-Ampere measure of phi_A."""
-    samples = _compute_series(lambda m: rr_content(phi_D, phi_A, m), list(m_range), workers)
-    tail = samples[-window:]
-    if len(tail) < 4:
-        raise VolumeError(f"window of {len(tail)} samples is too small (need >= 4)")
-    xs = [Fraction(1, m) for m, _ in tail]
-    ys = [v / m for m, v in tail]
-    a, b = affine_fit(xs, ys)
-    residuals = [(m, y - (a + b * x)) for (m, _), x, y in zip(tail, xs, ys)]
-    bound = 2 * max((abs(r) for _, r in residuals), default=Fraction(0))
+    rep = _extrapolate(lambda m: rr_content(phi_D, phi_A, m), m_range, power=1)
     target = ma_measure(phi_A).integrate(phi_D)
-    return RRReport(samples, a, target, residuals, bound, [m for m, _ in tail])
+    return RRReport(rep.samples, rep.estimate, target, rep.residuals, rep.error_bound, rep.window)

@@ -161,9 +161,9 @@ def test_acceptance_05_energy_derivative():
             g = phi.g.scale(1 - t) + phip.g.scale(t)
             return Metric(1, g)
 
-        e0 = energy(mix(Fraction(0)), psi).value
-        eh = energy(mix(Fraction(1, 2)), psi).value
-        e1 = energy(mix(Fraction(1)), psi).value
+        e0 = energy(mix(Fraction(0)), psi)
+        eh = energy(mix(Fraction(1, 2)), psi)
+        e1 = energy(mix(Fraction(1)), psi)
         # energy is quadratic along the segment; three exact values pin b
         deriv = 4 * eh - 3 * e0 - e1
         target = ma_measure(phi).integrate(phip.g - phi.g)

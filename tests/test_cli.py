@@ -156,3 +156,46 @@ def test_run_rr_and_diff_kinds(tmp_path):
     report = json.loads((tmp_path / "df.report.json").read_text())
     assert report["results"]["target"]["exact"] == "1/2"
     assert report["results"]["derivatives"][0]["estimate"]["exact"] == "1/2"
+
+
+DOMAIN_ERROR_CFGS = {
+    "diff-non-psh-base": {
+        "kind": "diff",
+        "field": {"p": 2},
+        "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, 1, 1]]},
+        "direction": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, 1, 1]],
+        "m_range": {"start": 4, "stop": 10, "step": 2},
+    },
+    "rr-negative-divisor": {
+        "kind": "rr",
+        "field": {"p": 2},
+        "divisor": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, -1, 1]],
+        "ample": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]},
+        "m_range": {"start": 2, "stop": 8, "step": 2},
+    },
+    "fekete-pool-off-disc": {
+        "kind": "fekete",
+        "field": {"p": 2},
+        "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]},
+        "m": 1,
+        "pool": ["0", "1", "1/2"],
+    },
+    "m-range-string-start": {
+        "kind": "vol-energy",
+        "field": {"p": 2},
+        "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]},
+        "metric2": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]},
+        "m_range": {"start": "1", "stop": 4},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_ERROR_CFGS))
+def test_domain_error_is_validation_status(tmp_path, capsys, name):
+    cfg = write_config(tmp_path, f"{name}.json", DOMAIN_ERROR_CFGS[name])
+    assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("validation error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / f"{name}.report.json").exists()

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from berkvol import simplex
 from berkvol.metrics import (
     Metric,
+    _psh_rows,
     energy,
     envelope,
     equilibrium_metric,
@@ -13,7 +15,7 @@ from berkvol.metrics import (
     ma_measure,
     trivial_metric,
 )
-from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point
+from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point, refine
 
 from conftest import random_pl_metric, random_psh_metric
 
@@ -60,7 +62,7 @@ def test_is_psh_detects_negative_mass():
 
 def test_energy_of_slope_metric():
     phi = slope_metric(2, 1, Fraction(-1, 2))
-    assert energy(phi, trivial_metric(2, 1)).value == Fraction(-1, 8)
+    assert energy(phi, trivial_metric(2, 1)) == Fraction(-1, 8)
 
 
 def test_energy_cocycle_symmetry_monotone():
@@ -69,17 +71,17 @@ def test_energy_cocycle_symmetry_monotone():
         a = random_psh_metric(2, 2, rng)
         b = random_psh_metric(2, 2, rng)
         c = random_psh_metric(2, 2, rng)
-        eab = energy(a, b).value
-        eba = energy(b, a).value
+        eab = energy(a, b)
+        eba = energy(b, a)
         assert eab == -eba
-        assert energy(a, c).value == eab + energy(b, c).value
+        assert energy(a, c) == eab + energy(b, c)
 
 
 def test_energy_shift():
     phi = slope_metric(3, 2, Fraction(-1))
     c = Fraction(5, 3)
     # E(phi + c, phi) = c * d
-    assert energy(phi.shift(c), phi).value == c * 2
+    assert energy(phi.shift(c), phi) == c * 2
 
 
 def test_envelope_of_psh_is_identity():
@@ -152,3 +154,39 @@ def test_integrate_against():
     phi = slope_metric(2, 1, Fraction(-1, 2))
     f = phi.g
     assert integrate_against(phi, f) == Fraction(-1, 4)
+
+
+def per_vertex_maxima(tree, d, obstacle, base):
+    """Oracle: the greatest feasible element, one LP per vertex."""
+    rows, rhs, verts = _psh_rows(tree, d)
+    idx = {v: i for i, v in enumerate(verts)}
+    A, b = [row[:] for row in rows], list(rhs)
+    for v, bound in obstacle.items():
+        row = [Fraction(0)] * len(verts)
+        row[idx[v]] = Fraction(1)
+        A.append(row)
+        b.append(bound - base)
+    out = {}
+    for v in verts:
+        c = [Fraction(0)] * len(verts)
+        c[idx[v]] = Fraction(1)
+        val, _ = simplex.maximize(c, A, b)
+        out[v] = base + val
+    return out
+
+
+def test_one_lp_matches_per_vertex_lps():
+    rng = random.Random(41)
+    for _ in range(80):
+        p = rng.choice([2, 3, 5])
+        d = rng.choice([1, 2, 3])
+        draw = random_pl_metric if rng.random() < 0.7 else random_psh_metric
+        phi = draw(p, d, rng)
+        g = phi.g
+        want = per_vertex_maxima(phi.tree, d, dict(g.values), g.min_value())
+        assert envelope(phi).g.values == want
+
+        x = TreePoint(p, Fraction(rng.randint(0, p * p - 1)), Fraction(rng.randint(0, 8), 2))
+        tree = refine(phi.tree, [x])
+        gx = g.on_tree(tree).values[x]
+        assert equilibrium_metric(x, phi).g.values == per_vertex_maxima(tree, d, {x: gx}, gx)

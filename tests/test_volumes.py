@@ -79,16 +79,6 @@ def test_vol_uses_envelopes_for_non_psh_input():
     assert rep.within_bound()
 
 
-def test_vol_limit_threads_match_serial():
-    phi = slope_metric(2, 1, Fraction(-1, 2))
-    triv = trivial_metric(2, 1)
-    ms = range(8, 25, 2)
-    serial = vol_limit(phi, triv, ms, workers=1)
-    threaded = vol_limit(phi, triv, ms, workers=4)
-    assert serial.samples == threaded.samples
-    assert serial.estimate == threaded.estimate
-
-
 def test_rr_content_constant_divisor():
     p = 2
     phiA = trivial_metric(p, 1)
