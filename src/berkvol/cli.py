@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from . import __version__
 from .errors import BerkvolError
-from .field import is_prime
+from .field import FieldContext
 from .metrics import Metric
 from .tree import PLFunction, TreePoint, build_tree, meet
 from . import experiments as ex
@@ -144,6 +144,9 @@ def parse_tree_rows(rows: Any, p: int, where: str) -> Tuple[List[TreePoint], Lis
             pts.append(TreePoint(p, c, q))
         except Exception as e:
             raise ConfigError(f"{where}[{i}]: {e}") from None
+        if pts[-1] in pts[:-1]:
+            j = pts.index(pts[-1])
+            raise ConfigError(f"{where}[{i}]: names the same disc as {where}[{j}], {pts[j]}")
         vals.append(v)
     # The vertex list must already be meet-closed; report the offending pair.
     given = set(pts)
@@ -274,7 +277,10 @@ def run_diff(cfg: Dict[str, Any], opts) -> Tuple[Dict, List, List]:
     p = cfg["_p"]
     phi = parse_metric(cfg.get("metric"), p, "metric")
     f = parse_pl_function(cfg.get("direction"), p, "direction")
-    t_grid = [parse_rational(t, "t_grid") for t in cfg.get("t_grid", ["1/8", "1/16"])]
+    t_raw = cfg.get("t_grid", ["1/8", "1/16"])
+    if not isinstance(t_raw, list):
+        raise ConfigError("t_grid: expected a list of rationals")
+    t_grid = [parse_rational(t, "t_grid") for t in t_raw]
     ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max)
     rep = ex.diff_experiment(phi, f, t_grid, ms)
     tol = cfg.get("tolerance")
@@ -443,14 +449,15 @@ def cmd_run(args) -> int:
         if not isinstance(cfg, dict):
             raise ConfigError("top-level config must be an object")
         kind = cfg.get("kind")
-        if kind not in RUNNERS:
+        if not isinstance(kind, str) or kind not in RUNNERS:
             raise ConfigError(f"unknown experiment kind: {kind!r}")
         fld = cfg.get("field")
         if not isinstance(fld, dict) or "p" not in fld:
             raise ConfigError("field: expected an object with a prime 'p'")
         p = fld["p"]
-        if not isinstance(p, int) or not is_prime(p):
-            raise ConfigError(f"field.p: {p!r} is not prime")
+        if not isinstance(p, int):
+            raise ConfigError(f"field.p: {p!r} is not an integer")
+        FieldContext(p)  # raises FieldError unless p is a prime below 2^64
         cfg["_p"] = p
         results, assertions, rows = RUNNERS[kind](cfg, args)
     except (ConfigError, BerkvolError) as e:

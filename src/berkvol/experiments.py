@@ -168,6 +168,8 @@ def fekete_experiment(
     """
     if not is_psh(phi):
         raise ExperimentError("Fekete experiment needs a psh metric")
+    if phi.d < 1:
+        raise ExperimentError("Fekete experiment needs d >= 1")
     N = m * phi.d + 1
     pool = [Fraction(x) for x in pool]
     if len(set(pool)) != len(pool):

@@ -28,18 +28,32 @@ class DivisionByZero(FieldError):
     pass
 
 
+#: Primes up to 37: as Miller-Rabin bases they decide primality exactly
+#: for every n < 2^64 (indeed below 3.3 * 10^24).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < 2^64."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -68,6 +82,8 @@ class FieldContext:
     M: int = 1
 
     def __post_init__(self):
+        if self.p >= 2**64:
+            raise FieldError(f"p = {self.p} is too large: need p < 2^64")
         if not is_prime(self.p):
             raise FieldError(f"p = {self.p} is not prime")
         if self.M < 1:

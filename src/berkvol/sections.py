@@ -130,6 +130,8 @@ def sup_norm_lattice(
 
     Intersection over the tree vertices of the diagonal lattices in the
     recentered monomial bases {(z - a_x)^i} with weights i q_x + m g(x).
+    This is the K_M oracle for unit_ball_valuation, which computes the
+    same determinant valuation from Z_p slices; only tests call it.
     """
     N = m * phi.d + 1
     result: Optional[Lattice] = None
@@ -156,10 +158,109 @@ def sup_norm_lattice(
     return result
 
 
+def _taylor_shift(a: Fraction, N: int, mod: int) -> List[List[int]]:
+    """Rows of T_a mod `mod`: (T_a s)_j = sum_{i>=j} C(i, j) a^(i-j) s_i.
+
+    Built by Pascal's rule T[j][i] = T[j-1][i-1] + a T[j][i-1]; the
+    denominator of a is a p-adic unit, so it is inverted mod `mod`.
+    """
+    a_mod = a.numerator * pow(a.denominator, -1, mod) % mod
+    rows = [[1] + [0] * (N - 1)]
+    for i in range(1, N):
+        rows[0][i] = rows[0][i - 1] * a_mod % mod
+    for j in range(1, N):
+        prev = rows[-1]
+        row = [0] * N
+        row[j] = 1
+        for i in range(j + 1, N):
+            row[i] = (prev[i - 1] + a_mod * row[i - 1]) % mod
+        rows.append(row)
+    return rows
+
+
+def _slice_valuation(p: int, centers: List[Fraction], exps: List[List[int]]) -> int:
+    """v_p det of B = {s in Q_p^N : v_p((T_x s)_j) >= exps[x][j] for all x, j}.
+
+    B is dual to the row module of the rows p^-e (T_x)_j.  Scaled by p^E,
+    E = max e, those rows are integral and span a module R with
+    v_p det B = N E - v_p det R.  Each vertex block alone spans a module
+    with elementary divisors {E - e_{x,j}}, so R contains p^(K-1) Z_p^N
+    for K = 1 + min_x max_j (E - e_{x,j}): echelon form modulo p^K, with
+    a pivot of minimal valuation in each column, is exact.
+    """
+    N = len(exps[0])
+    E = max(max(es) for es in exps)
+    K = 1 + min(E - min(es) for es in exps)
+    mod = p**K
+    rows = []
+    for a, es in zip(centers, exps):
+        for row, e in zip(_taylor_shift(a, N, mod), es):
+            if E - e < K:  # otherwise the scaled row is 0 mod p^K
+                scale = p ** (E - e)
+                rows.append([scale * c % mod for c in row])
+    pivots = 0
+    for c in range(N):
+        best, best_v = -1, K
+        for r, row in enumerate(rows):
+            x = row[c]
+            if x:
+                v = 0
+                while x % p == 0:
+                    x //= p
+                    v += 1
+                if v < best_v:
+                    best, best_v = r, v
+                    if v == 0:
+                        break
+        if best < 0:
+            raise SectionError("slice module lost rank modulo p^K")
+        piv = rows.pop(best)
+        unit_inv = pow(piv[c] // p**best_v, -1, mod)
+        kept = []
+        for row in rows:
+            if row[c]:
+                f = (row[c] // p**best_v) * unit_inv % mod
+                row = [(x - f * y) % mod for x, y in zip(row, piv)]
+            if any(row[c + 1:]):
+                kept.append(row)
+        rows = kept
+        pivots += best_v
+    return N * E - pivots
+
+
+def unit_ball_valuation(
+    phi: Metric, m: int, extra: Optional[PLFunction] = None
+) -> Fraction:
+    """v(det U) of the unit ball U of the level-m sup norm of phi.
+
+    With w_{x,j} = j q_x + m g(x) + extra(x), U is cut out by
+    v((T_x s)_j) >= -w_{x,j} at every vertex x, T_x the Taylor shift to
+    the center a_x.  Over any K_M = Q_p(p^(1/M)) that makes the weights
+    rational with denominator dividing M, U is the sum of the slices
+    pi^k B_{k/M}, where B_t is the Z_p-lattice of
+    v_p((T_x s)_j) >= ceil(-w_{x,j} - t).  Hence
+    v(det U) = integral over t in [0, 1) of v_p det B_t, a step function
+    that only jumps at the fractional parts of the -w_{x,j}.
+    """
+    verts = phi.tree.vertices
+    weights = [_vertex_weights(phi, m, x, extra) for x in verts]
+    cuts = sorted({Fraction(0)} | {-w - math.floor(-w) for ws in weights for w in ws})
+    centers = [x.center for x in verts]
+    total = Fraction(0)
+    for t, t_next in zip(cuts, cuts[1:] + [Fraction(1)]):
+        exps = [[math.ceil(-w - t) for w in ws] for ws in weights]
+        total += (t_next - t) * _slice_valuation(phi.p, centers, exps)
+    return total
+
+
 def vol_m(
     phi: Metric, psi: Metric, m: int, M: Optional[int] = None
 ) -> Fraction:
-    """Exact relative volume of the level-m sup norms of phi and psi."""
+    """Exact relative volume of the level-m sup norms of phi and psi.
+
+    Given M, the diagonal shortcut is skipped and every weight must lie
+    in (1/M)Z; the value does not depend on M.
+    """
     if phi.d != psi.d:
         raise SectionError("metrics live on different line bundles")
     if m < 1:
@@ -174,15 +275,13 @@ def vol_m(
         wa = diagonal_weights(phi, m)
         wb = diagonal_weights(psi, m)
         return sum(wa, Fraction(0)) - sum(wb, Fraction(0))
-    if M is None:
-        M = math.lcm(required_ramification(phi, m), required_ramification(psi, m))
-    ctx = FieldContext(phi.p, M)
-    La = sup_norm_lattice(phi, m, ctx)
-    Lb = sup_norm_lattice(psi, m, ctx)
-    # Relative volume of the unit balls: vol(N_phi, N_psi) picks up a sign
-    # because larger norms mean smaller balls, hence larger determinant
+    if M is not None and (
+        M < 1 or M % math.lcm(required_ramification(phi, m), required_ramification(psi, m))
+    ):
+        raise SectionError(f"weights not in (1/{M})Z: ramification insufficient")
+    # Larger norms mean smaller balls, hence a larger determinant
     # valuation for the second argument.
-    return Lb.det_valuation() - La.det_valuation()
+    return unit_ball_valuation(psi, m) - unit_ball_valuation(phi, m)
 
 
 def max_vertex_q(*metrics: Metric) -> Fraction:

@@ -8,21 +8,13 @@ residual, a conservative empirical figure (no convergence rate is assumed).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, List, Tuple
 
 from .errors import BerkvolError
-from .field import FieldContext
 from .metrics import Metric, envelope, energy, is_psh, ma_measure
-from .sections import (
-    required_ramification,
-    sup_norm_lattice,
-    vol_m,
-    _single_center,
-    diagonal_weights,
-)
+from .sections import _single_center, diagonal_weights, unit_ball_valuation, vol_m
 from .tree import PLFunction, refine
 
 
@@ -115,6 +107,10 @@ def rr_content(phi_D: PLFunction, phi_A: Metric, m: int) -> Fraction:
     Computed as the content of the quotient of the unit ball of the
     level-m sup norm of phi_A by the sublattice of sections s with
     pointwise valuation of |s| e^{-m phi_A} at least phi_D everywhere.
+    Off a single-center tree both unit balls come from
+    sections.unit_ball_valuation: the integral over t in [0, 1) of
+    v_p det B_t, with B_t the Z_p-lattice slice cut out by
+    v_p((T_x s)_j) >= ceil(-w_{x,j} - t).
     """
     if any(v < 0 for v in phi_D.values.values()):
         raise VolumeError("divisor function must be nonnegative (effectivity)")
@@ -128,13 +124,7 @@ def rr_content(phi_D: PLFunction, phi_A: Metric, m: int) -> Fraction:
         outer = diagonal_weights(phi_r, m)
         inner = diagonal_weights(phi_r, m, extra=shrink_r)
         return sum(outer, Fraction(0)) - sum(inner, Fraction(0))
-    M = math.lcm(
-        required_ramification(phi_r, m), required_ramification(phi_r, m, extra=shrink_r)
-    )
-    ctx = FieldContext(phi_r.p, M)
-    outer_lat = sup_norm_lattice(phi_r, m, ctx)
-    inner_lat = sup_norm_lattice(phi_r, m, ctx, extra=shrink_r)
-    return inner_lat.det_valuation() - outer_lat.det_valuation()
+    return unit_ball_valuation(phi_r, m, shrink_r) - unit_ball_valuation(phi_r, m)
 
 
 @dataclass

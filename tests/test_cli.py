@@ -1,7 +1,14 @@
+import copy
 import csv
+import io
 import json
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from berkvol.cli import KINDS, main
 
@@ -180,6 +187,13 @@ DOMAIN_ERROR_CFGS = {
         "m": 1,
         "pool": ["0", "1", "1/2"],
     },
+    "fekete-degree-zero": {
+        "kind": "fekete",
+        "field": {"p": 2},
+        "metric": {"d": 0, "tree": [[0, 1, 0, 1, 0, 1]]},
+        "m": 2,
+        "pool": ["0", "1"],
+    },
     "m-range-string-start": {
         "kind": "vol-energy",
         "field": {"p": 2},
@@ -188,6 +202,48 @@ DOMAIN_ERROR_CFGS = {
         "m_range": {"start": "1", "stop": 4},
     },
 }
+
+
+DUPLICATE_DISC_CFGS = {
+    # the Gauss point given twice, with different values
+    "gauss-twice": {
+        "kind": "orth",
+        "field": {"p": 2},
+        "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1], [0, 1, 0, 1, 1, 1]]},
+    },
+    # 0 and 2 name the same disc of radius 2^-1 over Q_2
+    "same-disc-other-center": {
+        "kind": "orth",
+        "field": {"p": 2},
+        "metric": {
+            "d": 1,
+            "tree": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, 1, 1], [2, 1, 1, 1, -1, 1]],
+        },
+    },
+}
+
+HUGE_P_CFG = dict(VOL_ENERGY_CFG, field={"p": 1000000000000000000000000000057})
+
+
+@pytest.mark.parametrize(
+    "name, rows", [("gauss-twice", (1, 0)), ("same-disc-other-center", (2, 1))]
+)
+def test_repeated_disc_is_validation_error(tmp_path, capsys, name, rows):
+    cfg = write_config(tmp_path, f"{name}.json", DUPLICATE_DISC_CFGS[name])
+    assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "names the same disc" in err
+    assert all(f"metric.tree[{r}]" in err for r in rows)
+
+
+def test_huge_prime_is_rejected_quickly(tmp_path, capsys):
+    cfg = write_config(tmp_path, "huge.json", HUGE_P_CFG)
+    start = time.perf_counter()
+    assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 3
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "2^64" in err
 
 
 @pytest.mark.parametrize("name", sorted(DOMAIN_ERROR_CFGS))
@@ -199,3 +255,122 @@ def test_domain_error_is_validation_status(tmp_path, capsys, name):
     assert err.startswith("validation error: ")
     assert "Traceback" not in err
     assert not (tmp_path / f"{name}.report.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing `berkvol run`: small valid configs of every kind, then mutated.
+
+FUZZ_TREE = [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, -1, 2], [1, 1, 1, 1, -1, 2]]
+FUZZ_BASES = [
+    {
+        "kind": "vol-energy",
+        "field": {"p": 2},
+        "metric": {"d": 1, "tree": FUZZ_TREE},
+        "metric2": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]},
+        "m_range": {"start": 1, "stop": 4},
+    },
+    {
+        "kind": "rr",
+        "field": {"p": 3},
+        "divisor": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, 1, 1]],
+        "ample": {"d": 1, "tree": FUZZ_TREE},
+        "m_range": [1, 2, 3, 4],
+    },
+    {
+        "kind": "diff",
+        "field": {"p": 2},
+        "metric": {"d": 1, "tree": FUZZ_TREE[:2]},
+        "direction": [[0, 1, 0, 1, 0, 1], [1, 1, 1, 1, 1, 1]],
+        "t_grid": ["1/8"],
+        "m_range": {"start": 1, "stop": 4},
+    },
+    {
+        "kind": "sandwich",
+        "field": {"p": 2},
+        "metric": {"d": 1, "tree": FUZZ_TREE[:2]},
+        "psi1": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1], [1, 1, 1, 1, -1, 1]]},
+        "psi2": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]},
+        "m_range": {"start": 1, "stop": 4},
+    },
+    {"kind": "orth", "field": {"p": 5}, "metric": {"d": 2, "tree": FUZZ_TREE}},
+    {
+        "kind": "dirac",
+        "field": {"p": 2},
+        "metric": {"d": 2, "tree": FUZZ_TREE},
+        "point": [0, 1, 2, 1],
+    },
+    {
+        "kind": "fekete",
+        "field": {"p": 2},
+        "metric": {"d": 1, "tree": FUZZ_TREE},
+        "m": 2,
+        "pool": ["0", "1", "2", "3", "1/3"],
+        "expected_valuation": "0",
+    },
+]
+
+FUZZ_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 4),
+    st.sampled_from(sorted(KINDS) + ["1/2", "-1/3", "0/0", "x", ""]),
+)
+FUZZ_VALUES = st.recursive(
+    FUZZ_LEAVES,
+    lambda kids: st.lists(kids, max_size=5)
+    | st.dictionaries(st.sampled_from(["start", "stop", "step", "d", "tree", "p"]), kids),
+    max_leaves=8,
+)
+
+
+def _paths(obj, prefix=()):
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    cfg = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.integers(0, 3))):
+        paths = list(_paths(cfg))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        owner = cfg
+        for k in parents:
+            owner = owner[k]
+        old = owner[key]
+        action = draw(st.sampled_from(["replace", "nudge", "delete", "duplicate"]))
+        if action == "nudge" and isinstance(old, int) and not isinstance(old, bool):
+            owner[key] = min(old + draw(st.integers(-2, 2)), 4)
+        elif action == "delete":
+            del owner[key]
+        elif action == "duplicate" and isinstance(owner, list) and len(owner) < 5:
+            owner.insert(key, copy.deepcopy(old))
+        else:
+            owner[key] = draw(FUZZ_VALUES)
+    return cfg
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(cfg=mutated_configs())
+@example(cfg=DUPLICATE_DISC_CFGS["gauss-twice"])
+@example(cfg=HUGE_P_CFG)
+def test_fuzz_run_never_crashes(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(cfg))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main(["run", str(path), "--out-dir", tmp])
+        assert status in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if status == 1:
+            assert (Path(tmp) / "fuzz.report.json").exists()

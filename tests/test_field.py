@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from berkvol.field import (
     INF,
     DivisionByZero,
     FieldContext,
+    FieldError,
     is_prime,
     padic_valuation,
 )
@@ -28,6 +30,27 @@ CTX, ELEMS = ctx_elems()
 def test_is_prime():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(1)
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**4) if is_prime(n)] == [
+        n for n in range(10**4) if trial_division_is_prime(n)
+    ]
+    assert is_prime(2**61 - 1)
+    assert not is_prime(2**61 + 1)
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+
+
+def test_field_context_rejects_large_p():
+    with pytest.raises(FieldError, match="2\\^64"):
+        FieldContext(1000000000000000000000000000057)
+    with pytest.raises(FieldError, match="2\\^64"):
+        FieldContext(2**64)
+    assert FieldContext(2**64 - 59).p == 2**64 - 59  # the largest prime below 2^64
 
 
 def test_padic_valuation_basics():

@@ -8,16 +8,18 @@ from berkvol.metrics import Metric, trivial_metric
 from berkvol.sections import (
     Section,
     SectionError,
+    diagonal_weights,
     point_norm,
     required_ramification,
     sup_norm,
     sup_norm_lattice,
+    unit_ball_valuation,
     vandermonde_value,
     vol_m,
 )
 from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point
 
-from conftest import random_psh_metric
+from conftest import random_pl_metric, random_psh_chain_metric, random_psh_metric
 
 
 def slope_metric(p, d, slope, depth=1, center=0):
@@ -141,3 +143,54 @@ def test_vandermonde_value():
     phi = slope_metric(2, 1, Fraction(-1, 2))
     # both points retract into the weighted disc
     assert vandermonde_value([Fraction(0), Fraction(2)], phi, 1) == 1 - 1
+
+
+def nonpositive_extra(phi, rng):
+    return PLFunction(
+        phi.tree,
+        {v: -Fraction(rng.randint(0, 6), rng.choice([1, 2, 3])) for v in phi.tree.vertices},
+    )
+
+
+def test_unit_ball_valuation_matches_km_oracle():
+    """Z_p slices agree with the K_M lattice at M0 and at 2 M0.
+
+    Agreement at both ramification indices is the base-change invariance
+    that vol_m(M=M0) == vol_m(M=2 M0) checked while vol_m ran over K_M.
+    """
+    rng = random.Random(3)
+    seen = set()
+    checked = 0
+    while checked < 30:
+        p, d = rng.choice([2, 3, 5]), rng.choice([1, 2])
+        phi = rng.choice([random_pl_metric, random_psh_metric])(p, d, rng)
+        m = rng.choice([1, 2, 3])
+        extra = nonpositive_extra(phi, rng) if rng.random() < 0.5 else None
+        M0 = required_ramification(phi, m, extra)
+        if M0 > 24:
+            continue
+        got = unit_ball_valuation(phi, m, extra)
+        for M in (M0, 2 * M0):
+            lattice = sup_norm_lattice(phi, m, FieldContext(p, M), extra)
+            assert got == lattice.det_valuation(), (p, d, m, M)
+        seen.add((p, d, extra is None))
+        checked += 1
+    assert len(seen) == 12  # every p, d, with and without extra
+
+
+def test_unit_ball_valuation_is_diagonal_on_chains():
+    rng = random.Random(4)
+    for _ in range(40):
+        p, d = rng.choice([2, 3, 5]), rng.choice([1, 2])
+        phi = random_psh_chain_metric(p, d, rng)
+        m = rng.randint(1, 6)
+        extra = nonpositive_extra(phi, rng) if rng.random() < 0.5 else None
+        want = -sum(diagonal_weights(phi, m, extra), Fraction(0))
+        assert unit_ball_valuation(phi, m, extra) == want
+
+
+def test_vol_m_rejects_insufficient_ramification():
+    phi = slope_metric(2, 1, Fraction(-1, 2))
+    psi = slope_metric(2, 1, Fraction(-1), center=1)
+    with pytest.raises(SectionError):
+        vol_m(phi, psi, 1, M=1)

@@ -28,3 +28,37 @@ def test_no_concurrent_futures(path):
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported += [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
     assert "concurrent.futures" not in imported, f"{path.name} imports concurrent.futures"
+
+
+def display_only_nodes(path, tree):
+    """Nodes where a float may appear: the value of field.INF, and in cli.py
+    the display columns (fmt_rational and the "normalized" series field)."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if path.name == "field.py" and isinstance(node, ast.Assign):
+            if any(isinstance(t, ast.Name) and t.id == "INF" for t in node.targets):
+                allowed |= {id(n) for n in ast.walk(node.value)}
+        if path.name == "cli.py" and isinstance(node, ast.FunctionDef):
+            if node.name == "fmt_rational":
+                allowed |= {id(n) for n in ast.walk(node)}
+        if path.name == "cli.py" and isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if isinstance(key, ast.Constant) and key.value == "normalized":
+                    allowed |= {id(n) for n in ast.walk(value)}
+    return allowed
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_floats(path):
+    # every computed quantity is an exact rational; floats only for display
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = display_only_nodes(path, tree)
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            lines.append(node.lineno)
+    assert lines == [], f"{path.name}: float at lines {lines}"
