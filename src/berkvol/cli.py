@@ -40,6 +40,14 @@ EXIT_ASSERTION = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 
+#: Largest section degree m*d a config may ask for (the level-m sections
+#: have m*d + 1 coefficients); a bound checked before anything is allocated.
+MAX_SECTION_DEGREE = 10_000
+
+#: Largest Fekete pool: the search tabulates the valuation of every pair
+#: of pool points, so its memory grows with the square of the pool.
+MAX_POOL_POINTS = 1_000
+
 
 class ConfigError(Exception):
     """Raised for structurally invalid configs (exit status 3)."""
@@ -175,17 +183,27 @@ def parse_pl_function(obj: Any, p: int, where: str) -> PLFunction:
     return PLFunction(tree, values)
 
 
+def check_section_degree(m: int, d: int, where: str) -> None:
+    """Reject levels whose sections exceed degree MAX_SECTION_DEGREE."""
+    if m * max(d, 1) > MAX_SECTION_DEGREE:
+        raise ConfigError(
+            f"{where}: section degree m*d = {m * max(d, 1)} exceeds {MAX_SECTION_DEGREE}"
+        )
+
+
 def parse_metric(obj: Any, p: int, where: str) -> Metric:
     if not isinstance(obj, dict) or "d" not in obj or "tree" not in obj:
         raise ConfigError(f"{where}: expected an object with 'd' and 'tree'")
     d = obj["d"]
     if not isinstance(d, int) or d < 0:
         raise ConfigError(f"{where}.d: expected a nonnegative integer")
+    check_section_degree(1, d, f"{where}.d")
     return Metric(d, parse_pl_function(obj["tree"], p, f"{where}.tree"))
 
 
 def parse_m_range(obj: Any, where: str, m_max: Optional[int]) -> List[int]:
     if isinstance(obj, list) and all(isinstance(x, int) for x in obj):
+        check_section_degree(max(obj, default=1), 1, where)
         ms = sorted(set(obj))
     elif isinstance(obj, dict):
         try:
@@ -197,6 +215,9 @@ def parse_m_range(obj: Any, where: str, m_max: Optional[int]) -> List[int]:
             raise ConfigError(f"{where}: start, stop and step must be integers")
         if step < 1:
             raise ConfigError(f"{where}: step must be >= 1")
+        check_section_degree(max(start, stop), 1, where)
+        if (stop - start) // step >= MAX_SECTION_DEGREE:
+            raise ConfigError(f"{where}: more than {MAX_SECTION_DEGREE} levels")
         ms = list(range(start, stop + 1, step))
     else:
         raise ConfigError(f"{where}: expected a list of ints or start/stop/step")
@@ -282,6 +303,7 @@ def run_diff(cfg: Dict[str, Any], opts) -> Tuple[Dict, List, List]:
         raise ConfigError("t_grid: expected a list of rationals")
     t_grid = [parse_rational(t, "t_grid") for t in t_raw]
     ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max)
+    check_section_degree(ms[-1], phi.d, "m_range")
     rep = ex.diff_experiment(phi, f, t_grid, ms)
     tol = cfg.get("tolerance")
     tol = parse_rational(tol, "tolerance") if tol is not None else None
@@ -320,6 +342,7 @@ def run_sandwich(cfg: Dict[str, Any], opts) -> Tuple[Dict, List, List]:
     psi1 = parse_metric(cfg.get("psi1"), p, "psi1")
     psi2 = parse_metric(cfg.get("psi2"), p, "psi2")
     ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max)
+    check_section_degree(ms[-1], phi.d, "m_range")
     rep = ex.sandwich_check(phi, psi1, psi2, ms)
     results = {
         "lower": fmt_rational(rep.lower),
@@ -336,6 +359,7 @@ def run_vol_energy(cfg: Dict[str, Any], opts) -> Tuple[Dict, List, List]:
     phi = parse_metric(cfg.get("metric"), p, "metric")
     psi = parse_metric(cfg.get("metric2"), p, "metric2")
     ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max)
+    check_section_degree(ms[-1], max(phi.d, psi.d), "m_range")
     rep = vo.check_vol_equals_energy(phi, psi, ms)
     results = {
         "volume": _vol_report_json(rep.volume),
@@ -358,6 +382,7 @@ def run_rr(cfg: Dict[str, Any], opts) -> Tuple[Dict, List, List]:
     phi_D = parse_pl_function(cfg.get("divisor"), p, "divisor")
     phi_A = parse_metric(cfg.get("ample"), p, "ample")
     ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max)
+    check_section_degree(ms[-1], phi_A.d, "m_range")
     rep = vo.rr_slope_experiment(phi_D, phi_A, ms)
     results = {
         "slope_estimate": fmt_rational(rep.slope_estimate),
@@ -377,9 +402,12 @@ def run_fekete(cfg: Dict[str, Any], opts) -> Tuple[Dict, List, List]:
     m = cfg.get("m")
     if not isinstance(m, int) or m < 1:
         raise ConfigError("m: expected a positive integer")
+    check_section_degree(m, phi.d, "m")
     pool_raw = cfg.get("pool")
     if not isinstance(pool_raw, list):
         raise ConfigError("pool: expected a list of rationals")
+    if len(pool_raw) > MAX_POOL_POINTS:
+        raise ConfigError(f"pool: {len(pool_raw)} points exceed {MAX_POOL_POINTS}")
     pool = [parse_rational(x, "pool") for x in pool_raw]
     seed = opts.seed if opts.seed is not None else cfg.get("seed", 0)
     rep = ex.fekete_experiment(phi, m, pool, seed=seed)

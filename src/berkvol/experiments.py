@@ -9,12 +9,14 @@ the Fekete local search); all intermediate quantities are exact rationals.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import BerkvolError
+from .field import padic_valuation
 from .metrics import (
     Metric,
     envelope,
@@ -146,10 +148,6 @@ class FeketeReport:
     exhaustive: bool
 
 
-def _config_key(pts: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    return tuple(sorted(pts))
-
-
 def fekete_experiment(
     phi: Metric,
     m: int,
@@ -161,10 +159,14 @@ def fekete_experiment(
 ) -> FeketeReport:
     """Best Vandermonde configuration from a pool of rational points.
 
-    Maximizes the metrized determinant, i.e. minimizes its valuation.
-    Exhaustive below `exhaustive_limit` subsets; otherwise a seeded
-    greedy-swap local search.  Ties break lexicographically on the
-    sorted point tuple.
+    Maximizes the metrized determinant, i.e. minimizes its valuation
+    sum_{x<y} v_p(y - x) + m sum_x g(x).  Both sums run over values of
+    single pool points and of pairs of them, so the objective is
+    tabulated once per pool as integers over a common denominator D and
+    every subset is scored by integer additions.  Exhaustive below
+    `exhaustive_limit` subsets; otherwise a seeded greedy-swap local
+    search.  Ties break lexicographically on the sorted point tuple.
+    The winner is re-verified with `vandermonde_value`.
     """
     if not is_psh(phi):
         raise ExperimentError("Fekete experiment needs a psh metric")
@@ -177,37 +179,50 @@ def fekete_experiment(
     if len(pool) < N:
         raise ExperimentError(f"pool of {len(pool)} points cannot host {N}-tuples")
 
-    def value(cfg: Sequence[Fraction]) -> Fraction:
-        return vandermonde_value(list(cfg), phi, m)
+    # Index i is the i-th smallest pool point, so comparing sorted index
+    # tuples orders configurations exactly as comparing sorted point tuples.
+    pts = sorted(pool)
+    n = len(pts)
+    weights = [m * phi.g.evaluate_center(x) for x in pts]
+    D = math.lcm(*(w.denominator for w in weights))
+    score = [w.numerator * (D // w.denominator) for w in weights]
+    pair = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        pair[i][j] = pair[j][i] = D * int(padic_valuation(pts[j] - pts[i], phi.p))
 
-    n_subsets = 1
-    for i in range(N):
-        n_subsets = n_subsets * (len(pool) - i) // (i + 1)
-    exhaustive = n_subsets <= exhaustive_limit
-    best_val = None
-    best: List[Tuple[Fraction, ...]] = []
+    def total(cfg: Sequence[int]) -> int:
+        return sum(score[i] for i in cfg) + sum(
+            pair[i][j] for i, j in itertools.combinations(cfg, 2)
+        )
+
+    exhaustive = math.comb(n, N) <= exhaustive_limit
+    best_total = None
+    best: List[Tuple[int, ...]] = []
     if exhaustive:
-        for cfg in itertools.combinations(sorted(pool), N):
-            v = value(cfg)
-            if best_val is None or v < best_val:
-                best_val, best = v, [_config_key(cfg)]
-            elif v == best_val:
-                best.append(_config_key(cfg))
+        for cfg in itertools.combinations(range(n), N):
+            v = total(cfg)
+            if best_total is None or v < best_total:
+                best_total, best = v, [cfg]
+            elif v == best_total:
+                best.append(cfg)
     else:
         rng = random.Random(seed)
-        current = rng.sample(pool, N)
-        best_val = value(current)
-        best = [_config_key(current)]
+        index = {x: i for i, x in enumerate(pts)}
+        order = [index[x] for x in pool]
+        current = [index[x] for x in rng.sample(pool, N)]
+        best_total = total(current)
+        best = [tuple(sorted(current))]
         for _ in range(search_budget):
             improved = False
-            outside = [x for x in pool if x not in current]
+            outside = [k for k in order if k not in current]
             for i in range(N):
                 for cand in outside:
                     trial = current[:i] + [cand] + current[i + 1 :]
-                    v = value(trial)
-                    if v < best_val or (v == best_val and _config_key(trial) < best[0]):
+                    v = total(trial)
+                    key = tuple(sorted(trial))
+                    if v < best_total or (v == best_total and key < best[0]):
                         current = trial
-                        best_val, best = v, [_config_key(trial)]
+                        best_total, best = v, [key]
                         improved = True
                         break
                 if improved:
@@ -215,7 +230,11 @@ def fekete_experiment(
             if not improved:
                 break
     best.sort()
-    winner = best[0]
+    best_configs = [tuple(pts[i] for i in cfg) for cfg in best]
+    winner = best_configs[0]
+    best_val = Fraction(best_total, D)
+    if vandermonde_value(list(winner), phi, m) != best_val:
+        raise ExperimentError(f"tabulated Fekete objective {best_val} disagrees at {winner}")
 
     ref = reference_tree if reference_tree is not None else phi.tree
     emp: dict = {}
@@ -225,5 +244,5 @@ def fekete_experiment(
     empirical = DiscreteMeasure(emp)
     target = ma_measure(phi).scale(Fraction(1, phi.d))
     return FeketeReport(
-        m, N, best, best_val, empirical, target, empirical.tv_distance(target), exhaustive
+        m, N, best_configs, best_val, empirical, target, empirical.tv_distance(target), exhaustive
     )

@@ -208,15 +208,17 @@ class PLFunction:
         """The same function, re-expressed on a refinement."""
         return PLFunction(new_tree, {v: self.evaluate(v) for v in new_tree.vertices})
 
-    def __add__(self, other: "PLFunction") -> "PLFunction":
+    def _combine(self, other: "PLFunction", sign: int) -> "PLFunction":
+        """self + sign * other, on the common refinement of both trees."""
         tree = refine(self.tree, other.tree.vertices)
         a, b = self.on_tree(tree), other.on_tree(tree)
-        return PLFunction(tree, {v: a.values[v] + b.values[v] for v in tree.vertices})
+        return PLFunction(tree, {v: a.values[v] + sign * b.values[v] for v in tree.vertices})
+
+    def __add__(self, other: "PLFunction") -> "PLFunction":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "PLFunction") -> "PLFunction":
-        tree = refine(self.tree, other.tree.vertices)
-        a, b = self.on_tree(tree), other.on_tree(tree)
-        return PLFunction(tree, {v: a.values[v] - b.values[v] for v in tree.vertices})
+        return self._combine(other, -1)
 
     def scale(self, t: Fraction) -> "PLFunction":
         t = Fraction(t)

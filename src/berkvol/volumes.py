@@ -112,14 +112,24 @@ def rr_content(phi_D: PLFunction, phi_A: Metric, m: int) -> Fraction:
     v_p det B_t, with B_t the Z_p-lattice slice cut out by
     v_p((T_x s)_j) >= ceil(-w_{x,j} - t).
     """
+    return _rr_content_refined(*_rr_refine(phi_D, phi_A), m)
+
+
+def _rr_refine(phi_D: PLFunction, phi_A: Metric) -> Tuple[Metric, PLFunction]:
+    """Check the inputs of rr_content, and put phi_A and -phi_D on one tree.
+
+    Neither the checks nor the common tree depend on the level m.
+    """
     if any(v < 0 for v in phi_D.values.values()):
         raise VolumeError("divisor function must be nonnegative (effectivity)")
     if not is_psh(phi_A):
         raise VolumeError("ample-side metric must be psh")
-    shrink = phi_D.scale(Fraction(-1))
     tree = refine(phi_A.tree, phi_D.tree.vertices)
-    phi_r = phi_A.on_tree(tree)
-    shrink_r = shrink.on_tree(tree)
+    return phi_A.on_tree(tree), phi_D.scale(Fraction(-1)).on_tree(tree)
+
+
+def _rr_content_refined(phi_r: Metric, shrink_r: PLFunction, m: int) -> Fraction:
+    """Level-m part of rr_content, on the common tree of _rr_refine."""
     if _single_center(phi_r) is not None:
         outer = diagonal_weights(phi_r, m)
         inner = diagonal_weights(phi_r, m, extra=shrink_r)
@@ -146,6 +156,7 @@ def rr_slope_experiment(
 ) -> RRReport:
     """Fit rr_content(m)/m against 1/m; the intercept should approach
     the pairing of phi_D with the Monge-Ampere measure of phi_A."""
-    rep = _extrapolate(lambda m: rr_content(phi_D, phi_A, m), m_range, power=1)
+    phi_r, shrink_r = _rr_refine(phi_D, phi_A)
+    rep = _extrapolate(lambda m: _rr_content_refined(phi_r, shrink_r, m), m_range, power=1)
     target = ma_measure(phi_A).integrate(phi_D)
     return RRReport(rep.samples, rep.estimate, target, rep.residuals, rep.error_bound, rep.window)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from berkvol.cli import KINDS, main
+from berkvol.cli import KINDS, MAX_POOL_POINTS, MAX_SECTION_DEGREE, ConfigError, main, parse_metric
 
 
 def write_config(tmp_path, name, cfg):
@@ -201,6 +201,28 @@ DOMAIN_ERROR_CFGS = {
         "metric2": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]},
         "m_range": {"start": "1", "stop": 4},
     },
+    # building this level list would raise OverflowError
+    "m-range-huge-stop": {
+        "kind": "vol-energy",
+        "field": {"p": 2},
+        "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]},
+        "metric2": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]},
+        "m_range": {"start": 1, "stop": 10**30},
+    },
+    "m-range-too-many-levels": {
+        "kind": "rr",
+        "field": {"p": 2},
+        "divisor": [[0, 1, 0, 1, 0, 1]],
+        "ample": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]},
+        "m_range": {"start": -(10**30), "stop": 4},
+    },
+    "fekete-pool-too-large": {
+        "kind": "fekete",
+        "field": {"p": 2},
+        "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]},
+        "m": 1,
+        "pool": list(range(MAX_POOL_POINTS + 1)),
+    },
 }
 
 
@@ -255,6 +277,30 @@ def test_domain_error_is_validation_status(tmp_path, capsys, name):
     assert err.startswith("validation error: ")
     assert "Traceback" not in err
     assert not (tmp_path / f"{name}.report.json").exists()
+
+
+def test_huge_degree_is_rejected_before_allocation():
+    # Called directly: without the check, the metric would be accepted and a
+    # later stage would try to build 10**30 + 1 section coefficients.
+    tree = [[0, 1, 0, 1, 0, 1]]
+    with pytest.raises(ConfigError, match="section degree"):
+        parse_metric({"d": 10**30, "tree": tree}, 2, "metric")
+    assert parse_metric({"d": MAX_SECTION_DEGREE, "tree": tree}, 2, "metric").d == MAX_SECTION_DEGREE
+
+
+def test_section_degree_bounds_the_product_m_times_d(tmp_path, capsys):
+    # m and d are each allowed; their product is not.  The pool is too small
+    # for the search, so a missing check would surface as another message.
+    cfg = {
+        "kind": "fekete",
+        "field": {"p": 2},
+        "metric": {"d": MAX_SECTION_DEGREE // 2, "tree": [[0, 1, 0, 1, 0, 1]]},
+        "m": 3,
+        "pool": ["0", "1"],
+    }
+    assert main(["run", write_config(tmp_path, "fk.json", cfg), "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "section degree" in err
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +409,7 @@ def mutated_configs(draw):
 @given(cfg=mutated_configs())
 @example(cfg=DUPLICATE_DISC_CFGS["gauss-twice"])
 @example(cfg=HUGE_P_CFG)
+@example(cfg=DOMAIN_ERROR_CFGS["m-range-huge-stop"])
 def test_fuzz_run_never_crashes(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.json"

@@ -1,9 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from berkvol import experiments
 from berkvol.experiments import (
+    ExperimentError,
     diff_experiment,
     dirac_experiment,
     fekete_experiment,
@@ -11,7 +14,8 @@ from berkvol.experiments import (
     sandwich_check,
 )
 from berkvol.metrics import Metric, ma_measure, trivial_metric
-from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point
+from berkvol.sections import vandermonde_value
+from berkvol.tree import DiscreteMeasure, PLFunction, TreePoint, build_tree, gauss_point
 
 from conftest import random_pl_metric, random_psh_chain_metric, random_psh_metric
 
@@ -130,3 +134,118 @@ def test_fekete_weighted_metric_moves_mass():
         TreePoint(p, Fraction(0), Fraction(1)): Fraction(1, 2),
     }
     assert rep.tv_distance <= Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# The tabulated Fekete search against per-subset Vandermonde oracles.
+
+
+def fekete_draws():
+    """Seeded (phi, m, pool) draws: p in {2,3,5}, d in {1,2}, m in {1,2,3}.
+
+    Pools hold 5-9 distinct points of the closed unit disc, integers and
+    fractions with denominators prime to p, so equal pair valuations (and
+    tied optima) are common.
+    """
+    rng = random.Random(4242)
+    draws = []
+    for k in range(24):
+        p = (2, 3, 5)[k % 3]
+        d = rng.choice([1, 2])
+        m = rng.choice([1, 2, 3]) if d == 1 else rng.choice([1, 2])
+        phi = random_psh_metric(p, d, rng) if k % 4 else trivial_metric(p, d)
+        n = rng.randint(max(5, m * d + 1), 9)
+        pool = set()
+        while len(pool) < n:
+            den = rng.choice([1, 1, p + 1, 2 * p + 1])
+            pool.add(Fraction(rng.randint(0, p**3 - 1), den))
+        draws.append((phi, m, sorted(pool, key=lambda x: rng.random())))
+    return draws
+
+
+def oracle_exhaustive(phi, m, pool):
+    N = m * phi.d + 1
+    values = {
+        cfg: vandermonde_value(list(cfg), phi, m)
+        for cfg in itertools.combinations(sorted(pool), N)
+    }
+    best_val = min(values.values())
+    best = sorted(cfg for cfg, v in values.items() if v == best_val)
+    emp = {}
+    for x in best[0]:
+        r = phi.tree.retract(x, None)
+        emp[r] = emp.get(r, Fraction(0)) + Fraction(1, N)
+    return best_val, best, DiscreteMeasure(emp)
+
+
+def oracle_local_search(phi, m, pool, seed, search_budget=2_000):
+    """The greedy swap search, scoring each trial with vandermonde_value."""
+    N = m * phi.d + 1
+    rng = random.Random(seed)
+    current = rng.sample(pool, N)
+    best_val = vandermonde_value(current, phi, m)
+    best = [tuple(sorted(current))]
+    for _ in range(search_budget):
+        improved = False
+        outside = [x for x in pool if x not in current]
+        for i in range(N):
+            for cand in outside:
+                trial = current[:i] + [cand] + current[i + 1 :]
+                v = vandermonde_value(trial, phi, m)
+                if v < best_val or (v == best_val and tuple(sorted(trial)) < best[0]):
+                    current = trial
+                    best_val, best = v, [tuple(sorted(trial))]
+                    improved = True
+                    break
+            if improved:
+                break
+        if not improved:
+            break
+    return best_val, best
+
+
+def test_fekete_tabulated_matches_subset_oracle():
+    tied = 0
+    for phi, m, pool in fekete_draws():
+        rep = fekete_experiment(phi, m, pool)
+        best_val, best, emp = oracle_exhaustive(phi, m, pool)
+        assert rep.exhaustive
+        assert rep.best_valuation == best_val
+        assert rep.best_configs == best
+        assert rep.empirical.masses == emp.masses
+        tied += len(best) > 1
+    assert tied >= 5
+
+
+def test_fekete_local_search_matches_oracle():
+    for phi, m, pool in fekete_draws()[:12]:
+        for seed in (0, 7):
+            rep = fekete_experiment(phi, m, pool, exhaustive_limit=1, seed=seed)
+            best_val, best = oracle_local_search(phi, m, pool, seed)
+            assert not rep.exhaustive
+            assert rep.best_valuation == best_val
+            assert rep.best_configs == best
+
+
+def test_fekete_evaluates_each_pool_point_once(monkeypatch):
+    calls = []
+    evaluate_center = PLFunction.evaluate_center
+
+    def counted(self, center):
+        calls.append(center)
+        return evaluate_center(self, center)
+
+    monkeypatch.setattr(PLFunction, "evaluate_center", counted)
+    for phi, m, pool in fekete_draws()[:6]:
+        calls.clear()
+        fekete_experiment(phi, m, pool)
+        assert len(calls) <= len(pool) + m * phi.d + 1
+
+
+def test_fekete_winner_is_rechecked(monkeypatch):
+    phi, m, pool = fekete_draws()[1]
+    monkeypatch.setattr(
+        experiments, "vandermonde_value", lambda pts, phi, m: vandermonde_value(pts, phi, m) + 1
+    )
+    with pytest.raises(ExperimentError, match="disagrees"):
+        fekete_experiment(phi, m, pool)

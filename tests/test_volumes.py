@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from berkvol import volumes
 from berkvol.metrics import Metric, energy, ma_measure, trivial_metric
 from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point
 from berkvol.volumes import (
@@ -118,6 +119,23 @@ def test_rr_slope_matches_pairing():
     target = ma_measure(phiA).integrate(phiD)
     assert rep.target == target == Fraction(1, 2)
     assert abs(rep.slope_estimate - rep.target) <= rep.error_bound
+
+
+def test_rr_slope_refines_once(monkeypatch):
+    calls = []
+    refine = volumes.refine
+    monkeypatch.setattr(volumes, "refine", lambda *a: calls.append(a) or refine(*a))
+    rng = random.Random(23)
+    for _ in range(4):
+        phiA = random_psh_metric(2, 1, rng)
+        phiD = PLFunction(
+            phiA.tree, {v: Fraction(rng.randint(0, 3)) for v in phiA.tree.vertices}
+        )
+        expected = [(m, rr_content(phiD, phiA, m)) for m in range(1, 6)]
+        calls.clear()
+        rep = rr_slope_experiment(phiD, phiA, range(1, 6))
+        assert rep.samples == expected
+        assert len(calls) == 1
 
 
 def test_report_normalized_series():
