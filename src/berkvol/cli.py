@@ -252,13 +252,13 @@ def _vol_report_json(rep: vo.ExtrapolationReport) -> Dict[str, Any]:
     }
 
 
-def _series_rows(samples, normalize) -> List[Dict[str, Any]]:
+def _series_rows(samples, normalize, t: str = "") -> List[Dict[str, Any]]:
     rows = []
     for m, v in samples:
         rows.append(
             {
                 "m": m,
-                "t": "",
+                "t": t,
                 "value_num": v.numerator,
                 "value_den": v.denominator,
                 "normalized": float(normalize(m, v)),
@@ -323,16 +323,8 @@ def run_diff(cfg: Dict[str, Any], opts) -> Tuple[Dict, List, List]:
         )
     rows = []
     for leg in rep.legs:
-        for m, v in leg.report.samples:
-            rows.append(
-                {
-                    "m": m,
-                    "t": f"{leg.t.numerator}/{leg.t.denominator}",
-                    "value_num": v.numerator,
-                    "value_den": v.denominator,
-                    "normalized": float(v / (m * m)),
-                }
-            )
+        t = f"{leg.t.numerator}/{leg.t.denominator}"
+        rows += _series_rows(leg.report.samples, lambda m, v: v / (m * m), t)
     return results, assertions, rows
 
 

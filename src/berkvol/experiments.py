@@ -26,7 +26,7 @@ from .metrics import (
     ma_measure,
 )
 from .sections import vandermonde_value
-from .tree import DiscreteMeasure, PLFunction, SkeletonTree, TreePoint, refine
+from .tree import DiscreteMeasure, PLFunction, SkeletonTree, TreePoint
 from .volumes import ExtrapolationReport, vol_limit
 
 
@@ -35,11 +35,7 @@ class ExperimentError(BerkvolError):
 
 
 def _add_direction(phi: Metric, f: PLFunction, t: Fraction) -> Metric:
-    tree = refine(phi.tree, f.tree.vertices)
-    g = phi.g.on_tree(tree)
-    ft = f.on_tree(tree)
-    vals = {v: g.values[v] + Fraction(t) * ft.values[v] for v in tree.vertices}
-    return Metric(phi.d, PLFunction(tree, vals))
+    return Metric(phi.d, phi.g + f.scale(t))
 
 
 @dataclass
@@ -114,10 +110,14 @@ def sandwich_check(
 
 
 def orthogonality_experiment(phi: Metric) -> Fraction:
-    """Exact residual int (phi - env(phi)) d MA(env(phi)); contract: zero."""
+    """Exact residual int (phi - env(phi)) d MA(env(phi)); contract: zero.
+
+    Integrated term by term: phi.g - env.g would rebuild phi's tree, on
+    which env already lives.
+    """
     env = envelope(phi)
-    diff = phi.g - env.g
-    return ma_measure(env).integrate(diff)
+    mu = ma_measure(env)
+    return mu.integrate(phi.g) - mu.integrate(env.g)
 
 
 @dataclass

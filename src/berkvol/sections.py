@@ -100,12 +100,14 @@ def required_ramification(phi: Metric, m: int, extra: Optional[PLFunction] = Non
 
 
 def _single_center(phi: Metric) -> Optional[Fraction]:
-    """Common center if all tree vertices are discs around one point."""
-    center = None
+    """Common center if all tree vertices are discs around one point.
+
+    Vertices are sorted by q, so the last one is a deepest disc; the tree
+    is a chain exactly when every vertex disc contains its center.
+    """
+    center = phi.tree.vertices[-1].center
     for x in phi.tree.vertices:
-        if center is None:
-            center = x.center
-        elif padic_valuation(center - x.center, phi.p) < x.q:
+        if padic_valuation(center - x.center, phi.p) < x.q:
             return None
     return center
 
@@ -235,12 +237,26 @@ def unit_ball_valuation(
 
     With w_{x,j} = j q_x + m g(x) + extra(x), U is cut out by
     v((T_x s)_j) >= -w_{x,j} at every vertex x, T_x the Taylor shift to
-    the center a_x.  Over any K_M = Q_p(p^(1/M)) that makes the weights
-    rational with denominator dividing M, U is the sum of the slices
-    pi^k B_{k/M}, where B_t is the Z_p-lattice of
-    v_p((T_x s)_j) >= ceil(-w_{x,j} - t).  Hence
-    v(det U) = integral over t in [0, 1) of v_p det B_t, a step function
-    that only jumps at the fractional parts of the -w_{x,j}.
+    the center a_x.  v(det U) does not depend on the basis, and T_a is
+    unimodular for a in Z_p.  So on a single-center tree, where U is
+    diagonal in the basis (z - a)^j, v(det U) = -sum(diagonal_weights);
+    on any other tree _slice_integral integrates it over Z_p slices.
+    """
+    if _single_center(phi) is not None:
+        return -sum(diagonal_weights(phi, m, extra), Fraction(0))
+    return _slice_integral(phi, m, extra)
+
+
+def _slice_integral(
+    phi: Metric, m: int, extra: Optional[PLFunction] = None
+) -> Fraction:
+    """v(det U) from Z_p slices, valid on every tree.
+
+    Over any K_M = Q_p(p^(1/M)) that makes the weights rational with
+    denominator dividing M, U is the sum of the slices pi^k B_{k/M},
+    where B_t is the Z_p-lattice of v_p((T_x s)_j) >= ceil(-w_{x,j} - t).
+    Hence v(det U) = integral over t in [0, 1) of v_p det B_t, a step
+    function that only jumps at the fractional parts of the -w_{x,j}.
     """
     verts = phi.tree.vertices
     weights = [_vertex_weights(phi, m, x, extra) for x in verts]
@@ -253,39 +269,18 @@ def unit_ball_valuation(
     return total
 
 
-def vol_m(
-    phi: Metric, psi: Metric, m: int, M: Optional[int] = None
-) -> Fraction:
+def vol_m(phi: Metric, psi: Metric, m: int) -> Fraction:
     """Exact relative volume of the level-m sup norms of phi and psi.
 
-    Given M, the diagonal shortcut is skipped and every weight must lie
-    in (1/M)Z; the value does not depend on M.
+    v(det U_psi) - v(det U_phi), each from unit_ball_valuation.
     """
     if phi.d != psi.d:
         raise SectionError("metrics live on different line bundles")
     if m < 1:
         raise SectionError("m must be >= 1")
-    ca, cb = _single_center(phi), _single_center(psi)
-    if (
-        M is None
-        and ca is not None
-        and cb is not None
-        and (ca == cb or padic_valuation(ca - cb, phi.p) >= max_vertex_q(phi, psi))
-    ):
-        wa = diagonal_weights(phi, m)
-        wb = diagonal_weights(psi, m)
-        return sum(wa, Fraction(0)) - sum(wb, Fraction(0))
-    if M is not None and (
-        M < 1 or M % math.lcm(required_ramification(phi, m), required_ramification(psi, m))
-    ):
-        raise SectionError(f"weights not in (1/{M})Z: ramification insufficient")
     # Larger norms mean smaller balls, hence a larger determinant
     # valuation for the second argument.
     return unit_ball_valuation(psi, m) - unit_ball_valuation(phi, m)
-
-
-def max_vertex_q(*metrics: Metric) -> Fraction:
-    return max(x.q for phi in metrics for x in phi.tree.vertices)
 
 
 def vandermonde_value(points: List[Fraction], phi: Metric, m: int):

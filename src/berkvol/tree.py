@@ -8,6 +8,7 @@ radius exponents, matching the v(p) = 1 normalization.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -150,16 +151,8 @@ def build_tree(p: int, points: Iterable[TreePoint]) -> SkeletonTree:
         if pt.p != p:
             raise TreeError("point over a different prime")
         verts.add(pt)
-    changed = True
-    while changed:
-        changed = False
-        current = list(verts)
-        for i in range(len(current)):
-            for j in range(i + 1, len(current)):
-                m = meet(current[i], current[j])
-                if m not in verts:
-                    verts.add(m)
-                    changed = True
+    # In a rooted tree x^y^z is one of x^y, x^z, y^z: one round closes.
+    verts |= {meet(x, y) for x, y in itertools.combinations(verts, 2)}
     ordered = sorted(verts, key=lambda v: (v.q, v._key()))
     parent: Dict[TreePoint, Optional[TreePoint]] = {}
     children: Dict[TreePoint, List[TreePoint]] = {v: [] for v in ordered}

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, List, Tuple
 
 from .errors import BerkvolError
 from .metrics import Metric, envelope, energy, is_psh, ma_measure
-from .sections import _single_center, diagonal_weights, unit_ball_valuation, vol_m
+from .sections import unit_ball_valuation, vol_m
 from .tree import PLFunction, refine
 
 
@@ -107,10 +107,8 @@ def rr_content(phi_D: PLFunction, phi_A: Metric, m: int) -> Fraction:
     Computed as the content of the quotient of the unit ball of the
     level-m sup norm of phi_A by the sublattice of sections s with
     pointwise valuation of |s| e^{-m phi_A} at least phi_D everywhere.
-    Off a single-center tree both unit balls come from
-    sections.unit_ball_valuation: the integral over t in [0, 1) of
-    v_p det B_t, with B_t the Z_p-lattice slice cut out by
-    v_p((T_x s)_j) >= ceil(-w_{x,j} - t).
+    Both unit balls come from sections.unit_ball_valuation on the common
+    refinement of the two trees.
     """
     return _rr_content_refined(*_rr_refine(phi_D, phi_A), m)
 
@@ -130,10 +128,6 @@ def _rr_refine(phi_D: PLFunction, phi_A: Metric) -> Tuple[Metric, PLFunction]:
 
 def _rr_content_refined(phi_r: Metric, shrink_r: PLFunction, m: int) -> Fraction:
     """Level-m part of rr_content, on the common tree of _rr_refine."""
-    if _single_center(phi_r) is not None:
-        outer = diagonal_weights(phi_r, m)
-        inner = diagonal_weights(phi_r, m, extra=shrink_r)
-        return sum(outer, Fraction(0)) - sum(inner, Fraction(0))
     return unit_ball_valuation(phi_r, m, shrink_r) - unit_ball_valuation(phi_r, m)
 
 

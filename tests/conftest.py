@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -48,16 +49,23 @@ def random_psh_metric(p: int, d: int, rng: random.Random) -> Metric:
     return phi
 
 
-def random_chain_tree(p: int, rng: random.Random):
-    """Random tree along a single path of discs centered at 0."""
+def random_chain_tree(p: int, rng: random.Random, center: int = 0):
+    """Random tree along a single path of discs around `center`.
+
+    Off 0, each disc of radius p^-q is named by a random representative
+    of `center` modulo p^ceil(q).
+    """
     qs = sorted(rng.sample([Fraction(k, 2) for k in range(1, 9)], rng.randint(1, 3)))
-    pts = [gauss_point(p)] + [TreePoint(p, Fraction(0), q) for q in qs]
+    pts = [gauss_point(p)]
+    for q in qs:
+        a = center + p ** math.ceil(q) * rng.randint(0, p - 1) if center else 0
+        pts.append(TreePoint(p, Fraction(a), q))
     return build_tree(p, pts)
 
 
-def random_psh_chain_metric(p: int, d: int, rng: random.Random) -> Metric:
-    """Psh metric on a chain tree; these hit the fast common-center path."""
-    tree = random_chain_tree(p, rng)
+def random_psh_chain_metric(p: int, d: int, rng: random.Random, center: int = 0) -> Metric:
+    """Psh metric on a chain tree; these hit the diagonal single-center path."""
+    tree = random_chain_tree(p, rng, center)
     verts = sorted(tree.vertices, key=lambda v: v.q)
     weights = [Fraction(rng.randint(0, 4)) for _ in verts]
     total = sum(weights) or Fraction(1)

@@ -5,6 +5,7 @@ Exact identities are asserted with tolerance zero; asymptotic checks use
 the extrapolation reports' own error bounds.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from berkvol.metrics import (
     ma_measure,
     trivial_metric,
 )
-from berkvol.sections import required_ramification, vol_m
+from berkvol.sections import required_ramification, sup_norm_lattice, vol_m
 from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point
 from berkvol.volumes import check_vol_equals_energy, rr_content, rr_slope_experiment, vol_limit
 
@@ -116,15 +117,21 @@ def test_acceptance_02_norm_level_identities():
             assert abs(v12) <= m * (m * d + 1) * sup
             assert vol_m(phi1.shift(c), phi1, m) == m * c * (m * d + 1)
             checked += 4
-    # base-change invariance: recompute over a doubly ramified extension
+    # base-change invariance: the K_M lattices at M0 and at 2 M0 give vol_m
     for d in (1, 2):
         phi = slope_metric(p, d, Fraction(-1, 2))
         psi = trivial_metric(p, d)
-        for m in range(1, 21):
-            M0 = required_ramification(phi, m)
-            assert vol_m(phi, psi, m, M=M0) == vol_m(phi, psi, m, M=2 * M0)
-            checked += 1
-    report("acceptance 2", f"{checked} exact identities at m <= 20, d <= 2")
+        for m in range(1, 9):
+            M0 = math.lcm(required_ramification(phi, m), required_ramification(psi, m))
+            for M in (M0, 2 * M0):
+                ctx = FieldContext(p, M)
+                over_km = (
+                    sup_norm_lattice(psi, m, ctx).det_valuation()
+                    - sup_norm_lattice(phi, m, ctx).det_valuation()
+                )
+                assert vol_m(phi, psi, m) == over_km
+                checked += 1
+    report("acceptance 2", f"{checked} exact identities at m <= 20 (K_M at m <= 8), d <= 2")
 
 
 def test_acceptance_03_scaling_closed_form():

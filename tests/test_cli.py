@@ -165,6 +165,43 @@ def test_run_rr_and_diff_kinds(tmp_path):
     assert report["results"]["derivatives"][0]["estimate"]["exact"] == "1/2"
 
 
+DIFF_SERIES_CFG = {
+    "kind": "diff",
+    "field": {"p": 3},
+    "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1], [1, 1, 1, 1, -1, 2]]},
+    "direction": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 2, 1, 3]],
+    "t_grid": ["1/2", "1/4"],
+    "m_range": {"start": 2, "stop": 9, "step": 2},
+}
+
+DIFF_SERIES_CSV = """\
+m,t,value_num,value_den,normalized
+2,1/4,0,1,0.0
+4,1/4,0,1,0.0
+6,1/4,0,1,0.0
+8,1/4,0,1,0.0
+2,-1/4,-1,6,-0.041666666666666664
+4,-1/4,-1,3,-0.020833333333333332
+6,-1/4,-1,2,-0.013888888888888888
+8,-1/4,-5,6,-0.013020833333333334
+2,1/2,0,1,0.0
+4,1/2,0,1,0.0
+6,1/2,0,1,0.0
+8,1/2,0,1,0.0
+2,-1/2,-1,3,-0.08333333333333333
+4,-1/2,-5,6,-0.052083333333333336
+6,-1/2,-3,2,-0.041666666666666664
+8,-1/2,-5,2,-0.0390625
+"""
+
+
+def test_run_diff_series_csv(tmp_path):
+    """One row per leg and level, legs in the order +t, -t by increasing |t|."""
+    main(["run", write_config(tmp_path, "df.json", DIFF_SERIES_CFG), "--out-dir", str(tmp_path)])
+    got = (tmp_path / "df.series.csv").read_bytes()
+    assert got == DIFF_SERIES_CSV.replace("\n", "\r\n").encode()
+
+
 DOMAIN_ERROR_CFGS = {
     "diff-non-psh-base": {
         "kind": "diff",

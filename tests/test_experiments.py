@@ -13,7 +13,7 @@ from berkvol.experiments import (
     orthogonality_experiment,
     sandwich_check,
 )
-from berkvol.metrics import Metric, ma_measure, trivial_metric
+from berkvol.metrics import Metric, envelope, ma_measure, trivial_metric
 from berkvol.sections import vandermonde_value
 from berkvol.tree import DiscreteMeasure, PLFunction, TreePoint, build_tree, gauss_point
 
@@ -82,6 +82,25 @@ def test_orthogonality_randomized():
     for _ in range(10):
         phi = random_pl_metric(2, rng.choice([1, 2]), rng)
         assert orthogonality_experiment(phi) == 0
+
+
+def test_orthogonality_integrates_term_by_term():
+    """The residual equals the integral of the refined difference, and
+    the linearity it rests on holds on trees that are not common."""
+    rng = random.Random(8)
+    nonzero = 0
+    for i in range(30):
+        p, d = rng.choice([2, 3, 5]), rng.choice([1, 2])
+        draw = random_psh_metric if i % 2 else random_pl_metric
+        phi = draw(p, d, rng)
+        env = envelope(phi)
+        assert orthogonality_experiment(phi) == ma_measure(env).integrate(phi.g - env.g)
+        psi = random_psh_metric(p, d, rng)
+        mu = ma_measure(psi)
+        split = mu.integrate(phi.g) - mu.integrate(psi.g)
+        assert split == mu.integrate(phi.g - psi.g)
+        nonzero += split != 0
+    assert nonzero > 20
 
 
 def test_dirac_solutions():

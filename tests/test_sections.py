@@ -8,6 +8,8 @@ from berkvol.metrics import Metric, trivial_metric
 from berkvol.sections import (
     Section,
     SectionError,
+    _single_center,
+    _slice_integral,
     diagonal_weights,
     point_norm,
     required_ramification,
@@ -109,24 +111,6 @@ def test_vol_m_scaling_closed_form():
             assert vol_m(phi.shift(c), phi, m) == m * c * (m * d + 1)
 
 
-def test_vol_m_fast_and_lattice_paths_agree():
-    p = 2
-    phi = slope_metric(p, 1, Fraction(-1, 2))
-    triv = trivial_metric(p, 1)
-    for m in (2, 4, 6):
-        fast = vol_m(phi, triv, m)
-        forced = vol_m(phi, triv, m, M=2 * required_ramification(phi, m))
-        assert fast == forced
-
-
-def test_vol_m_base_change_invariance():
-    p = 2
-    phi = slope_metric(p, 1, Fraction(-1, 2))
-    psi = slope_metric(p, 1, Fraction(-1), center=1)
-    M0 = required_ramification(phi, 3)
-    assert vol_m(phi, psi, 3, M=M0 * 2) == vol_m(phi, psi, 3, M=M0 * 4)
-
-
 def test_vol_m_antisymmetry_mixed_centers():
     p = 2
     phi = slope_metric(p, 2, Fraction(-1, 2))
@@ -170,6 +154,7 @@ def test_unit_ball_valuation_matches_km_oracle():
         if M0 > 24:
             continue
         got = unit_ball_valuation(phi, m, extra)
+        assert _slice_integral(phi, m, extra) == got
         for M in (M0, 2 * M0):
             lattice = sup_norm_lattice(phi, m, FieldContext(p, M), extra)
             assert got == lattice.det_valuation(), (p, d, m, M)
@@ -179,18 +164,23 @@ def test_unit_ball_valuation_matches_km_oracle():
 
 
 def test_unit_ball_valuation_is_diagonal_on_chains():
+    """The slice integral equals the diagonal closed form on every chain.
+
+    Chains run through 0 or around a nonzero center, whose vertices may
+    name their discs by different representatives of it.
+    """
     rng = random.Random(4)
-    for _ in range(40):
+    off_zero = 0
+    for _ in range(80):
         p, d = rng.choice([2, 3, 5]), rng.choice([1, 2])
-        phi = random_psh_chain_metric(p, d, rng)
+        center = rng.choice([0, rng.randint(1, p**4 - 1)])
+        phi = random_psh_chain_metric(p, d, rng, center=center)
+        assert _single_center(phi) is not None
+        off_zero += phi.tree.vertices[-1].center != 0
         m = rng.randint(1, 6)
         extra = nonpositive_extra(phi, rng) if rng.random() < 0.5 else None
         want = -sum(diagonal_weights(phi, m, extra), Fraction(0))
+        assert _slice_integral(phi, m, extra) == want
         assert unit_ball_valuation(phi, m, extra) == want
+    assert off_zero >= 20
 
-
-def test_vol_m_rejects_insufficient_ramification():
-    phi = slope_metric(2, 1, Fraction(-1, 2))
-    psi = slope_metric(2, 1, Fraction(-1), center=1)
-    with pytest.raises(SectionError):
-        vol_m(phi, psi, 1, M=1)

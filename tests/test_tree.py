@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,41 @@ def test_build_tree_adds_meets():
     assert branch in tree.vertices
     assert gauss_point(p) == tree.root
     assert tree.parent[a] == branch and tree.parent[b] == branch
+
+
+def _fixed_point_closure(p, points):
+    """Meet closure by rescanning every pair until nothing is added."""
+    verts = {gauss_point(p)}
+    verts.update(points)
+    changed = True
+    while changed:
+        changed = False
+        current = list(verts)
+        for i in range(len(current)):
+            for j in range(i + 1, len(current)):
+                m = meet(current[i], current[j])
+                if m not in verts:
+                    verts.add(m)
+                    changed = True
+    return sorted(verts, key=lambda v: (v.q, v._key()))
+
+
+def test_build_tree_one_round_matches_fixed_point():
+    """One round of pairwise meets gives the same vertices, in the same
+    order and with the same center representatives, as the fixed point."""
+    rng = random.Random(17)
+    added = 0
+    for _ in range(300):
+        p = rng.choice([2, 3, 5])
+        pts = []
+        for _ in range(rng.randint(1, 7)):
+            q = Fraction(rng.randint(0, 8), rng.choice([1, 2]))
+            pts.append(TreePoint(p, Fraction(rng.randint(0, p**4 - 1)), q))
+        want = _fixed_point_closure(p, pts)
+        got = build_tree(p, pts).vertices
+        assert [(v.center, v.q) for v in got] == [(v.center, v.q) for v in want]
+        added += len(got) > len(set(pts) | {gauss_point(p)})
+    assert added > 100
 
 
 def test_edge_lengths_and_retraction():
