@@ -25,9 +25,9 @@ from .metrics import (
     is_psh,
     ma_measure,
 )
-from .sections import vandermonde_value
+from .sections import unit_ball_valuation, vandermonde_value
 from .tree import DiscreteMeasure, PLFunction, SkeletonTree, TreePoint
-from .volumes import ExtrapolationReport, vol_limit
+from .volumes import ExtrapolationReport, _vol_limit, vol_limit
 
 
 class ExperimentError(BerkvolError):
@@ -57,7 +57,11 @@ def diff_experiment(
     t_grid: Sequence[Fraction],
     m_range: Iterable[int],
 ) -> DiffReport:
-    """Symmetric finite differences of t -> vol(L, phi + t f, phi)."""
+    """Symmetric finite differences of t -> vol(L, phi + t f, phi).
+
+    Every leg is measured against phi, so phi's unit ball is computed
+    once per level and shared by the legs.
+    """
     if not is_psh(phi):
         raise ExperimentError("base metric must be psh")
     ts = sorted({abs(Fraction(t)) for t in t_grid if t != 0})
@@ -65,9 +69,16 @@ def diff_experiment(
     legs: List[DiffLeg] = []
     derivs: List[Tuple[Fraction, Fraction, Fraction]] = []
     ms = list(m_range)
+    if any(m < 1 for m in ms):
+        raise ExperimentError("m must be >= 1")
+    base = {m: unit_ball_valuation(phi, m) for m in ms}
+
+    def leg(s: Fraction) -> ExtrapolationReport:
+        phi_s = _add_direction(phi, f, s)
+        return _vol_limit(phi_s, phi, ms, lambda m: base[m] - unit_ball_valuation(phi_s, m))
+
     for t in ts:
-        rep_p = vol_limit(_add_direction(phi, f, t), phi, ms)
-        rep_m = vol_limit(_add_direction(phi, f, -t), phi, ms)
+        rep_p, rep_m = leg(t), leg(-t)
         legs.extend([DiffLeg(t, rep_p), DiffLeg(-t, rep_m)])
         est = (rep_p.estimate - rep_m.estimate) / (2 * t)
         bound = (rep_p.error_bound + rep_m.error_bound) / (2 * t)

@@ -81,12 +81,20 @@ def sup_norm(s: Section, phi: Metric, m: int):
     return min(point_norm(s, x, phi, m) for x in phi.tree.vertices)
 
 
-def _vertex_weights(
+def _vertex_base(
     phi: Metric, m: int, x: TreePoint, extra: Optional[PLFunction]
-) -> List[Fraction]:
+) -> Fraction:
+    """m g(x) + extra(x): the weight at vertex x of the constant section."""
     base = m * phi.g.values[x]
     if extra is not None:
         base += extra.evaluate(x)
+    return base
+
+
+def _vertex_weights(
+    phi: Metric, m: int, x: TreePoint, extra: Optional[PLFunction]
+) -> List[Fraction]:
+    base = _vertex_base(phi, m, x, extra)
     return [i * x.q + base for i in range(m * phi.d + 1)]
 
 
@@ -117,6 +125,8 @@ def diagonal_weights(phi: Metric, m: int, extra: Optional[PLFunction] = None) ->
 
     Valid only when all vertices share one center, so the recentered
     bases coincide and the unit ball is diagonal in the monomial basis.
+    Term by term, this is the tests' oracle for the envelope sum that
+    unit_ball_valuation computes on such trees.
     """
     if _single_center(phi) is None:
         raise SectionError("diagonal weights need a single-center tree")
@@ -230,6 +240,28 @@ def _slice_valuation(p: int, centers: List[Fraction], exps: List[List[int]]) -> 
     return N * E - pivots
 
 
+def _envelope_sum(lines: List[Tuple[int, int]], n: int) -> int:
+    """sum_{i=0}^{n-1} min over (a, b) in lines of a i + b, in integers.
+
+    Walks the lower envelope from i = 0.  Each run [lo, hi) takes the
+    line least at lo, ties going to the smaller slope, which stays least
+    after lo.  The run ends at the first integer where a line of smaller
+    slope is at most it: the ceiling of their crossing.  Slopes fall
+    from run to run, so there are at most V = len(lines) runs and
+    O(V^2) integer operations; (lo + hi - 1)(hi - lo) is even.
+    """
+    total, lo = 0, 0
+    while lo < n:
+        a, b = min(lines, key=lambda line: (line[0] * lo + line[1], line[0]))
+        hi = n
+        for a2, b2 in lines:
+            if a2 < a:
+                hi = min(hi, -((b - b2) // (a - a2)))
+        total += a * (lo + hi - 1) * (hi - lo) // 2 + b * (hi - lo)
+        lo = hi
+    return total
+
+
 def unit_ball_valuation(
     phi: Metric, m: int, extra: Optional[PLFunction] = None
 ) -> Fraction:
@@ -239,11 +271,23 @@ def unit_ball_valuation(
     v((T_x s)_j) >= -w_{x,j} at every vertex x, T_x the Taylor shift to
     the center a_x.  v(det U) does not depend on the basis, and T_a is
     unimodular for a in Z_p.  So on a single-center tree, where U is
-    diagonal in the basis (z - a)^j, v(det U) = -sum(diagonal_weights);
-    on any other tree _slice_integral integrates it over Z_p slices.
+    diagonal in the basis (z - a)^j, v(det U) = -sum_j min_x w_{x,j}:
+    the sum over j = 0..md of the lower envelope of the vertex lines
+    j -> w_{x,j}, taken in integers after scaling by the lcm D of their
+    denominators.  On any other tree _slice_integral integrates v(det U)
+    over Z_p slices.
     """
     if _single_center(phi) is not None:
-        return -sum(diagonal_weights(phi, m, extra), Fraction(0))
+        lines = [(x.q, _vertex_base(phi, m, x, extra)) for x in phi.tree.vertices]
+        # A list, not a generator: a tuple built from a generator is resized,
+        # and CPython's free list then keeps up to 2000 of them per length.
+        D = math.lcm(*[c.denominator for line in lines for c in line])
+
+        def scaled(c: Fraction) -> int:
+            return c.numerator * (D // c.denominator)
+
+        total = _envelope_sum([(scaled(a), scaled(b)) for a, b in lines], m * phi.d + 1)
+        return Fraction(-total, D)
     return _slice_integral(phi, m, extra)
 
 

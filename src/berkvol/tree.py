@@ -50,15 +50,17 @@ class TreePoint:
             raise TreeError(f"radius exponent {self.q} must be >= 0")
         if padic_valuation(self.center, self.p) < 0:
             raise TreeError(f"center {self.center} lies outside the closed unit disc")
-
-    def _key(self) -> Tuple[int, Fraction, Fraction]:
-        return (self.p, self.q, _canonical_center(self.center, self.q, self.p))
+        # The disc, not the chosen center, identifies the point; every dict
+        # lookup compares keys, so the canonical key and its hash are fixed here.
+        key = (self.p, self.q, _canonical_center(self.center, self.q, self.p))
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TreePoint) and self._key() == other._key()
+        return isinstance(other, TreePoint) and self.key == other.key
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self) -> str:
         return f"zeta({self.center}, q={self.q})"
@@ -153,17 +155,19 @@ def build_tree(p: int, points: Iterable[TreePoint]) -> SkeletonTree:
         verts.add(pt)
     # In a rooted tree x^y^z is one of x^y, x^z, y^z: one round closes.
     verts |= {meet(x, y) for x, y in itertools.combinations(verts, 2)}
-    ordered = sorted(verts, key=lambda v: (v.q, v._key()))
-    parent: Dict[TreePoint, Optional[TreePoint]] = {}
+    # Ancestors have smaller q, so each vertex is placed after all of them;
+    # its parent is the deepest one, reached by descending from the root.
+    ordered = sorted(verts, key=lambda v: (v.q, v.key))
+    root = ordered[0]
+    parent: Dict[TreePoint, Optional[TreePoint]] = {root: None}
     children: Dict[TreePoint, List[TreePoint]] = {v: [] for v in ordered}
-    for v in ordered:
-        anc = [u for u in ordered if u != v and is_below(u, v)]
-        if not anc:
-            parent[v] = None
-        else:
-            par = max(anc, key=lambda u: u.q)
-            parent[v] = par
-            children[par].append(v)
+    for v in ordered[1:]:
+        par, below = None, root
+        while below is not None:
+            par = below
+            below = next((c for c in children[par] if is_below(c, v)), None)
+        parent[v] = par
+        children[par].append(v)
     return SkeletonTree(p, ordered, parent, children)
 
 
@@ -182,6 +186,9 @@ class PLFunction:
         self.values = {v: Fraction(self.values[v]) for v in self.tree.vertices}
 
     def evaluate(self, x: TreePoint) -> Fraction:
+        value = self.values.get(x)
+        if value is not None:  # x is a vertex
+            return value
         r = self.tree.retract(x.center, x.q)
         u, c, t = self.tree.locate(r)
         if c is None:

@@ -71,6 +71,14 @@ def _extrapolate(
 
 def vol_limit(phi: Metric, psi: Metric, m_range: Iterable[int]) -> ExtrapolationReport:
     """Extrapolated vol(L, phi, psi) from exact finite-level volumes."""
+    return _vol_limit(phi, psi, m_range, lambda m: vol_m(phi, psi, m))
+
+
+def _vol_limit(
+    phi: Metric, psi: Metric, m_range: Iterable[int], vol: Callable[[int], Fraction]
+) -> ExtrapolationReport:
+    """vol_limit, with the level-m volume vol(m) of phi against psi
+    supplied by the caller (diff_experiment shares psi's unit balls)."""
     if phi.d != psi.d:
         raise VolumeError("metrics live on different line bundles")
     if phi.d == 0:
@@ -79,7 +87,7 @@ def vol_limit(phi: Metric, psi: Metric, m_range: Iterable[int]) -> Extrapolation
             Fraction(0), Fraction(0), samples, [m for m, _ in samples],
             [(m, Fraction(0)) for m, _ in samples], Fraction(0),
         )
-    return _extrapolate(lambda m: vol_m(phi, psi, m), m_range, power=2)
+    return _extrapolate(vol, m_range, power=2)
 
 
 @dataclass

@@ -305,6 +305,34 @@ def test_huge_prime_is_rejected_quickly(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "2^64" in err
 
 
+CHAIN_AT_CAP_CFG = {
+    "kind": "vol-energy",
+    "field": {"p": 2},
+    "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, -1, 2], [0, 1, 3, 1, -3, 2]]},
+    "metric2": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1], [4, 1, 3, 2, -1, 3]]},
+    "m_range": {"start": MAX_SECTION_DEGREE - 99, "stop": MAX_SECTION_DEGREE},
+}
+
+
+def test_chain_at_the_section_degree_cap_finishes(tmp_path):
+    """100 levels of two chains at m d = MAX_SECTION_DEGREE end with a report.
+
+    The fitted vol_equals_energy check may fail this far out, so the exit
+    status may be 1; the point is that the run ends, and quickly.
+    """
+    cfg = write_config(tmp_path, "cap.json", CHAIN_AT_CAP_CFG)
+    start = time.perf_counter()
+    with redirect_stdout(io.StringIO()):
+        status = main(["run", cfg, "--out-dir", str(tmp_path)])
+    assert time.perf_counter() - start < 5
+    assert status in (0, 1)
+    report = json.loads((tmp_path / "cap.report.json").read_text())
+    assert report["kind"] == "vol-energy"
+    rows = list(csv.DictReader(io.StringIO((tmp_path / "cap.series.csv").read_text())))
+    levels = range(MAX_SECTION_DEGREE - 99, MAX_SECTION_DEGREE + 1)
+    assert [int(r["m"]) for r in rows] == list(levels)
+
+
 @pytest.mark.parametrize("name", sorted(DOMAIN_ERROR_CFGS))
 def test_domain_error_is_validation_status(tmp_path, capsys, name):
     cfg = write_config(tmp_path, f"{name}.json", DOMAIN_ERROR_CFGS[name])

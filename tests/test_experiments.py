@@ -16,6 +16,7 @@ from berkvol.experiments import (
 from berkvol.metrics import Metric, envelope, ma_measure, trivial_metric
 from berkvol.sections import vandermonde_value
 from berkvol.tree import DiscreteMeasure, PLFunction, TreePoint, build_tree, gauss_point
+from berkvol.volumes import vol_limit
 
 from conftest import random_pl_metric, random_psh_chain_metric, random_psh_metric
 
@@ -50,6 +51,41 @@ def test_diff_requires_psh_base():
     bad = slope_metric(p, 1, Fraction(1))
     with pytest.raises(Exception):
         diff_experiment(bad, tent_direction(p), [Fraction(1, 8)], range(16, 81, 16))
+
+
+def test_diff_computes_each_unit_ball_once(monkeypatch):
+    """The base metric's level-m unit ball is shared by every leg: each
+    distinct (metric, m) pair is computed once."""
+    from berkvol import sections
+
+    calls = []
+    original = sections.unit_ball_valuation
+
+    def counted(phi, m, extra=None):
+        calls.append((phi.d, frozenset(phi.g.values.items()), m))
+        return original(phi, m, extra)
+
+    monkeypatch.setattr(sections, "unit_ball_valuation", counted)
+    monkeypatch.setattr(experiments, "unit_ball_valuation", counted)
+    rng = random.Random(12)
+    for p in (2, 3):
+        phi = random_psh_metric(p, 1, rng)
+        f = random_pl_metric(p, 1, rng).g
+        ms = [2, 4, 6, 8]
+        calls.clear()
+        rep = diff_experiment(phi, f, [Fraction(1, 2), Fraction(-1, 4), Fraction(1, 4)], ms)
+        assert len(rep.legs) == 4
+        assert len(calls) == len(set(calls)) == (1 + len(rep.legs)) * len(ms)
+        # each leg still equals vol_limit against the base, level by level
+        for leg in rep.legs:
+            want = vol_limit(experiments._add_direction(phi, f, leg.t), phi, ms)
+            assert leg.report == want
+
+
+def test_diff_rejects_levels_below_one():
+    phi, f = slope_metric(2, 1, Fraction(-1, 2)), tent_direction(2)
+    with pytest.raises(ExperimentError):
+        diff_experiment(phi, f, [Fraction(1, 8)], [0, 1, 2, 3])
 
 
 def test_sandwich_randomized_chain_corpus():

@@ -8,6 +8,7 @@ from berkvol.metrics import Metric, trivial_metric
 from berkvol.sections import (
     Section,
     SectionError,
+    _envelope_sum,
     _single_center,
     _slice_integral,
     diagonal_weights,
@@ -21,7 +22,13 @@ from berkvol.sections import (
 )
 from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point
 
-from conftest import random_pl_metric, random_psh_chain_metric, random_psh_metric
+from conftest import (
+    random_chain_tree,
+    random_pl_metric,
+    random_psh_chain_metric,
+    random_psh_metric,
+    random_tree,
+)
 
 
 def slope_metric(p, d, slope, depth=1, center=0):
@@ -184,3 +191,88 @@ def test_unit_ball_valuation_is_diagonal_on_chains():
         assert unit_ball_valuation(phi, m, extra) == want
     assert off_zero >= 20
 
+
+
+def signed_function(tree, rng):
+    return PLFunction(
+        tree, {v: Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4])) for v in tree.vertices}
+    )
+
+
+def test_chain_envelope_matches_diagonal_weights():
+    """The integer envelope sum equals -sum(diagonal_weights) on chains.
+
+    Chains run through 0 or around a nonzero center, m goes up to 100,
+    g is psh or arbitrary, and extra is absent, of either sign, on the
+    metric's own tree or on an unrelated one (read by interpolation).
+    """
+    rng = random.Random(6)
+    seen = set()
+    for _ in range(300):
+        p, d = rng.choice([2, 3, 5]), rng.choice([1, 2, 3])
+        center = rng.choice([0, rng.randint(1, p**4 - 1)])
+        if rng.random() < 0.5:
+            phi = random_psh_chain_metric(p, d, rng, center=center)
+        else:
+            phi = Metric(d, signed_function(random_chain_tree(p, rng, center), rng))
+        m = rng.choice([rng.randint(1, 12), rng.randint(1, 100)])
+        extra = rng.choice([None, "own", "other"])
+        if extra == "own":
+            extra = signed_function(phi.tree, rng)
+        elif extra == "other":
+            extra = signed_function(random_tree(p, rng), rng)
+        want = -sum(diagonal_weights(phi, m, extra), Fraction(0))
+        assert unit_ball_valuation(phi, m, extra) == want, (p, d, m)
+        seen.add((p, d, center != 0))
+    assert len(seen) == 18
+
+
+def brute_envelope_sum(lines, n):
+    return sum(min(a * i + b for a, b in lines) for i in range(n))
+
+
+@pytest.mark.parametrize(
+    "lines, n, want",
+    [
+        # crossing at i = 2: 0, 2, 4, 4, 4
+        ([(2, 0), (0, 4)], 5, 14),
+        # crossing at i = 0: the smaller slope wins the tie and the run
+        ([(3, 0), (1, 0)], 4, 6),
+        ([(1, 0), (3, 0)], 4, 6),
+        # crossing at the last term i = n - 1 = md, and just past it
+        ([(1, 0), (0, 4)], 5, 10),
+        ([(1, 0), (0, 5)], 5, 10),
+        # three lines through one integer point, plus a parallel copy
+        ([(2, 0), (1, 3), (0, 6), (2, 0)], 7, 0 + 2 + 4 + 6 + 6 + 6 + 6),
+        # a crossing at a non-integer 5/2
+        ([(2, 0), (0, 5)], 5, 0 + 2 + 4 + 5 + 5),
+        ([(1, 7)], 1, 7),
+        ([(1, 7)], 0, 0),
+    ],
+)
+def test_envelope_sum_tie_rule(lines, n, want):
+    assert brute_envelope_sum(lines, n) == want
+    assert _envelope_sum(lines, n) == want
+
+
+def test_envelope_sum_matches_brute_force():
+    rng = random.Random(8)
+    for _ in range(2000):
+        lines = [(rng.randint(0, 6), rng.randint(-20, 20)) for _ in range(rng.randint(1, 6))]
+        n = rng.randint(0, 30)
+        assert _envelope_sum(lines, n) == brute_envelope_sum(lines, n)
+
+
+def test_chain_envelope_ties_at_level_ends():
+    """A chain whose vertex lines cross exactly at i = 0 and at i = md."""
+    p, d, m = 2, 1, 4
+    g0, x = gauss_point(p), TreePoint(p, Fraction(0), Fraction(1))
+    tree = build_tree(p, [x])
+    # b = 0 at both vertices: the lines 0 and i cross at i = 0
+    phi = Metric(d, PLFunction(tree, {g0: Fraction(0), x: Fraction(0)}))
+    assert unit_ball_valuation(phi, m) == 0
+    # m g(x) = -4 = -md: the lines 0 and i - 4 cross at i = md = 4
+    phi = Metric(d, PLFunction(tree, {g0: Fraction(0), x: Fraction(-1)}))
+    assert unit_ball_valuation(phi, m) == -sum(min(0, i - 4) for i in range(5))
+    for psi in (phi, phi.shift(Fraction(1, 3))):
+        assert unit_ball_valuation(psi, m) == -sum(diagonal_weights(psi, m), Fraction(0))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -30,6 +31,25 @@ def test_point_equality_is_disc_equality():
     assert hash(TreePoint(2, Fraction(0), Fraction(1))) == hash(
         TreePoint(2, Fraction(2), Fraction(1))
     )
+
+
+def test_point_key_ignores_the_representative():
+    """Centers differing by p^ceil(q) k name one disc: equal points, equal
+    hashes, one dict slot, one stored key."""
+    rng = random.Random(23)
+    for _ in range(200):
+        p = rng.choice([2, 3, 5])
+        q = Fraction(rng.randint(0, 8), rng.choice([1, 2, 3]))
+        a = Fraction(rng.randint(0, p**4 - 1), rng.choice([1, p + 1]))
+        k = rng.randint(-(p**3), p**3)
+        x = TreePoint(p, a, q)
+        y = TreePoint(p, a + p ** math.ceil(q) * k, q)
+        assert x == y and hash(x) == hash(y) and x.key == y.key
+        slots = {x: "x"}
+        slots[y] = "y"
+        assert slots == {x: "y"}
+        if q > 0:
+            assert TreePoint(p, a + p ** (math.ceil(q) - 1), q) != x
 
 
 def test_point_rejects_center_outside_unit_disc():
@@ -88,7 +108,7 @@ def _fixed_point_closure(p, points):
                 if m not in verts:
                     verts.add(m)
                     changed = True
-    return sorted(verts, key=lambda v: (v.q, v._key()))
+    return sorted(verts, key=lambda v: (v.q, v.key))
 
 
 def test_build_tree_one_round_matches_fixed_point():
@@ -107,6 +127,38 @@ def test_build_tree_one_round_matches_fixed_point():
         assert [(v.center, v.q) for v in got] == [(v.center, v.q) for v in want]
         added += len(got) > len(set(pts) | {gauss_point(p)})
     assert added > 100
+
+
+def _scan_parents(vertices):
+    """Parent of each vertex as its deepest ancestor, by scanning all others."""
+    parent, children = {}, {v: [] for v in vertices}
+    for v in vertices:
+        anc = [u for u in vertices if u != v and is_below(u, v)]
+        parent[v] = max(anc, key=lambda u: u.q) if anc else None
+        if anc:
+            children[parent[v]].append(v)
+    return parent, children
+
+
+def test_build_tree_parents_match_scan():
+    """Descending from the root finds the parents and child order that
+    the all-pairs is_below scan finds."""
+    rng = random.Random(19)
+    branched = 0
+    for _ in range(300):
+        p = rng.choice([2, 3, 5])
+        pts = []
+        for _ in range(rng.randint(1, 8)):
+            q = Fraction(rng.randint(0, 8), rng.choice([1, 2]))
+            pts.append(TreePoint(p, Fraction(rng.randint(0, p**4 - 1)), q))
+        tree = build_tree(p, pts)
+        parent, children = _scan_parents(tree.vertices)
+        assert tree.vertices == _fixed_point_closure(p, pts)
+        assert tree.parent == parent
+        assert all(tree.children[v] == children[v] for v in tree.vertices)
+        assert list(tree.children) == list(children)
+        branched += any(len(c) > 1 for c in children.values())
+    assert branched > 100
 
 
 def test_edge_lengths_and_retraction():
