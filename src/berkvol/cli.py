@@ -524,7 +524,11 @@ def cmd_run(args) -> int:
     return EXIT_ASSERTION if failed else EXIT_OK
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+#: The command-line parser, built by main on first use rather than at import.
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="berkvol", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -540,8 +544,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--m-max", type=int, default=None, dest="m_max")
     p_run.set_defaults(func=cmd_run)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     return args.func(args)
 
 

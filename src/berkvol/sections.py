@@ -9,6 +9,19 @@ The sup over the whole analytification reduces to a minimum over the
 tree vertices: the valuation of |s| is concave in the radius exponent
 along edges and nondecreasing in the off-tree directions, while outside
 the unit disc the outward slope is deg(s) - md <= 0.
+
+The determinant valuation of the sup-norm unit ball U is read off the
+tree alone.  Filter sections by degree: the leading coefficients of the
+degree-j sections in U are the lambda with v(lambda) >= -F_j, where F_j
+is the valuation form of the least sup norm of a monic degree-j
+polynomial.  Hence v(det U) = -sum_{j=0}^{md} F_j.  A root alpha adds
+q(x ^ alpha) to the valuation of |P| at a vertex x (the Hsia kernel).
+Moving alpha to a vertex y at the deep end of the tree edge it retracts
+to, in a residue direction that holds no other vertex, only adds more, so
+F_j is the max over root counts c >= 0 on the vertices with sum j of
+min_x (m g(x) + extra(x) + sum_y c_y q(x ^ y)).  Nothing here names a
+ramification index, a residue field or a slice of Z_p: the value is the
+same over every complete field whose value group holds the weights.
 """
 
 from __future__ import annotations
@@ -16,13 +29,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import BerkvolError
 from .field import INF, FieldContext, padic_valuation
 from .lattices import Lattice, intersect
 from .metrics import Metric
-from .tree import PLFunction, TreePoint
+from .tree import PLFunction, SkeletonTree, TreePoint
 
 
 class SectionError(BerkvolError):
@@ -107,28 +120,15 @@ def required_ramification(phi: Metric, m: int, extra: Optional[PLFunction] = Non
     return math.lcm(*dens)
 
 
-def _single_center(phi: Metric) -> Optional[Fraction]:
-    """Common center if all tree vertices are discs around one point.
-
-    Vertices are sorted by q, so the last one is a deepest disc; the tree
-    is a chain exactly when every vertex disc contains its center.
-    """
-    center = phi.tree.vertices[-1].center
-    for x in phi.tree.vertices:
-        if padic_valuation(center - x.center, phi.p) < x.q:
-            return None
-    return center
-
-
 def diagonal_weights(phi: Metric, m: int, extra: Optional[PLFunction] = None) -> List[Fraction]:
     """Effective weights min_x (i q_x + m g(x) + extra(x)) on a chain tree.
 
-    Valid only when all vertices share one center, so the recentered
-    bases coincide and the unit ball is diagonal in the monomial basis.
-    Term by term, this is the tests' oracle for the envelope sum that
-    unit_ball_valuation computes on such trees.
+    Valid only on a chain of discs, where the vertices share one center,
+    the recentered bases coincide and the unit ball is diagonal in the
+    monomial basis.  Term by term, this is the tests' oracle for the
+    envelope sum that unit_ball_valuation computes on such trees.
     """
-    if _single_center(phi) is None:
+    if not _is_chain(phi.tree):
         raise SectionError("diagonal weights need a single-center tree")
     N = m * phi.d + 1
     per_vertex = [_vertex_weights(phi, m, x, extra) for x in phi.tree.vertices]
@@ -143,7 +143,8 @@ def sup_norm_lattice(
     Intersection over the tree vertices of the diagonal lattices in the
     recentered monomial bases {(z - a_x)^i} with weights i q_x + m g(x).
     This is the K_M oracle for unit_ball_valuation, which computes the
-    same determinant valuation from Z_p slices; only tests call it.
+    same determinant valuation from root counts on the tree; only tests
+    call it.
     """
     N = m * phi.d + 1
     result: Optional[Lattice] = None
@@ -170,76 +171,6 @@ def sup_norm_lattice(
     return result
 
 
-def _taylor_shift(a: Fraction, N: int, mod: int) -> List[List[int]]:
-    """Rows of T_a mod `mod`: (T_a s)_j = sum_{i>=j} C(i, j) a^(i-j) s_i.
-
-    Built by Pascal's rule T[j][i] = T[j-1][i-1] + a T[j][i-1]; the
-    denominator of a is a p-adic unit, so it is inverted mod `mod`.
-    """
-    a_mod = a.numerator * pow(a.denominator, -1, mod) % mod
-    rows = [[1] + [0] * (N - 1)]
-    for i in range(1, N):
-        rows[0][i] = rows[0][i - 1] * a_mod % mod
-    for j in range(1, N):
-        prev = rows[-1]
-        row = [0] * N
-        row[j] = 1
-        for i in range(j + 1, N):
-            row[i] = (prev[i - 1] + a_mod * row[i - 1]) % mod
-        rows.append(row)
-    return rows
-
-
-def _slice_valuation(p: int, centers: List[Fraction], exps: List[List[int]]) -> int:
-    """v_p det of B = {s in Q_p^N : v_p((T_x s)_j) >= exps[x][j] for all x, j}.
-
-    B is dual to the row module of the rows p^-e (T_x)_j.  Scaled by p^E,
-    E = max e, those rows are integral and span a module R with
-    v_p det B = N E - v_p det R.  Each vertex block alone spans a module
-    with elementary divisors {E - e_{x,j}}, so R contains p^(K-1) Z_p^N
-    for K = 1 + min_x max_j (E - e_{x,j}): echelon form modulo p^K, with
-    a pivot of minimal valuation in each column, is exact.
-    """
-    N = len(exps[0])
-    E = max(max(es) for es in exps)
-    K = 1 + min(E - min(es) for es in exps)
-    mod = p**K
-    rows = []
-    for a, es in zip(centers, exps):
-        for row, e in zip(_taylor_shift(a, N, mod), es):
-            if E - e < K:  # otherwise the scaled row is 0 mod p^K
-                scale = p ** (E - e)
-                rows.append([scale * c % mod for c in row])
-    pivots = 0
-    for c in range(N):
-        best, best_v = -1, K
-        for r, row in enumerate(rows):
-            x = row[c]
-            if x:
-                v = 0
-                while x % p == 0:
-                    x //= p
-                    v += 1
-                if v < best_v:
-                    best, best_v = r, v
-                    if v == 0:
-                        break
-        if best < 0:
-            raise SectionError("slice module lost rank modulo p^K")
-        piv = rows.pop(best)
-        unit_inv = pow(piv[c] // p**best_v, -1, mod)
-        kept = []
-        for row in rows:
-            if row[c]:
-                f = (row[c] // p**best_v) * unit_inv % mod
-                row = [(x - f * y) % mod for x, y in zip(row, piv)]
-            if any(row[c + 1:]):
-                kept.append(row)
-        rows = kept
-        pivots += best_v
-    return N * E - pivots
-
-
 def _envelope_sum(lines: List[Tuple[int, int]], n: int) -> int:
     """sum_{i=0}^{n-1} min over (a, b) in lines of a i + b, in integers.
 
@@ -262,55 +193,81 @@ def _envelope_sum(lines: List[Tuple[int, int]], n: int) -> int:
     return total
 
 
+def _is_chain(tree: SkeletonTree) -> bool:
+    """True when no vertex has two children: a chain of discs around one point."""
+    return all(len(c) <= 1 for c in tree.children.values())
+
+
+def _maxmin_merge(g: List[int], h: List[int]) -> List[int]:
+    """k -> max_{a+b=k} min(g[a], h[b]) for nondecreasing g, h of equal length.
+
+    One greedy walk from (0, 0) that advances the index of the smaller
+    value.  While min(g[a], h[b]) is below the optimum at k, the smaller
+    side is below it too, so its index is below the least one reaching
+    the optimum, and advancing it never passes an optimal split.
+    """
+    out = [min(g[0], h[0])]
+    a = b = 0
+    for _ in range(len(g) - 1):
+        if g[a] < h[b]:
+            a += 1
+        else:
+            b += 1
+        out.append(min(g[a], h[b]))
+    return out
+
+
+def _root_count_norms(
+    tree: SkeletonTree, lines: Dict[TreePoint, Tuple[int, int]], n: int
+) -> List[int]:
+    """[F_0, ..., F_{n-1}], F_j = max_{c >= 0, sum c = j} min_x (b_x + sum_y c_y q(x ^ y)).
+
+    lines[x] = (q_x, b_x).  Leaf to root: h_v(k) is the best value over
+    the subtree of v with k roots in it, measured from q_v.  A child u
+    adds q_u - q_v per root to its h_u, children share the roots by the
+    max-min merge, and v's own b_v caps the result; roots at v itself add
+    nothing below it.  At the root, the Gauss point, q = 0.
+    """
+    h: Dict[TreePoint, List[int]] = {}
+    for v in reversed(tree.vertices):
+        qv, bv = lines[v]
+        merged = None
+        for u in tree.children[v]:
+            dq = lines[u][0] - qv
+            hu = [x + dq * k for k, x in enumerate(h.pop(u))]
+            merged = hu if merged is None else _maxmin_merge(merged, hu)
+        h[v] = [bv] * n if merged is None else [min(bv, x) for x in merged]
+    return h[tree.vertices[0]]
+
+
 def unit_ball_valuation(
     phi: Metric, m: int, extra: Optional[PLFunction] = None
 ) -> Fraction:
     """v(det U) of the unit ball U of the level-m sup norm of phi.
 
-    With w_{x,j} = j q_x + m g(x) + extra(x), U is cut out by
-    v((T_x s)_j) >= -w_{x,j} at every vertex x, T_x the Taylor shift to
-    the center a_x.  v(det U) does not depend on the basis, and T_a is
-    unimodular for a in Z_p.  So on a single-center tree, where U is
-    diagonal in the basis (z - a)^j, v(det U) = -sum_j min_x w_{x,j}:
-    the sum over j = 0..md of the lower envelope of the vertex lines
-    j -> w_{x,j}, taken in integers after scaling by the lcm D of their
-    denominators.  On any other tree _slice_integral integrates v(det U)
-    over Z_p slices.
+    v(det U) = -sum_{j=0}^{md} F_j, with F_j the best monic degree-j
+    norm over root counts on the tree (module docstring).  It involves
+    only the vertex lines j -> j q_x + b_x, b_x = m g(x) + extra(x), so
+    no ramification index M is chosen: the lines are scaled to integers
+    by the lcm D of their denominators, and one Fraction is built at the
+    end.  On a chain of discs the max-min is the lower envelope
+    min_x (j q_x + b_x), summed by _envelope_sum in O(V^2) per level;
+    on any other tree _root_count_norms runs the tree recursion in
+    O(V (md + 1)).
     """
-    if _single_center(phi) is not None:
-        lines = [(x.q, _vertex_base(phi, m, x, extra)) for x in phi.tree.vertices]
-        # A list, not a generator: a tuple built from a generator is resized,
-        # and CPython's free list then keeps up to 2000 of them per length.
-        D = math.lcm(*[c.denominator for line in lines for c in line])
-
-        def scaled(c: Fraction) -> int:
-            return c.numerator * (D // c.denominator)
-
-        total = _envelope_sum([(scaled(a), scaled(b)) for a, b in lines], m * phi.d + 1)
-        return Fraction(-total, D)
-    return _slice_integral(phi, m, extra)
-
-
-def _slice_integral(
-    phi: Metric, m: int, extra: Optional[PLFunction] = None
-) -> Fraction:
-    """v(det U) from Z_p slices, valid on every tree.
-
-    Over any K_M = Q_p(p^(1/M)) that makes the weights rational with
-    denominator dividing M, U is the sum of the slices pi^k B_{k/M},
-    where B_t is the Z_p-lattice of v_p((T_x s)_j) >= ceil(-w_{x,j} - t).
-    Hence v(det U) = integral over t in [0, 1) of v_p det B_t, a step
-    function that only jumps at the fractional parts of the -w_{x,j}.
-    """
-    verts = phi.tree.vertices
-    weights = [_vertex_weights(phi, m, x, extra) for x in verts]
-    cuts = sorted({Fraction(0)} | {-w - math.floor(-w) for ws in weights for w in ws})
-    centers = [x.center for x in verts]
-    total = Fraction(0)
-    for t, t_next in zip(cuts, cuts[1:] + [Fraction(1)]):
-        exps = [[math.ceil(-w - t) for w in ws] for ws in weights]
-        total += (t_next - t) * _slice_valuation(phi.p, centers, exps)
-    return total
+    tree = phi.tree
+    lines = {x: (x.q, _vertex_base(phi, m, x, extra)) for x in tree.vertices}
+    # A list, not a generator: a tuple built from a generator is resized,
+    # and CPython's free list then keeps up to 2000 of them per length.
+    D = math.lcm(*[c.denominator for line in lines.values() for c in line])
+    scaled = {x: (a.numerator * (D // a.denominator), b.numerator * (D // b.denominator))
+              for x, (a, b) in lines.items()}
+    n = m * phi.d + 1
+    if _is_chain(tree):
+        total = _envelope_sum(list(scaled.values()), n)
+    else:
+        total = sum(_root_count_norms(tree, scaled, n))
+    return Fraction(-total, D)
 
 
 def vol_m(phi: Metric, psi: Metric, m: int) -> Fraction:

@@ -333,6 +333,43 @@ def test_chain_at_the_section_degree_cap_finishes(tmp_path):
     assert [int(r["m"]) for r in rows] == list(levels)
 
 
+BRANCHING_AT_CAP_CFG = {
+    "kind": "vol-energy",
+    "field": {"p": 2},
+    "metric": {"d": 1, "tree": [
+        [0, 1, 0, 1, 0, 1], [0, 1, 1, 1, -1, 2], [1, 1, 1, 1, -1, 3],
+        [0, 1, 2, 1, -3, 4], [2, 1, 2, 1, -2, 3],
+    ]},
+    "metric2": {"d": 1, "tree": [
+        [0, 1, 0, 1, 0, 1], [0, 1, 3, 2, -1, 2], [1, 1, 1, 1, -1, 4],
+        [1, 1, 2, 1, -1, 1], [3, 1, 2, 1, -1, 2],
+    ]},
+    "m_range": {"start": MAX_SECTION_DEGREE - 7, "stop": MAX_SECTION_DEGREE},
+}
+
+
+def test_branching_trees_at_the_section_degree_cap_finish(tmp_path):
+    """8 levels of two branching trees at m d = MAX_SECTION_DEGREE end with a report.
+
+    Both trees have a vertex with two children, so every unit ball takes
+    the tree recursion over root counts, not the chain envelope sum.
+    """
+    cfg = write_config(tmp_path, "branch.json", BRANCHING_AT_CAP_CFG)
+    start = time.perf_counter()
+    with redirect_stdout(io.StringIO()):
+        status = main(["run", cfg, "--out-dir", str(tmp_path)])
+    assert time.perf_counter() - start < 5
+    assert status in (0, 1)
+    report = json.loads((tmp_path / "branch.report.json").read_text())
+    assert report["kind"] == "vol-energy"
+    rows = list(csv.DictReader(io.StringIO((tmp_path / "branch.series.csv").read_text())))
+    levels = range(MAX_SECTION_DEGREE - 7, MAX_SECTION_DEGREE + 1)
+    assert [int(r["m"]) for r in rows] == list(levels)
+    for key in ("metric", "metric2"):
+        tree = parse_metric(BRANCHING_AT_CAP_CFG[key], 2, key).tree
+        assert any(len(c) > 1 for c in tree.children.values())
+
+
 @pytest.mark.parametrize("name", sorted(DOMAIN_ERROR_CFGS))
 def test_domain_error_is_validation_status(tmp_path, capsys, name):
     cfg = write_config(tmp_path, f"{name}.json", DOMAIN_ERROR_CFGS[name])

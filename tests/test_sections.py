@@ -9,8 +9,8 @@ from berkvol.sections import (
     Section,
     SectionError,
     _envelope_sum,
-    _single_center,
-    _slice_integral,
+    _maxmin_merge,
+    _root_count_norms,
     diagonal_weights,
     point_norm,
     required_ramification,
@@ -20,7 +20,7 @@ from berkvol.sections import (
     vandermonde_value,
     vol_m,
 )
-from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point
+from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point, is_below, meet
 
 from conftest import (
     random_chain_tree,
@@ -29,6 +29,7 @@ from conftest import (
     random_psh_metric,
     random_tree,
 )
+from slice_oracle import _slice_integral
 
 
 def slope_metric(p, d, slope, depth=1, center=0):
@@ -144,7 +145,8 @@ def nonpositive_extra(phi, rng):
 
 
 def test_unit_ball_valuation_matches_km_oracle():
-    """Z_p slices agree with the K_M lattice at M0 and at 2 M0.
+    """The root-count recursion, the Z_p slices (slice_oracle) and the K_M
+    lattice at M0 and at 2 M0 all agree.
 
     Agreement at both ramification indices is the base-change invariance
     that vol_m(M=M0) == vol_m(M=2 M0) checked while vol_m ran over K_M.
@@ -182,7 +184,7 @@ def test_unit_ball_valuation_is_diagonal_on_chains():
         p, d = rng.choice([2, 3, 5]), rng.choice([1, 2])
         center = rng.choice([0, rng.randint(1, p**4 - 1)])
         phi = random_psh_chain_metric(p, d, rng, center=center)
-        assert _single_center(phi) is not None
+        assert all(len(c) <= 1 for c in phi.tree.children.values())
         off_zero += phi.tree.vertices[-1].center != 0
         m = rng.randint(1, 6)
         extra = nonpositive_extra(phi, rng) if rng.random() < 0.5 else None
@@ -276,3 +278,122 @@ def test_chain_envelope_ties_at_level_ends():
     assert unit_ball_valuation(phi, m) == -sum(min(0, i - 4) for i in range(5))
     for psi in (phi, phi.shift(Fraction(1, 3))):
         assert unit_ball_valuation(psi, m) == -sum(diagonal_weights(psi, m), Fraction(0))
+
+
+def compositions(total, parts):
+    """Every tuple of `parts` nonnegative integers summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def brute_root_count_norms(phi, m, extra):
+    """F_j by brute force over every placement of j roots on the vertices."""
+    verts = phi.tree.vertices
+    base = [m * phi.g.values[x] + (extra.evaluate(x) if extra else 0) for x in verts]
+    depth = [[meet(x, y).q for y in verts] for x in verts]
+    return [
+        max(
+            min(bx + sum(c * dq for c, dq in zip(cs, row)) for bx, row in zip(base, depth))
+            for cs in compositions(j, len(verts))
+        )
+        for j in range(m * phi.d + 1)
+    ]
+
+
+def test_unit_ball_valuation_matches_root_count_brute_force():
+    """The tree recursion equals a brute-force max over root placements.
+
+    Term by term through _root_count_norms (run on Fractions), and in sum
+    through unit_ball_valuation, on psh and arbitrary g with extra absent
+    or signed; most trees branch, and those take the recursion.
+    """
+    rng = random.Random(10)
+    branching = 0
+    seen = set()
+    checked = 0
+    while checked < 150:
+        p, d = rng.choice([2, 3, 5]), rng.choice([1, 2, 3])
+        if rng.random() < 0.5:
+            phi = random_psh_metric(p, d, rng)
+        else:
+            phi = random_pl_metric(p, d, rng)
+        m = rng.randint(1, max(1, 5 // d))
+        if len(phi.tree.vertices) > 6:
+            continue
+        extra = rng.choice([None, "own", "other"])
+        if extra == "own":
+            extra = signed_function(phi.tree, rng)
+        elif extra == "other":
+            extra = signed_function(random_tree(p, rng), rng)
+        want = brute_root_count_norms(phi, m, extra)
+        lines = {
+            x: (x.q, m * phi.g.values[x] + (extra.evaluate(x) if extra else 0))
+            for x in phi.tree.vertices
+        }
+        assert _root_count_norms(phi.tree, lines, m * d + 1) == want, (p, d, m)
+        assert unit_ball_valuation(phi, m, extra) == -sum(want), (p, d, m)
+        branching += any(len(c) > 1 for c in phi.tree.children.values())
+        seen.add((p, extra is None))
+        checked += 1
+    assert branching >= 75
+    assert len(seen) == 6
+
+
+def test_root_count_norms_reduce_to_the_envelope_on_chains():
+    """On a chain the recursion is the lower envelope of the vertex lines."""
+    rng = random.Random(11)
+    for _ in range(200):
+        p = rng.choice([2, 3, 5])
+        tree = random_chain_tree(p, rng, rng.choice([0, rng.randint(1, p**4 - 1)]))
+        b = signed_function(tree, rng).values
+        n = rng.randint(1, 40)
+        want = [min(b[x] + x.q * j for x in tree.vertices) for j in range(n)]
+        lines = {x: (x.q, b[x]) for x in tree.vertices}
+        assert _root_count_norms(tree, lines, n) == want
+
+
+def brute_maxmin_merge(g, h):
+    return [max(min(g[a], h[k - a]) for a in range(k + 1)) for k in range(len(g))]
+
+
+def random_steps(rng, n):
+    """A nondecreasing integer list of length n, mostly flat."""
+    out = [rng.randint(-5, 5)]
+    for _ in range(n - 1):
+        out.append(out[-1] + rng.choice([0, 0, 0, 1, 2, 7]))
+    return out
+
+
+def test_maxmin_merge_matches_quadratic_convolution():
+    rng = random.Random(12)
+    for _ in range(3000):
+        n = rng.choice([1, 1, 2, rng.randint(1, 25)])
+        g, h = random_steps(rng, n), random_steps(rng, n)
+        assert _maxmin_merge(g, h) == brute_maxmin_merge(g, h), (g, h)
+        assert _maxmin_merge(h, g) == brute_maxmin_merge(g, h), (g, h)
+
+
+def test_diagonal_weights_guard_is_pairwise_nesting():
+    """diagonal_weights accepts exactly the trees whose discs are nested."""
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(200):
+        p = rng.choice([2, 3, 5])
+        if rng.random() < 0.3:
+            tree = random_chain_tree(p, rng, rng.choice([0, rng.randint(1, p**4 - 1)]))
+        else:
+            tree = random_tree(p, rng)
+        phi = Metric(1, signed_function(tree, rng))
+        verts = tree.vertices
+        nested = all(is_below(x, y) or is_below(y, x) for x in verts for y in verts)
+        if nested:
+            assert len(diagonal_weights(phi, 2)) == 3
+        else:
+            with pytest.raises(SectionError):
+                diagonal_weights(phi, 2)
+        seen.add(nested)
+    assert seen == {True, False}

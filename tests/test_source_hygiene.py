@@ -1,6 +1,7 @@
 """Source rules for every module of the package, checked on its syntax tree."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -62,3 +63,23 @@ def test_no_floats(path):
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
             lines.append(node.lineno)
     assert lines == [], f"{path.name}: float at lines {lines}"
+
+
+def tracer_targets():
+    """(module, attribute) of each entry of TARGETS in bench/tracer.py, read
+    from its syntax tree: the benchmark's file is neither imported nor run."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TARGETS":
+            return [tuple(elt.elts[i].value for i in (0, 1)) for elt in node.value.elts]
+    raise AssertionError("bench/tracer.py defines no TARGETS list")
+
+
+@pytest.mark.parametrize("module, attr", tracer_targets(), ids=lambda t: t)
+def test_tracer_target_resolves(module, attr):
+    # the benchmark's tracer patches these names; a missing one is skipped there
+    owner = importlib.import_module(f"berkvol.{module}")
+    for name in attr.split("."):
+        assert hasattr(owner, name), f"berkvol.{module} has no {attr}"
+        owner = getattr(owner, name)
+    assert callable(owner)
