@@ -2,18 +2,17 @@
 orthogonality of envelopes, Dirac Monge-Ampere solutions, and Fekete
 point equidistribution.
 
-Every experiment is deterministic given its configuration (and seed, for
-the Fekete local search); all intermediate quantities are exact rationals.
+Every experiment is deterministic given its configuration; all
+intermediate quantities are exact rationals.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from functools import cmp_to_key
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import BerkvolError
 from .field import padic_valuation
@@ -26,7 +25,7 @@ from .metrics import (
     ma_measure,
 )
 from .sections import unit_ball_valuation, vandermonde_value
-from .tree import DiscreteMeasure, PLFunction, SkeletonTree, TreePoint
+from .tree import DiscreteMeasure, PLFunction, TreePoint
 from .volumes import ExtrapolationReport, _vol_limit, vol_limit
 
 
@@ -151,33 +150,50 @@ def dirac_experiment(x: TreePoint, phi: Metric) -> DiracReport:
 class FeketeReport:
     m: int
     n_points: int
-    best_configs: List[Tuple[Fraction, ...]]
+    best_config: Tuple[Fraction, ...]
+    n_optima: int
     best_valuation: Fraction
     empirical: DiscreteMeasure
     target: DiscreteMeasure
     tv_distance: Fraction
-    exhaustive: bool
 
 
-def fekete_experiment(
-    phi: Metric,
-    m: int,
-    pool: Sequence[Fraction],
-    reference_tree: Optional[SkeletonTree] = None,
-    exhaustive_limit: int = 200_000,
-    search_budget: int = 2_000,
-    seed: int = 0,
-) -> FeketeReport:
-    """Best Vandermonde configuration from a pool of rational points.
+def _digit_order(x: Fraction, y: Fraction, p: int) -> int:
+    """-1 or 1 as x comes before or after y in p-adic digit order, least
+    significant digit first (x != y, both in the closed unit disc)."""
+    mod = p ** (int(padic_valuation(x - y, p)) + 1)
+    rx, ry = (z.numerator * pow(z.denominator, -1, mod) % mod for z in (x, y))
+    return -1 if rx < ry else 1
 
-    Maximizes the metrized determinant, i.e. minimizes its valuation
-    sum_{x<y} v_p(y - x) + m sum_x g(x).  Both sums run over values of
-    single pool points and of pairs of them, so the objective is
-    tabulated once per pool as integers over a common denominator D and
-    every subset is scored by integer additions.  Exhaustive below
-    `exhaustive_limit` subsets; otherwise a seeded greedy-swap local
-    search.  Ties break lexicographically on the sorted point tuple.
-    The winner is re-verified with `vandermonde_value`.
+
+def _merge(a: List[Tuple[int, int, int]], b: List[Tuple[int, int, int]], N: int):
+    """Min-plus product of two (total, count, key) tables, cut at N points:
+    counts multiply, and add over the splits that tie for the least total."""
+    out: List = [None] * min(len(a) + len(b) - 1, N + 1)
+    for i, (ta, ca, ka) in enumerate(a):
+        for j, (tb, cb, kb) in enumerate(b[: N + 1 - i]):
+            t, cur = ta + tb, out[i + j]
+            if cur is None or t < cur[0]:
+                out[i + j] = (t, ca * cb, ka | kb)
+            elif t == cur[0]:
+                out[i + j] = (t, cur[1] + ca * cb, max(cur[2], ka | kb))
+    return out
+
+
+def fekete_experiment(phi: Metric, m: int, pool: Sequence[Fraction]) -> FeketeReport:
+    """Best Vandermonde configurations from a pool of rational points.
+
+    Minimizes the valuation sum_{x<y} v_p(y - x) + m sum_x g(x) of the
+    metrized determinant exactly.  In the closed unit disc v_p(y - x)
+    counts the classes mod p^k (k >= 1) holding both points, so the pair
+    sum is sum_c C(n_c, 2) over a laminar family of classes c.  In p-adic
+    digit order each class is a segment, and segments merge from the
+    deepest adjacent pair up.  A segment keeps, per subset size k, the
+    least total over a common denominator D, the number of k-subsets
+    reaching it, and the largest key sum 2^(n-1-i) over the numeric ranks
+    i of one of them, which marks the lexicographically least.  A class
+    dq levels below its parent charges each k-subset C(k, 2) dq D.  The
+    winner is re-verified with `vandermonde_value`.
     """
     if not is_psh(phi):
         raise ExperimentError("Fekete experiment needs a psh metric")
@@ -190,70 +206,44 @@ def fekete_experiment(
     if len(pool) < N:
         raise ExperimentError(f"pool of {len(pool)} points cannot host {N}-tuples")
 
-    # Index i is the i-th smallest pool point, so comparing sorted index
-    # tuples orders configurations exactly as comparing sorted point tuples.
-    pts = sorted(pool)
+    p, pts = phi.p, sorted(pool)
     n = len(pts)
-    weights = [m * phi.g.evaluate_center(x) for x in pts]
+    weights = [m * phi.g.evaluate_center(x) for x in pts]  # raises off the closed disc
     D = math.lcm(*(w.denominator for w in weights))
-    score = [w.numerator * (D // w.denominator) for w in weights]
-    pair = [[0] * n for _ in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        pair[i][j] = pair[j][i] = D * int(padic_valuation(pts[j] - pts[i], phi.p))
+    order = sorted(range(n), key=cmp_to_key(lambda i, j: _digit_order(pts[i], pts[j], p)))
+    depth = [int(padic_valuation(pts[j] - pts[i], p)) for i, j in zip(order, order[1:])]
+    # table[s] and level[s] belong to the segment whose first position is s;
+    # start[s] is the first position of the segment that ends at s.  A single
+    # point's level never counts, since C(k, 2) = 0 for k <= 1.
+    table = [
+        [(0, 1, 0), (weights[i].numerator * (D // weights[i].denominator), 1, 1 << (n - 1 - i))]
+        for i in order
+    ]
+    level = [0] * n
+    start, end = list(range(n)), list(range(n))
 
-    def total(cfg: Sequence[int]) -> int:
-        return sum(score[i] for i in cfg) + sum(
-            pair[i][j] for i, j in itertools.combinations(cfg, 2)
-        )
+    def lifted(c: int, q: int) -> List[Tuple[int, int, int]]:
+        # the classes from depth q down to segment c's level hold every pair
+        dq = (level[c] - q) * D
+        return [(t + k * (k - 1) // 2 * dq, cnt, key) for k, (t, cnt, key) in enumerate(table[c])]
 
-    exhaustive = math.comb(n, N) <= exhaustive_limit
-    best_total = None
-    best: List[Tuple[int, ...]] = []
-    if exhaustive:
-        for cfg in itertools.combinations(range(n), N):
-            v = total(cfg)
-            if best_total is None or v < best_total:
-                best_total, best = v, [cfg]
-            elif v == best_total:
-                best.append(cfg)
-    else:
-        rng = random.Random(seed)
-        index = {x: i for i, x in enumerate(pts)}
-        order = [index[x] for x in pool]
-        current = [index[x] for x in rng.sample(pool, N)]
-        best_total = total(current)
-        best = [tuple(sorted(current))]
-        for _ in range(search_budget):
-            improved = False
-            outside = [k for k in order if k not in current]
-            for i in range(N):
-                for cand in outside:
-                    trial = current[:i] + [cand] + current[i + 1 :]
-                    v = total(trial)
-                    key = tuple(sorted(trial))
-                    if v < best_total or (v == best_total and key < best[0]):
-                        current = trial
-                        best_total, best = v, [key]
-                        improved = True
-                        break
-                if improved:
-                    break
-            if not improved:
-                break
-    best.sort()
-    best_configs = [tuple(pts[i] for i in cfg) for cfg in best]
-    winner = best_configs[0]
+    for s in sorted(range(n - 1), key=lambda s: -depth[s]):
+        a, b, q = start[s], s + 1, depth[s]
+        table[a], level[a] = _merge(lifted(a, q), lifted(b, q), N), q
+        end[a] = end[b]
+        start[end[a]] = a
+    best_total, n_optima, key = lifted(0, 0)[N]
+    winner = tuple(x for i, x in enumerate(pts) if key >> (n - 1 - i) & 1)
     best_val = Fraction(best_total, D)
     if vandermonde_value(list(winner), phi, m) != best_val:
-        raise ExperimentError(f"tabulated Fekete objective {best_val} disagrees at {winner}")
+        raise ExperimentError(f"Fekete objective {best_val} disagrees at {winner}")
 
-    ref = reference_tree if reference_tree is not None else phi.tree
     emp: dict = {}
     for x in winner:
-        r = ref.retract(x, None)
+        r = phi.tree.retract(x, None)
         emp[r] = emp.get(r, Fraction(0)) + Fraction(1, N)
     empirical = DiscreteMeasure(emp)
     target = ma_measure(phi).scale(Fraction(1, phi.d))
     return FeketeReport(
-        m, N, best_configs, best_val, empirical, target, empirical.tv_distance(target), exhaustive
+        m, N, winner, n_optima, best_val, empirical, target, empirical.tv_distance(target)
     )

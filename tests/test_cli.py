@@ -202,6 +202,8 @@ def test_run_diff_series_csv(tmp_path):
     assert got == DIFF_SERIES_CSV.replace("\n", "\r\n").encode()
 
 
+ORTH_CFG = {"kind": "orth", "field": {"p": 2}, "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]}}
+
 DOMAIN_ERROR_CFGS = {
     "diff-non-psh-base": {
         "kind": "diff",
@@ -260,6 +262,13 @@ DOMAIN_ERROR_CFGS = {
         "m": 1,
         "pool": list(range(MAX_POOL_POINTS + 1)),
     },
+    # output places: checked before the run, or failing while the report is written
+    "out-dir-not-a-string": dict(ORTH_CFG, out_dir=5),
+    "out-dir-uncreatable": dict(ORTH_CFG, out_dir="/dev/null/berkvol"),
+    "name-not-a-string": dict(ORTH_CFG, name={"a": 1}),
+    "name-with-separator": dict(ORTH_CFG, name="sub/x"),
+    "name-too-long-to-write": dict(ORTH_CFG, name="x" * 300),
+    "name-with-nul": dict(ORTH_CFG, name="a\0b"),
 }
 
 
@@ -370,10 +379,47 @@ def test_branching_trees_at_the_section_degree_cap_finish(tmp_path):
         assert any(len(c) > 1 for c in tree.children.values())
 
 
+NESTED_POOL_CFG = {
+    "kind": "fekete",
+    "field": {"p": 2},
+    "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]},
+    "pool": ["0"] + [str(2**k) for k in range(MAX_POOL_POINTS - 1)],
+}
+
+
+@pytest.mark.parametrize("m, n_optima", [(1, 999), (100, 900)])
+def test_nested_pool_at_the_pool_cap_finishes(tmp_path, m, n_optima):
+    """The pool {0, 1, 2, 4, ..., 2^998} over Q_2 at MAX_POOL_POINTS points.
+
+    Its residue classes nest 999 deep.  At m = 1 the optimum pairs 1 with
+    any other point; at m = 100 it takes 1 and 2^1..2^99, then one of
+    the 900 points left among 0 and 2^100..2^998.
+    """
+    cfg = write_config(tmp_path, "nest.json", dict(NESTED_POOL_CFG, m=m))
+    start = time.perf_counter()
+    with redirect_stdout(io.StringIO()):
+        status = main(["run", cfg, "--out-dir", str(tmp_path)])
+    assert time.perf_counter() - start < 5
+    assert status == 0
+    results = json.loads((tmp_path / "nest.report.json").read_text())["results"]
+    assert results["n_optima"] == n_optima
+    assert results["best_config"] == ["0/1"] + [f"{2**k}/1" for k in range(m)]
+
+
+def test_seed_is_a_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "orth.json", ORTH_CFG)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", cfg, "--out-dir", str(tmp_path), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", sorted(DOMAIN_ERROR_CFGS))
 def test_domain_error_is_validation_status(tmp_path, capsys, name):
     cfg = write_config(tmp_path, f"{name}.json", DOMAIN_ERROR_CFGS[name])
-    assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 3
+    # a config that names its own output directory is run without --out-dir
+    own_dir = "out_dir" in DOMAIN_ERROR_CFGS[name]
+    assert main(["run", cfg] + ([] if own_dir else ["--out-dir", str(tmp_path)])) == 3
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("validation error: ")
@@ -466,7 +512,9 @@ FUZZ_LEAVES = st.one_of(
 FUZZ_VALUES = st.recursive(
     FUZZ_LEAVES,
     lambda kids: st.lists(kids, max_size=5)
-    | st.dictionaries(st.sampled_from(["start", "stop", "step", "d", "tree", "p"]), kids),
+    | st.dictionaries(
+        st.sampled_from(["start", "stop", "step", "d", "tree", "p", "name", "out_dir"]), kids
+    ),
     max_leaves=8,
 )
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from berkvol.tree import DiscreteMeasure, PLFunction, TreePoint, build_tree, gau
 from berkvol.volumes import vol_limit
 
 from conftest import random_pl_metric, random_psh_chain_metric, random_psh_metric
+from fekete_oracle import tabulated_optima
 
 
 def slope_metric(p, d, slope):
@@ -153,8 +155,8 @@ def test_fekete_exhaustive_unit_pool():
     phi = trivial_metric(p, 1)
     pool = [Fraction(k) for k in range(5)]
     rep = fekete_experiment(phi, 2, pool)
-    assert rep.exhaustive
     assert rep.best_valuation == 0
+    assert rep.n_optima == 10  # every 3 of 5 residues mod 5
     assert rep.empirical.masses == {gauss_point(p): Fraction(1)}
     assert rep.tv_distance == 0
 
@@ -165,17 +167,6 @@ def test_fekete_pigeonhole_positive():
     rep = fekete_experiment(phi, 2, [Fraction(k) for k in range(4)])
     # three integers cannot be pairwise distinct mod 2
     assert rep.best_valuation > 0
-
-
-def test_fekete_greedy_seeded_deterministic():
-    p = 3
-    phi = trivial_metric(p, 1)
-    pool = [Fraction(k) for k in range(30)]
-    a = fekete_experiment(phi, 4, pool, exhaustive_limit=10, seed=5)
-    b = fekete_experiment(phi, 4, pool, exhaustive_limit=10, seed=5)
-    assert not a.exhaustive
-    assert a.best_valuation == b.best_valuation
-    assert a.best_configs == b.best_configs
 
 
 def test_fekete_weighted_metric_moves_mass():
@@ -192,7 +183,7 @@ def test_fekete_weighted_metric_moves_mass():
 
 
 # ---------------------------------------------------------------------------
-# The tabulated Fekete search against per-subset Vandermonde oracles.
+# The Fekete DP against per-subset Vandermonde oracles.
 
 
 def fekete_draws():
@@ -233,53 +224,49 @@ def oracle_exhaustive(phi, m, pool):
     return best_val, best, DiscreteMeasure(emp)
 
 
-def oracle_local_search(phi, m, pool, seed, search_budget=2_000):
-    """The greedy swap search, scoring each trial with vandermonde_value."""
-    N = m * phi.d + 1
-    rng = random.Random(seed)
-    current = rng.sample(pool, N)
-    best_val = vandermonde_value(current, phi, m)
-    best = [tuple(sorted(current))]
-    for _ in range(search_budget):
-        improved = False
-        outside = [x for x in pool if x not in current]
-        for i in range(N):
-            for cand in outside:
-                trial = current[:i] + [cand] + current[i + 1 :]
-                v = vandermonde_value(trial, phi, m)
-                if v < best_val or (v == best_val and tuple(sorted(trial)) < best[0]):
-                    current = trial
-                    best_val, best = v, [tuple(sorted(trial))]
-                    improved = True
-                    break
-            if improved:
-                break
-        if not improved:
-            break
-    return best_val, best
-
-
 def test_fekete_tabulated_matches_subset_oracle():
     tied = 0
     for phi, m, pool in fekete_draws():
         rep = fekete_experiment(phi, m, pool)
         best_val, best, emp = oracle_exhaustive(phi, m, pool)
-        assert rep.exhaustive
         assert rep.best_valuation == best_val
-        assert rep.best_configs == best
+        assert rep.best_config == best[0]
+        assert rep.n_optima == len(best)
         assert rep.empirical.masses == emp.masses
         tied += len(best) > 1
     assert tied >= 5
 
 
-def test_fekete_local_search_matches_oracle():
-    for phi, m, pool in fekete_draws()[:12]:
-        for seed in (0, 7):
-            rep = fekete_experiment(phi, m, pool, exhaustive_limit=1, seed=seed)
-            best_val, best = oracle_local_search(phi, m, pool, seed)
-            assert not rep.exhaustive
-            assert rep.best_valuation == best_val
-            assert rep.best_configs == best
+def test_fekete_pool_inside_one_residue_class():
+    # every pair shares the classes mod p and mod p^2, so each of the
+    # C(3, 2) pairs of an optimum carries at least 2
+    for p in (2, 3):
+        phi = trivial_metric(p, 1)
+        pool = [Fraction(p * p * k, 1 + p * k) for k in range(6)]
+        rep = fekete_experiment(phi, 2, pool)
+        best_val, best, _ = oracle_exhaustive(phi, 2, pool)
+        assert rep.best_valuation == best_val >= 6
+        assert rep.best_config == best[0]
+        assert rep.n_optima == len(best)
+
+
+def test_fekete_matches_tabulated_oracle_past_the_enumeration_limit():
+    """Pools with more than 200 000 N-subsets, where the search used to
+    leave enumeration, against the exhaustive tabulated loop."""
+    rng = random.Random(5)
+    for k, (d, m, n) in enumerate([(1, 3, 49), (1, 4, 32), (2, 2, 32), (1, 5, 26)] * 2 + [(1, 4, 33)]):
+        p = (2, 3, 5)[k % 3]
+        phi = random_psh_metric(p, d, rng) if k % 2 else trivial_metric(p, d)
+        assert math.comb(n, m * d + 1) > 200_000
+        pool = set()
+        while len(pool) < n:
+            pool.add(Fraction(rng.randrange(p ** (8 // p + 3)), rng.choice([1, 1, p + 1])))
+        pool = sorted(pool, key=lambda x: rng.random())
+        rep = fekete_experiment(phi, m, pool)
+        best_val, best = tabulated_optima(phi, m, pool)
+        assert rep.best_valuation == best_val
+        assert rep.best_config == best[0]
+        assert rep.n_optima == len(best) > 1
 
 
 def test_fekete_evaluates_each_pool_point_once(monkeypatch):

@@ -20,15 +20,26 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name}: assert at lines {lines}"
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_concurrent_futures(path):
+def imported_modules(path):
     imported = []
     for node in parse(path):
         if isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported += [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
-    assert "concurrent.futures" not in imported, f"{path.name} imports concurrent.futures"
+    return imported
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_concurrent_futures(path):
+    assert "concurrent.futures" not in imported_modules(path), f"{path.name} imports concurrent.futures"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_random(path):
+    # reports are deterministic by construction: no search draws random choices
+    imported = imported_modules(path)
+    assert not any(name.split(".")[0] == "random" for name in imported), f"{path.name} imports random"
 
 
 def display_only_nodes(path, tree):
