@@ -46,8 +46,14 @@ MAX_SECTION_DEGREE = 10_000
 
 #: Largest Fekete pool.  The residue-class DP keeps at most N + 1 entries
 #: per segment, but the winner's re-check takes N(N-1)/2 valuations: about
-#: 6 s at N = 1000 on one core, against under 1 s for the DP itself.
+#: 5 s at N = 1000 on one core for the nested pool {0, 1, 2, ..., 2^998},
+#: against about 1 s for the DP itself.
 MAX_POOL_POINTS = 1_000
+
+#: Largest radius exponent q of a tree vertex or a point.  A disc of radius
+#: p^-q is keyed by its center modulo p^ceil(q), so q bounds the size of
+#: every integer that names a disc; checked before any point is built.
+MAX_RADIUS_EXPONENT = 1_000
 
 
 class ConfigError(Exception):
@@ -137,6 +143,13 @@ def fmt_measure(mu) -> List[Dict[str, Any]]:
 # Config -> domain objects
 
 
+def parse_radius(obj: Any, where: str) -> Fraction:
+    q = parse_rational(obj, where)
+    if q > MAX_RADIUS_EXPONENT:
+        raise ConfigError(f"{where}: radius exponent {q} exceeds {MAX_RADIUS_EXPONENT}")
+    return q
+
+
 def parse_tree_rows(rows: Any, p: int, where: str) -> Tuple[List[TreePoint], List[Fraction]]:
     if not isinstance(rows, list) or not rows:
         raise ConfigError(f"{where}: expected a nonempty list of vertex rows")
@@ -147,7 +160,7 @@ def parse_tree_rows(rows: Any, p: int, where: str) -> Tuple[List[TreePoint], Lis
                 f"{where}[{i}]: expected [c_num, c_den, q_num, q_den, v_num, v_den]"
             )
         c = parse_rational(row[0:2], f"{where}[{i}].center")
-        q = parse_rational(row[2:4], f"{where}[{i}].q")
+        q = parse_radius(row[2:4], f"{where}[{i}].q")
         v = parse_rational(row[4:6], f"{where}[{i}].value")
         try:
             pts.append(TreePoint(p, c, q))
@@ -233,7 +246,7 @@ def parse_point(obj: Any, p: int, where: str) -> TreePoint:
     if not isinstance(obj, list) or len(obj) != 4:
         raise ConfigError(f"{where}: expected [c_num, c_den, q_num, q_den]")
     c = parse_rational(obj[0:2], f"{where}.center")
-    q = parse_rational(obj[2:4], f"{where}.q")
+    q = parse_radius(obj[2:4], f"{where}.q")
     try:
         return TreePoint(p, c, q)
     except Exception as e:

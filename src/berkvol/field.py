@@ -57,21 +57,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def int_valuation(n: int, p: int) -> int:
+    """v_p of a nonzero integer, in O(log v_p(n)) divisions: square p up to
+    the largest p^(2^k) dividing n, then strip those powers largest first."""
+    if n % p:
+        return 0
+    powers = [p]
+    while n % (powers[-1] * powers[-1]) == 0:
+        powers.append(powers[-1] * powers[-1])
+    v = 0
+    for k in range(len(powers) - 1, -1, -1):
+        quotient, rest = divmod(n, powers[k])
+        if rest == 0:
+            n = quotient
+            v += 1 << k
+    return v
+
+
 def padic_valuation(r: Rational, p: int):
     """v_p of a rational, with v_p(0) = INF."""
     r = Fraction(r)
     if r == 0:
         return INF
-    v = 0
-    n = r.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = r.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return Fraction(v)
+    return Fraction(int_valuation(r.numerator, p) - int_valuation(r.denominator, p))
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,18 @@
 A metric is the trivial model metric of O(d) twisted by a PL function g.
 Its Monge-Ampere measure is d times the Dirac mass at the Gauss point
 plus the tree Laplacian of g; psh means that measure is nonnegative.
+Envelopes and equilibrium metrics are greatest psh minorants of an
+obstacle, found exactly by one leaf-to-root and one root-to-leaf pass
+over the tree.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from . import simplex
 from .errors import BerkvolError
 from .tree import (
     DiscreteMeasure,
@@ -95,56 +98,71 @@ def energy(phi: Metric, psi: Metric) -> Fraction:
     return total / 2
 
 
-def _psh_rows(
-    tree: SkeletonTree, d: int
-) -> Tuple[List[List[Fraction]], List[Fraction], List[TreePoint]]:
-    """Rows of 'MA mass at v >= 0' as sum_u (h_v - h_u)/len <= anchor_v.
+#: A concave, nondecreasing PL function W of one variable, as the lists
+#: (zs, ws, slopes): its knots (zs[i], ws[i]) in increasing order and the
+#: slope right of each knot.  Left of the first knot W is the identity.
+_Knots = Tuple[List[Fraction], List[Fraction], List[Fraction]]
 
-    Written in shifted variables; constants cancel, so the rows are the
-    same for h and for h - const.
-    """
-    verts = tree.vertices
-    idx = {v: i for i, v in enumerate(verts)}
-    rows, rhs = [], []
-    for v in verts:
-        row = [Fraction(0)] * len(verts)
-        for u in tree.neighbors(v):
-            length = v.q - u.q if tree.parent[v] == u else u.q - v.q
-            length = abs(length)
-            row[idx[v]] += Fraction(1) / length
-            row[idx[u]] -= Fraction(1) / length
-        rows.append(row)
-        rhs.append(Fraction(d) if v == tree.root else Fraction(0))
-    return rows, rhs, verts
+
+def _eval(W: _Knots, z: Fraction) -> Fraction:
+    zs, ws, slopes = W
+    i = bisect_right(zs, z) - 1
+    return z if i < 0 else ws[i] + slopes[i] * (z - zs[i])
 
 
 def _componentwise_max(
-    tree: SkeletonTree,
-    d: int,
-    obstacle: Dict[TreePoint, Fraction],
-    base: Fraction,
+    tree: SkeletonTree, d: int, obstacle: Dict[TreePoint, Fraction]
 ) -> Dict[TreePoint, Fraction]:
     """Componentwise maximum of {h psh-feasible, h <= obstacle where given}.
 
-    The feasible set is closed under max, so it has a greatest element h*.
-    One exact LP maximizing sum_v h_v finds it: a maximizer h satisfies
-    h <= h* with the same sum, hence h = h*.  `base` must be a feasible
-    constant, which keeps the shifted problem in the b >= 0 form the
-    solver wants.
+    With s_c = (h(parent) - h(c)) / L_c the slope into c, psh means
+    s_v >= sum_{children c} s_c at each non-root vertex v and
+    sum_{children of the root} s_c <= d.  Leaf to root, W_c(z) is the
+    greatest value at c when its parent has value z:
+    W_c(z) = min(g(c), T_c^{-1}(z)) with
+    T_c(w) = w + L_c sum_{c'} (w - W_{c'}(w)) / L_{c'} over the children
+    c' of c, and W_c has a knot (T_c(x), x) at each child knot x < g(c)
+    and at x = g(c).  The root takes the largest z with
+    sum_c (z - W_c(z)) / L_c <= d, capped by its obstacle; root to leaf,
+    h(c) = W_c(h(parent)).
     """
-    rows, rhs, verts = _psh_rows(tree, d)
-    idx = {v: i for i, v in enumerate(verts)}
-    A = [row[:] for row in rows]
-    b = list(rhs)
-    for v, bound in obstacle.items():
-        row = [Fraction(0)] * len(verts)
-        row[idx[v]] = Fraction(1)
-        A.append(row)
-        b.append(bound - base)
-        if bound - base < 0:
-            raise MetricError("base constant is not feasible")
-    _, h = simplex.maximize([Fraction(1)] * len(verts), A, b)
-    return {v: base + h[idx[v]] for v in verts}
+    W: Dict[TreePoint, _Knots] = {}
+
+    def knots_and_deficits(v: TreePoint, cap) -> Tuple[List[Fraction], List[Fraction], Fraction]:
+        # the children's knots below cap, sum_c (x - W_c(x)) / L_c at each,
+        # and that sum's slope right of the last knot
+        kids = [(W[c], tree.edge_length(c)) for c in tree.children[v]]
+        xs = sorted({z for Wc, _ in kids for z in Wc[0] if cap is None or z < cap})
+        if cap is not None:
+            xs.append(cap)
+        fs = [sum(((x - _eval(Wc, x)) / L for Wc, L in kids), Fraction(0)) for x in xs]
+        tail = sum(((1 - Wc[2][-1]) / L for Wc, L in kids), Fraction(0))
+        return xs, fs, tail
+
+    for c in reversed(tree.vertices[1:]):
+        L, cap = tree.edge_length(c), obstacle.get(c)
+        xs, fs, tail = knots_and_deficits(c, cap)
+        zs = [x + L * f for x, f in zip(xs, fs)]
+        slopes = [(x1 - x0) / (z1 - z0) for x0, x1, z0, z1 in zip(xs, xs[1:], zs, zs[1:])]
+        slopes.append(Fraction(0) if cap is not None else 1 / (1 + L * tail))
+        W[c] = (zs, xs, slopes)
+
+    xs, fs, tail = knots_and_deficits(tree.root, None)
+    z = None
+    if xs:  # fs is nondecreasing from fs[0] = 0
+        k = bisect_right(fs, d) - 1
+        rate = tail if k + 1 == len(xs) else (fs[k + 1] - fs[k]) / (xs[k + 1] - xs[k])
+        if rate > 0:
+            z = xs[k] + (d - fs[k]) / rate
+    top = obstacle.get(tree.root)
+    if top is not None and (z is None or top < z):
+        z = top
+    if z is None:
+        raise MetricError("no obstacle bounds the psh minorant")
+    h = {tree.root: z}
+    for c in tree.vertices[1:]:
+        h[c] = _eval(W[c], h[tree.parent[c]])
+    return h
 
 
 def envelope(phi: Metric) -> Metric:
@@ -157,9 +175,7 @@ def envelope(phi: Metric) -> Metric:
         # psh metrics on O(0) are the constants, so the envelope is min g
         return Metric(0, constant_function(phi.tree, phi.g.min_value()))
     g = phi.g
-    base = g.min_value()
-    obstacle = {v: g.values[v] for v in phi.tree.vertices}
-    hvals = _componentwise_max(phi.tree, phi.d, obstacle, base)
+    hvals = _componentwise_max(phi.tree, phi.d, g.values)
     env = Metric(phi.d, PLFunction(phi.tree, hvals))
     if not is_psh(env) or any(env.g.values[v] > g.values[v] for v in phi.tree.vertices):
         raise MetricError("envelope solve returned an infeasible point")
@@ -172,8 +188,7 @@ def equilibrium_metric(x: TreePoint, phi: Metric) -> Metric:
         raise MetricError("equilibrium metric needs d >= 1")
     tree = refine(phi.tree, [x])
     g = phi.g.on_tree(tree)
-    base = g.values[x]
-    hvals = _componentwise_max(tree, phi.d, {x: g.values[x]}, base)
+    hvals = _componentwise_max(tree, phi.d, {x: g.values[x]})
     eq = Metric(phi.d, PLFunction(tree, hvals))
     if not is_psh(eq) or eq.g.values[x] > g.values[x]:
         raise MetricError("equilibrium solve returned an infeasible point")

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import BerkvolError
-from .field import INF, FieldContext, padic_valuation
+from .field import INF, FieldContext, int_valuation, padic_valuation
 from .lattices import Lattice, intersect
 from .metrics import Metric
 from .tree import PLFunction, SkeletonTree, TreePoint
@@ -293,14 +293,14 @@ def vandermonde_value(points: List[Fraction], phi: Metric, m: int):
     N = m * phi.d + 1
     if len(points) != N:
         raise SectionError(f"need exactly {N} points, got {len(points)}")
-    pts = [Fraction(x) for x in points]
-    total = Fraction(0)
-    for i in range(N):
-        for j in range(i + 1, N):
-            v = padic_valuation(pts[j] - pts[i], phi.p)
-            if v == INF:
+    p, pts = phi.p, [Fraction(x) for x in points]
+    weight = sum(m * phi.g.evaluate_center(x) for x in pts)  # raises off the closed disc
+    total = 0
+    for i, x in enumerate(pts):
+        for y in pts[i + 1 :]:
+            # denominators are p-adic units, so this numerator has v_p(y - x)
+            num = y.numerator * x.denominator - x.numerator * y.denominator
+            if num == 0:
                 return INF
-            total += v
-    for x in pts:
-        total += m * phi.g.evaluate_center(x)
-    return total
+            total += int_valuation(num, p)
+    return total + weight

@@ -1,8 +1,10 @@
 """Small exact simplex solver over the rationals.
 
-Solves max c.x subject to A x <= b, x >= 0 with b >= 0, which is all the
-envelope and equilibrium problems need (the origin is always feasible
-there).  Bland's rule guarantees termination.
+Solves max c.x subject to A x <= b, x >= 0 with b >= 0 (the origin is
+feasible).  Bland's rule guarantees termination.  No computation of the
+package uses it: envelopes come from the tree recursion in `metrics`, and
+this solver is kept only as the tests' envelope oracle and as a target of
+the benchmark's tracer.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ radius exponents, matching the v(p) = 1 normalization.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -74,14 +73,19 @@ def meet(x: TreePoint, y: TreePoint) -> TreePoint:
     """Infimum of x and y in the tree order rooted at the Gauss point."""
     if x.p != y.p:
         raise TreeError("points over different primes")
-    sep = padic_valuation(x.center - y.center, x.p)
-    q = min(x.q, y.q) if sep == math.inf else min(x.q, y.q, Fraction(sep))
+    q = min(x.q, y.q, padic_valuation(x.center - y.center, x.p))
+    if q == x.q:
+        return x
+    if q == y.q:
+        return y
     return TreePoint(x.p, x.center, q)
 
 
 def is_below(x: TreePoint, y: TreePoint) -> bool:
     """x <= y in the tree order (x on the path from the Gauss point to y)."""
-    return meet(x, y) == x
+    if x.p != y.p:
+        raise TreeError("points over different primes")
+    return x.q <= y.q and padic_valuation(x.center - y.center, x.p) >= x.q
 
 
 @dataclass
@@ -93,7 +97,8 @@ class SkeletonTree:
 
     @property
     def root(self) -> TreePoint:
-        return gauss_point(self.p)
+        """The Gauss point: vertices are sorted by q, and only it has q = 0."""
+        return self.vertices[0]
 
     def edge_length(self, child: TreePoint) -> Fraction:
         par = self.parent[child]
@@ -116,16 +121,12 @@ class SkeletonTree:
     def retract(self, center: Fraction, q: Optional[Fraction] = None) -> TreePoint:
         """Retraction of zeta_{center, p^-q} (q = None means a type-1 point)."""
         center = Fraction(center)
-        best = self.root
-        for v in self.vertices:
-            sep = padic_valuation(center - v.center, self.p)
-            sep = v.q if sep == math.inf else min(Fraction(sep), v.q)
-            if q is not None:
-                sep = min(sep, q)
-            cand = TreePoint(self.p, center, sep)
-            if cand.q > best.q:
-                best = cand
-        return best
+        if padic_valuation(center, self.p) < 0:
+            raise TreeError(f"center {center} lies outside the closed unit disc")
+        depth = max(min(v.q, padic_valuation(center - v.center, self.p)) for v in self.vertices)
+        if q is not None:
+            depth = min(depth, q)
+        return self.root if depth == 0 else TreePoint(self.p, center, depth)
 
     def locate(self, x: TreePoint) -> Tuple[TreePoint, Optional[TreePoint], Fraction]:
         """For x on the tree, the edge (u, c) with u <= x <= c, plus t = q_x - q_u.

@@ -8,24 +8,24 @@ from berkvol.metrics import Metric, is_psh
 from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point
 
 
-def random_tree(p: int, rng: random.Random, max_extra: int = 4):
+def random_tree(p: int, rng: random.Random, max_extra: int = 4, digits: int = 2):
     """A meet-closed random tree rooted at the Gauss point."""
     pts = [gauss_point(p)]
     for _ in range(rng.randint(1, max_extra)):
-        center = Fraction(rng.randint(0, p ** 2 - 1))
+        center = Fraction(rng.randint(0, p ** digits - 1))
         q = Fraction(rng.choice([1, 2, 3, 4]), rng.choice([1, 2]))
         pts.append(TreePoint(p, center, q))
     return build_tree(p, pts)
 
 
-def random_psh_metric(p: int, d: int, rng: random.Random) -> Metric:
+def random_psh_metric(p: int, d: int, rng: random.Random, tree=None) -> Metric:
     """Draw a psh metric by distributing the total mass d over the vertices.
 
     Assign each vertex a nonnegative rational mass summing to d, then
     integrate: the slope on the edge above v is minus the mass in the
     subtree of v, which makes every Monge-Ampere mass land where chosen.
     """
-    tree = random_tree(p, rng)
+    tree = tree if tree is not None else random_tree(p, rng)
     verts = tree.vertices
     weights = [Fraction(rng.randint(0, 4)) for _ in verts]
     total = sum(weights)
@@ -81,9 +81,9 @@ def random_psh_chain_metric(p: int, d: int, rng: random.Random, center: int = 0)
     return phi
 
 
-def random_pl_metric(p: int, d: int, rng: random.Random) -> Metric:
+def random_pl_metric(p: int, d: int, rng: random.Random, tree=None) -> Metric:
     """Random PL metric with no curvature constraint."""
-    tree = random_tree(p, rng)
+    tree = tree if tree is not None else random_tree(p, rng)
     values = {
         v: Fraction(rng.randint(-6, 6), rng.choice([1, 2, 4]))
         for v in tree.vertices

@@ -10,7 +10,15 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from berkvol.cli import KINDS, MAX_POOL_POINTS, MAX_SECTION_DEGREE, ConfigError, main, parse_metric
+from berkvol.cli import (
+    KINDS,
+    MAX_POOL_POINTS,
+    MAX_RADIUS_EXPONENT,
+    MAX_SECTION_DEGREE,
+    ConfigError,
+    main,
+    parse_metric,
+)
 
 
 def write_config(tmp_path, name, cfg):
@@ -262,6 +270,18 @@ DOMAIN_ERROR_CFGS = {
         "m": 1,
         "pool": list(range(MAX_POOL_POINTS + 1)),
     },
+    # p^ceil(q) would be computed for these radius exponents
+    "dirac-point-huge-radius": {
+        "kind": "dirac",
+        "field": {"p": 3},
+        "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]},
+        "point": [0, 1, 10**8, 1],
+    },
+    "tree-row-huge-radius": {
+        "kind": "orth",
+        "field": {"p": 2},
+        "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1], [0, 1, 10**12, 1, -1, 1]]},
+    },
     # output places: checked before the run, or failing while the report is written
     "out-dir-not-a-string": dict(ORTH_CFG, out_dir=5),
     "out-dir-uncreatable": dict(ORTH_CFG, out_dir="/dev/null/berkvol"),
@@ -427,6 +447,26 @@ def test_domain_error_is_validation_status(tmp_path, capsys, name):
     assert not (tmp_path / f"{name}.report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "name, where, q",
+    [("dirac-point-huge-radius", "point.q", 10**8), ("tree-row-huge-radius", "metric.tree[1].q", 10**12)],
+)
+def test_huge_radius_names_the_row(tmp_path, capsys, name, where, q):
+    cfg = write_config(tmp_path, f"{name}.json", DOMAIN_ERROR_CFGS[name])
+    assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 3
+    want = f"validation error: {where}: radius exponent {q} exceeds {MAX_RADIUS_EXPONENT}\n"
+    assert capsys.readouterr().err == want
+
+
+def test_radius_cap_is_inclusive(tmp_path, capsys):
+    base = DOMAIN_ERROR_CFGS["dirac-point-huge-radius"]
+    at_cap = write_config(tmp_path, "cap.json", dict(base, point=[1, 1, MAX_RADIUS_EXPONENT, 1]))
+    assert main(["run", at_cap, "--out-dir", str(tmp_path)]) == 0
+    above = write_config(tmp_path, "above.json", dict(base, point=[1, 1, 2 * MAX_RADIUS_EXPONENT + 1, 2]))
+    assert main(["run", above, "--out-dir", str(tmp_path)]) == 3
+    assert "radius exponent" in capsys.readouterr().err
+
+
 def test_huge_degree_is_rejected_before_allocation():
     # Called directly: without the check, the metric would be accepted and a
     # later stage would try to build 10**30 + 1 section coefficients.
@@ -560,6 +600,8 @@ def mutated_configs(draw):
 @example(cfg=DUPLICATE_DISC_CFGS["gauss-twice"])
 @example(cfg=HUGE_P_CFG)
 @example(cfg=DOMAIN_ERROR_CFGS["m-range-huge-stop"])
+@example(cfg=DOMAIN_ERROR_CFGS["dirac-point-huge-radius"])
+@example(cfg=DOMAIN_ERROR_CFGS["tree-row-huge-radius"])
 def test_fuzz_run_never_crashes(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.json"

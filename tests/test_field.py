@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from berkvol.field import (
     DivisionByZero,
     FieldContext,
     FieldError,
+    int_valuation,
     is_prime,
     padic_valuation,
 )
@@ -58,6 +60,29 @@ def test_padic_valuation_basics():
     assert padic_valuation(Fraction(1, 8), 2) == -3
     assert padic_valuation(Fraction(9, 5), 3) == 2
     assert padic_valuation(Fraction(0), 7) == INF
+
+
+def naive_valuation(r, p):
+    """v_p by one division per unit of valuation."""
+    v, n, d = 0, r.numerator, r.denominator
+    while n % p == 0:
+        n, v = n // p, v + 1
+    while d % p == 0:
+        d, v = d // p, v - 1
+    return v
+
+
+def test_padic_valuation_matches_the_division_loop():
+    rng = random.Random(29)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7, 2**61 - 1])
+        k = rng.randint(-3000, 3000) if p < 8 else rng.randint(-30, 30)
+        u = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+        for r in (u, u * Fraction(p) ** k):
+            assert padic_valuation(r, p) == naive_valuation(r, p)
+            assert int_valuation(r.numerator, p) - int_valuation(r.denominator, p) == naive_valuation(r, p)
+    for k in (0, 1, 2, 3, 4, 7, 8, 9, 1023, 1024, 1025, 3000):
+        assert int_valuation(-(3**k) * 10, 3) == k and padic_valuation(Fraction(1, 2**k), 2) == -k
 
 
 @given(a=rationals, b=rationals)

@@ -6,7 +6,8 @@ import pytest
 from berkvol import simplex
 from berkvol.metrics import (
     Metric,
-    _psh_rows,
+    MetricError,
+    _componentwise_max,
     energy,
     envelope,
     equilibrium_metric,
@@ -17,7 +18,8 @@ from berkvol.metrics import (
 )
 from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point, refine
 
-from conftest import random_pl_metric, random_psh_metric
+from conftest import random_pl_metric, random_psh_metric, random_tree
+from envelope_oracle import _psh_rows, one_lp_max
 
 
 def slope_metric(p, d, slope, depth=1):
@@ -190,3 +192,94 @@ def test_one_lp_matches_per_vertex_lps():
         tree = refine(phi.tree, [x])
         gx = g.on_tree(tree).values[x]
         assert equilibrium_metric(x, phi).g.values == per_vertex_maxima(tree, d, {x: gx}, gx)
+
+
+def _point_of_kind(kind, tree, rng):
+    """A point at a vertex, strictly inside an edge, off the tree, or the Gauss point."""
+    p = tree.p
+    if kind == "vertex":
+        return rng.choice(tree.vertices)
+    if kind == "gauss":
+        return gauss_point(p)
+    if kind == "edge":
+        v = rng.choice(tree.vertices[1:])
+        u = tree.parent[v]
+        return TreePoint(p, v.center, u.q + (v.q - u.q) * Fraction(rng.randint(1, 3), 4))
+    while True:  # off the tree: the retraction moves the point
+        x = TreePoint(p, Fraction(rng.randint(0, p**4 - 1)), Fraction(rng.randint(1, 10), 2))
+        if tree.retract(x.center, x.q) != x:
+            return x
+
+
+def test_envelope_recursion_matches_lp_oracle():
+    """The knot-list recursion equals the one-LP solve, exactly, on every draw."""
+    rng = random.Random(43)
+    # (a vertex, on the tree) for each kind of equilibrium point
+    kinds = {"vertex": (True, True), "edge": (False, True), "off": (False, False), "gauss": (True, True)}
+    big = 0
+    for i in range(2000):
+        p = rng.choice([2, 3, 5])
+        d = rng.choice([1, 2, 3])
+        draw = random_pl_metric if rng.random() < 0.6 else random_psh_metric
+        phi = draw(p, d, rng, tree=random_tree(p, rng, 8 if i % 10 == 9 else 3, digits=3))
+        tree, g = phi.tree, phi.g
+        big += len(tree.vertices) >= 10
+        assert envelope(phi).g.values == one_lp_max(tree, d, g.values, g.min_value())
+
+        kind = list(kinds)[i % 4]
+        x = _point_of_kind(kind, tree, rng)
+        assert (x in tree.vertices, tree.retract(x.center, x.q) == x) == kinds[kind]
+        refined = refine(tree, [x])
+        gx = g.on_tree(refined).values[x]
+        assert equilibrium_metric(x, phi).g.values == one_lp_max(refined, d, {x: gx}, gx)
+
+        if i % 2:
+            continue
+        # an obstacle on a random subset of the vertices
+        some = {v: g.values[v] for v in tree.vertices if rng.random() < 0.4}
+        some = some or {tree.vertices[-1]: g.values[tree.vertices[-1]]}
+        assert _componentwise_max(tree, d, some) == one_lp_max(tree, d, some, min(some.values()))
+    assert big >= 10
+
+
+def _cherry(p=2):
+    """The Gauss point, zeta(0, 1) below it, and two leaves zeta(0, 2), zeta(2, 2)."""
+    root, c = gauss_point(p), TreePoint(p, Fraction(0), Fraction(1))
+    l1, l2 = TreePoint(p, Fraction(0), Fraction(2)), TreePoint(p, Fraction(2), Fraction(2))
+    return build_tree(p, [root, c, l1, l2]), (root, c, l1, l2)
+
+
+def test_envelope_knot_at_the_obstacle_value():
+    # W_l1 has a knot at 0 and W_l2 at 1 = g(c): that child knot is not kept
+    # below the cap, the cap's own knot replaces it.  Mass lands at l1.
+    tree, (root, c, l1, l2) = _cherry()
+    g = {root: Fraction(5), c: Fraction(1), l1: Fraction(0), l2: Fraction(1)}
+    env = envelope(Metric(1, PLFunction(tree, g)))
+    assert env.g.values == {root: 2, c: 1, l1: 0, l2: 1}
+    assert ma_measure(env).masses == {l1: 1}
+    assert env.g.values == one_lp_max(tree, 1, g, Fraction(0))
+
+
+def test_envelope_children_with_coinciding_knots():
+    # both leaves have their only knot at 0; c keeps one knot there
+    tree, (root, c, l1, l2) = _cherry()
+    g = {root: Fraction(5), c: Fraction(5), l1: Fraction(0), l2: Fraction(0)}
+    env = envelope(Metric(2, PLFunction(tree, g)))
+    assert env.g.values == {root: 3, c: 1, l1: 0, l2: 0}
+    assert ma_measure(env).masses == {l1: 1, l2: 1}
+    assert env.g.values == one_lp_max(tree, 2, g, Fraction(0))
+
+
+def test_equilibrium_obstacle_only_at_a_leaf():
+    # h = g(l1) + d (q(l1) - q(. ^ l1)): the other leaf stays at h(c)
+    tree, (root, c, l1, l2) = _cherry()
+    phi = Metric(1, PLFunction(tree, {root: 0, c: 0, l1: Fraction(-1, 2), l2: 7}))
+    eq = equilibrium_metric(l1, phi)
+    assert eq.g.values == {root: Fraction(3, 2), c: Fraction(1, 2), l1: Fraction(-1, 2), l2: Fraction(1, 2)}
+    assert ma_measure(eq).masses == {l1: 1}
+
+
+def test_componentwise_max_needs_a_bounding_obstacle():
+    tree, _ = _cherry()
+    with pytest.raises(MetricError, match="no obstacle"):
+        _componentwise_max(tree, 1, {})

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from berkvol.field import padic_valuation
 from berkvol.tree import (
     DiscreteMeasure,
     PLFunction,
+    TreeError,
     TreePoint,
     build_tree,
     constant_function,
@@ -80,6 +82,65 @@ def test_meet_associative(x, y, z):
 def test_meet_idempotent(x):
     assert meet(x, x) == x
     assert meet(x, gauss_point(2)) == gauss_point(2)
+
+
+def _old_meet(x, y):
+    sep = padic_valuation(x.center - y.center, x.p)
+    q = min(x.q, y.q) if sep == math.inf else min(x.q, y.q, Fraction(sep))
+    return TreePoint(x.p, x.center, q)
+
+
+def _old_retract(tree, center, q=None):
+    best = tree.root
+    for v in tree.vertices:
+        sep = padic_valuation(center - v.center, tree.p)
+        sep = v.q if sep == math.inf else min(Fraction(sep), v.q)
+        if q is not None:
+            sep = min(sep, q)
+        cand = TreePoint(tree.p, center, sep)
+        if cand.q > best.q:
+            best = cand
+    return best
+
+
+def test_tree_primitives_match_point_building_versions():
+    """meet, is_below and retract agree with versions that build a point at
+    every step: meet may return an argument itself, with that argument's
+    center; every other result carries the same center."""
+    rng = random.Random(71)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5])
+
+        def point():
+            q = Fraction(rng.randint(0, 8), rng.choice([1, 2, 3]))
+            return TreePoint(p, Fraction(rng.randint(0, p**4 - 1), rng.choice([1, p + 1])), q)
+
+        x, y = point(), point()
+        new, old = meet(x, y), _old_meet(x, y)
+        assert new == old
+        assert new is x or new is y or new.center == old.center
+        # a meet that is one of the points is that point, not a new one
+        if is_below(x, y):
+            assert new is x
+        elif is_below(y, x):
+            assert new is y
+        assert is_below(x, y) == (_old_meet(x, y) == x)
+        assert is_below(new, x) and is_below(new, y)
+
+        tree = build_tree(p, [point() for _ in range(rng.randint(0, 5))])
+        z = point()
+        for q in (None, z.q):
+            new, old = tree.retract(z.center, q), _old_retract(tree, z.center, q)
+            assert new == old and new.center == old.center
+            assert (new is tree.root) == (new == tree.root)
+
+
+def test_retract_rejects_centers_off_the_closed_disc():
+    tree = build_tree(2, [TreePoint(2, Fraction(1), Fraction(2))])
+    with pytest.raises(TreeError, match="outside the closed unit disc"):
+        tree.retract(Fraction(1, 2))
+    with pytest.raises(TreeError, match="outside the closed unit disc"):
+        tree.retract(Fraction(1, 2), Fraction(1))
 
 
 def test_build_tree_adds_meets():
