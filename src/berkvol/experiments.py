@@ -25,7 +25,7 @@ from .metrics import (
     ma_measure,
 )
 from .sections import unit_ball_valuation, vandermonde_value
-from .tree import DiscreteMeasure, PLFunction, TreePoint
+from .tree import DiscreteMeasure, PLFunction, TreePoint, digit_order
 from .volumes import ExtrapolationReport, _vol_limit, vol_limit
 
 
@@ -158,14 +158,6 @@ class FeketeReport:
     tv_distance: Fraction
 
 
-def _digit_order(x: Fraction, y: Fraction, p: int) -> int:
-    """-1 or 1 as x comes before or after y in p-adic digit order, least
-    significant digit first (x != y, both in the closed unit disc)."""
-    mod = p ** (int(padic_valuation(x - y, p)) + 1)
-    rx, ry = (z.numerator * pow(z.denominator, -1, mod) % mod for z in (x, y))
-    return -1 if rx < ry else 1
-
-
 def _merge(a: List[Tuple[int, int, int]], b: List[Tuple[int, int, int]], N: int):
     """Min-plus product of two (total, count, key) tables, cut at N points:
     counts multiply, and add over the splits that tie for the least total."""
@@ -210,7 +202,7 @@ def fekete_experiment(phi: Metric, m: int, pool: Sequence[Fraction]) -> FeketeRe
     n = len(pts)
     weights = [m * phi.g.evaluate_center(x) for x in pts]  # raises off the closed disc
     D = math.lcm(*(w.denominator for w in weights))
-    order = sorted(range(n), key=cmp_to_key(lambda i, j: _digit_order(pts[i], pts[j], p)))
+    order = sorted(range(n), key=cmp_to_key(lambda i, j: digit_order(pts[i], pts[j], p)))
     depth = [int(padic_valuation(pts[j] - pts[i], p)) for i, j in zip(order, order[1:])]
     # table[s] and level[s] belong to the segment whose first position is s;
     # start[s] is the first position of the segment that ends at s.  A single

@@ -76,13 +76,6 @@ def is_psh(phi: Metric) -> bool:
     return all(m >= 0 for m in ma_measure(phi).masses.values())
 
 
-def common_tree(*metrics: Metric) -> SkeletonTree:
-    pts: List[TreePoint] = []
-    for m in metrics:
-        pts.extend(m.tree.vertices)
-    return build_tree(metrics[0].p, pts)
-
-
 def energy(phi: Metric, psi: Metric) -> Fraction:
     """E(phi, psi) = (1/2) [ int (phi-psi) MA(phi) + int (phi-psi) MA(psi) ]."""
     if phi.d != psi.d:
@@ -91,7 +84,7 @@ def energy(phi: Metric, psi: Metric) -> Fraction:
         raise MetricError("energy needs d >= 1")
     if not (is_psh(phi) and is_psh(psi)):
         raise MetricError("energy requires psh inputs")
-    tree = common_tree(phi, psi)
+    tree = refine(phi.tree, psi.tree.vertices)
     a, b = phi.on_tree(tree), psi.on_tree(tree)
     diff = PLFunction(tree, {v: a.g.values[v] - b.g.values[v] for v in tree.vertices})
     total = ma_measure(a).integrate(diff) + ma_measure(b).integrate(diff)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cmp_to_key
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -35,7 +36,7 @@ from .errors import BerkvolError
 from .field import INF, FieldContext, int_valuation, padic_valuation
 from .lattices import Lattice, intersect
 from .metrics import Metric
-from .tree import PLFunction, SkeletonTree, TreePoint
+from .tree import PLFunction, SkeletonTree, TreePoint, digit_order
 
 
 class SectionError(BerkvolError):
@@ -288,19 +289,29 @@ def vandermonde_value(points: List[Fraction], phi: Metric, m: int):
     """Valuation of the metrized Vandermonde determinant of the monomial basis.
 
     v_p(prod_{i<j} (x_j - x_i)) plus m * sum_j phi(x_j); +INF when two
-    points coincide.
+    points coincide.  In p-adic digit order v_p(x_j - x_i) is the least
+    valuation of an adjacent pair from i to j, so the pair sum is a sum of
+    range minima, taken with one monotone stack.
     """
     N = m * phi.d + 1
     if len(points) != N:
         raise SectionError(f"need exactly {N} points, got {len(points)}")
     p, pts = phi.p, [Fraction(x) for x in points]
     weight = sum(m * phi.g.evaluate_center(x) for x in pts)  # raises off the closed disc
-    total = 0
-    for i, x in enumerate(pts):
-        for y in pts[i + 1 :]:
-            # denominators are p-adic units, so this numerator has v_p(y - x)
-            num = y.numerator * x.denominator - x.numerator * y.denominator
-            if num == 0:
-                return INF
-            total += int_valuation(num, p)
+    pts.sort(key=cmp_to_key(lambda x, y: digit_order(x, y, p)))
+    # (valuation, count) runs of v_p(y - x) over the x before y; they sum to `ending`
+    total, ending, stack = 0, 0, []
+    for x, y in zip(pts, pts[1:]):
+        # denominators are p-adic units, so this numerator has v_p(y - x)
+        num = y.numerator * x.denominator - x.numerator * y.denominator
+        if num == 0:
+            return INF
+        v, count = int_valuation(num, p), 1
+        while stack and stack[-1][0] >= v:
+            w, k = stack.pop()
+            ending -= w * k
+            count += k
+        stack.append((v, count))
+        ending += v * count
+        total += ending
     return total + weight

@@ -4,6 +4,10 @@ A point zeta_{a, p^-q} of the closed unit disc is stored as a rational
 center a (with v_p(a) >= 0) and a rational radius exponent q >= 0; the
 Gauss point is (0, 0).  Distances along the tree are differences of
 radius exponents, matching the v(p) = 1 normalization.
+
+`build_tree` alone closes a vertex set under meets, and `SkeletonTree.place`
+alone finds where a point retracts onto a tree, by one descent from the
+root.  In `digit_order` every residue class mod p^k is a segment.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import BerkvolError
-from .field import padic_valuation
+from .field import INF, padic_valuation
 
 
 class TreeError(BerkvolError):
@@ -81,11 +85,15 @@ def meet(x: TreePoint, y: TreePoint) -> TreePoint:
     return TreePoint(x.p, x.center, q)
 
 
-def is_below(x: TreePoint, y: TreePoint) -> bool:
-    """x <= y in the tree order (x on the path from the Gauss point to y)."""
-    if x.p != y.p:
-        raise TreeError("points over different primes")
-    return x.q <= y.q and padic_valuation(x.center - y.center, x.p) >= x.q
+def digit_order(x: Fraction, y: Fraction, p: int) -> int:
+    """-1, 0 or 1 as x comes before, with or after y in p-adic digit order,
+    least significant digit first (both in the closed unit disc).  Every
+    residue class mod p^k is a segment of this order."""
+    if x == y:
+        return 0
+    mod = p ** (int(padic_valuation(x - y, p)) + 1)
+    rx, ry = (z.numerator * pow(z.denominator, -1, mod) % mod for z in (x, y))
+    return -1 if rx < ry else 1
 
 
 @dataclass
@@ -118,33 +126,33 @@ class SkeletonTree:
             out.append(self.parent[v])
         return out
 
-    def retract(self, center: Fraction, q: Optional[Fraction] = None) -> TreePoint:
-        """Retraction of zeta_{center, p^-q} (q = None means a type-1 point)."""
-        center = Fraction(center)
+    def place(
+        self, center: Fraction, q: Optional[Fraction] = None
+    ) -> Tuple[TreePoint, Optional[TreePoint], Fraction]:
+        """The edge (u, c) holding the retraction of zeta_{center, p^-q} and
+        its depth t past u, with c = None at a vertex (q = None: type 1).
+
+        Descends from the root: at each vertex u at most one child shares
+        more than q_u with the point."""
+        center, q = Fraction(center), INF if q is None else q
         if padic_valuation(center, self.p) < 0:
             raise TreeError(f"center {center} lies outside the closed unit disc")
-        depth = max(min(v.q, padic_valuation(center - v.center, self.p)) for v in self.vertices)
-        if q is not None:
-            depth = min(depth, q)
-        return self.root if depth == 0 else TreePoint(self.p, center, depth)
+        u = self.root
+        while True:
+            for c in self.children[u]:
+                shared = min(c.q, q, padic_valuation(center - c.center, self.p))
+                if shared > u.q:
+                    if shared < c.q:
+                        return u, c, shared - u.q
+                    u = c
+                    break
+            else:
+                return u, None, Fraction(0)
 
-    def locate(self, x: TreePoint) -> Tuple[TreePoint, Optional[TreePoint], Fraction]:
-        """For x on the tree, the edge (u, c) with u <= x <= c, plus t = q_x - q_u.
-
-        c is None when x is a vertex.
-        """
-        u = None
-        for v in self.vertices:
-            if is_below(v, x) and (u is None or v.q > u.q):
-                u = v
-        if u is None:
-            raise TreeError(f"{x} does not retract into the tree")
-        if u == x:
-            return u, None, Fraction(0)
-        for c in self.children[u]:
-            if is_below(x, c):
-                return u, c, x.q - u.q
-        raise TreeError(f"{x} is not on the skeleton")
+    def retract(self, center: Fraction, q: Optional[Fraction] = None) -> TreePoint:
+        """Retraction of zeta_{center, p^-q}, named by the given center."""
+        u, _, t = self.place(center, q)
+        return self.root if u.q + t == 0 else TreePoint(self.p, center, u.q + t)
 
 
 def build_tree(p: int, points: Iterable[TreePoint]) -> SkeletonTree:
@@ -156,20 +164,17 @@ def build_tree(p: int, points: Iterable[TreePoint]) -> SkeletonTree:
         verts.add(pt)
     # In a rooted tree x^y^z is one of x^y, x^z, y^z: one round closes.
     verts |= {meet(x, y) for x, y in itertools.combinations(verts, 2)}
-    # Ancestors have smaller q, so each vertex is placed after all of them;
-    # its parent is the deepest one, reached by descending from the root.
+    # Every prefix of this order is meet-closed, so each vertex retracts
+    # onto the tree built so far at a vertex: its parent.
     ordered = sorted(verts, key=lambda v: (v.q, v.key))
     root = ordered[0]
-    parent: Dict[TreePoint, Optional[TreePoint]] = {root: None}
-    children: Dict[TreePoint, List[TreePoint]] = {v: [] for v in ordered}
+    tree = SkeletonTree(p, [root], {root: None}, {root: []})
     for v in ordered[1:]:
-        par, below = None, root
-        while below is not None:
-            par = below
-            below = next((c for c in children[par] if is_below(c, v)), None)
-        parent[v] = par
-        children[par].append(v)
-    return SkeletonTree(p, ordered, parent, children)
+        par = tree.place(v.center, v.q)[0]
+        tree.vertices.append(v)
+        tree.parent[v], tree.children[v] = par, []
+        tree.children[par].append(v)
+    return tree
 
 
 def refine(tree: SkeletonTree, extra: Iterable[TreePoint]) -> SkeletonTree:
@@ -190,17 +195,14 @@ class PLFunction:
         value = self.values.get(x)
         if value is not None:  # x is a vertex
             return value
-        r = self.tree.retract(x.center, x.q)
-        u, c, t = self.tree.locate(r)
-        if c is None:
-            return self.values[u]
-        frac = t / (c.q - u.q)
-        return self.values[u] + (self.values[c] - self.values[u]) * frac
+        return self._at(*self.tree.place(x.center, x.q))
 
     def evaluate_center(self, center: Fraction) -> Fraction:
         """Value at the type-1 point with the given center."""
-        r = self.tree.retract(Fraction(center), None)
-        u, c, t = self.tree.locate(r)
+        return self._at(*self.tree.place(center))
+
+    def _at(self, u: TreePoint, c: Optional[TreePoint], t: Fraction) -> Fraction:
+        """Value at depth t past u on the edge (u, c), or at u if c is None."""
         if c is None:
             return self.values[u]
         return self.values[u] + (self.values[c] - self.values[u]) * t / (c.q - u.q)

@@ -4,8 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from berkvol.field import padic_valuation
 from berkvol.metrics import Metric, is_psh
 from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point
+
+
+def is_below(x: TreePoint, y: TreePoint) -> bool:
+    """x <= y in the tree order (x on the path from the Gauss point to y)."""
+    return x.q <= y.q and padic_valuation(x.center - y.center, x.p) >= x.q
 
 
 def random_tree(p: int, rng: random.Random, max_extra: int = 4, digits: int = 2):

@@ -5,6 +5,9 @@ N-subset of the pool from two integer tables: m g(x) for each pool point
 and v_p(y - x) for each pair, over a common denominator D.  That loop is
 kept here so that the tests can hold the DP against it on pools far past
 the size the per-subset `vandermonde_value` oracle can reach.
+
+`pairwise_vandermonde_value` is the quadratic sum over every pair of
+points that `vandermonde_value` replaced by a sum of range minima.
 """
 
 import itertools
@@ -12,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from berkvol.field import padic_valuation
+from berkvol.field import INF, padic_valuation
 from berkvol.metrics import Metric
 
 
@@ -45,3 +48,14 @@ def tabulated_optima(
         elif v == best_total:
             best.append(cfg)
     return Fraction(best_total, D), [tuple(pts[i] for i in cfg) for cfg in best]
+
+
+def pairwise_vandermonde_value(points: Sequence[Fraction], phi: Metric, m: int):
+    """v_p(prod_{i<j} (x_j - x_i)) + m * sum_j phi(x_j), one pair at a time."""
+    pts = [Fraction(x) for x in points]
+    total = sum(m * phi.g.evaluate_center(x) for x in pts)
+    for x, y in itertools.combinations(pts, 2):
+        if x == y:
+            return INF
+        total += padic_valuation(y - x, phi.p)
+    return total

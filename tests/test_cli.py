@@ -1,10 +1,14 @@
 import copy
 import csv
 import io
+import itertools
 import json
+import random
+import re
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,6 +23,7 @@ from berkvol.cli import (
     main,
     parse_metric,
 )
+from berkvol.tree import TreePoint, build_tree, gauss_point, meet
 
 
 def write_config(tmp_path, name, cfg):
@@ -109,6 +114,49 @@ def test_validation_error_names_missing_meet(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "not meet-closed" in err
     assert "zeta(0, q=1)" in err and "zeta(1, q=1)" in err
+
+    # seeded row sets: rejected exactly when some pairwise meet is no row,
+    # and then the named rows meet at a vertex that no row names
+    rng = random.Random(29)
+    rejected = 0
+    for k in range(300):
+        p = rng.choice([2, 3, 5])
+        rows = [] if rng.random() < 0.5 else [[0, 1, 0, 1, 0, 1]]
+        pts = set()
+        for _ in range(rng.randint(1, 5)):
+            c = Fraction(rng.randint(0, p**3 - 1), rng.choice([1, p + 1]))
+            q = Fraction(rng.randint(1, 8), rng.choice([1, 2]))
+            if TreePoint(p, c, q) not in pts:
+                pts.add(TreePoint(p, c, q))
+                rows.append([c.numerator, c.denominator, q.numerator, q.denominator, -k, 1])
+        given = [TreePoint(p, Fraction(r[0], r[1]), Fraction(r[2], r[3])) for r in rows]
+        closed = all(meet(x, y) in given for x, y in itertools.combinations(given, 2))
+        cfg = {"kind": "orth", "field": {"p": p}, "metric": {"d": 1, "tree": rows}}
+        status = main(["run", write_config(tmp_path, "rows.json", cfg), "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        if closed:
+            assert status in (0, 1), err
+            continue
+        rejected += 1
+        assert status == 3 and len(err.splitlines()) == 1 and "not meet-closed" in err
+        i, j = map(int, re.findall(r"metric\.tree\[(\d+)\]", err))
+        assert f"metric.tree[{i}] {given[i]}" in err and f"metric.tree[{j}] {given[j]}" in err
+        missing = meet(given[i], given[j])
+        assert missing not in given and missing in build_tree(p, given).vertices
+    assert rejected > 100
+
+
+def test_missing_gauss_point_that_is_no_meet_is_zero(tmp_path):
+    """A Gauss point with one child below it is no meet: it stays implicit at 0."""
+    rows = [[0, 1, 1, 1, -1, 1], [2, 1, 2, 1, -3, 1]]
+    phi = parse_metric({"d": 1, "tree": rows}, 2, "metric")
+    assert phi.g.values == {
+        gauss_point(2): 0,
+        TreePoint(2, Fraction(0), Fraction(1)): -1,
+        TreePoint(2, Fraction(2), Fraction(2)): -3,
+    }
+    cfg = {"kind": "orth", "field": {"p": 2}, "metric": {"d": 1, "tree": rows}}
+    assert main(["run", write_config(tmp_path, "g.json", cfg), "--out-dir", str(tmp_path)]) == 0
 
 
 def test_validation_error_nonprime(tmp_path, capsys):
@@ -211,6 +259,21 @@ def test_run_diff_series_csv(tmp_path):
 
 
 ORTH_CFG = {"kind": "orth", "field": {"p": 2}, "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]}}
+DIFF_CFG = {
+    "kind": "diff",
+    "field": {"p": 2},
+    "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, -1, 2]]},
+    "direction": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, 1, 1]],
+    "t_grid": ["1/8"],
+    "m_range": [1, 2, 3, 4],
+}
+FEKETE_CFG = {
+    "kind": "fekete",
+    "field": {"p": 2},
+    "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]},
+    "m": 1,
+    "pool": ["0", "1", "2"],
+}
 
 DOMAIN_ERROR_CFGS = {
     "diff-non-psh-base": {
@@ -289,6 +352,19 @@ DOMAIN_ERROR_CFGS = {
     "name-with-separator": dict(ORTH_CFG, name="sub/x"),
     "name-too-long-to-write": dict(ORTH_CFG, name="x" * 300),
     "name-with-nul": dict(ORTH_CFG, name="a\0b"),
+    # a diff with no nonzero t would check nothing
+    "diff-t-grid-zero": dict(DIFF_CFG, t_grid=["0"]),
+    "diff-t-grid-empty": dict(DIFF_CFG, t_grid=[]),
+    # JSON booleans are not integers
+    "metric-d-true": dict(ORTH_CFG, metric={"d": True, "tree": [[0, 1, 0, 1, 0, 1]]}),
+    "fekete-m-true": dict(FEKETE_CFG, m=True),
+    "m-range-list-true": dict(DIFF_CFG, m_range=[True, 2, 3, 4]),
+    "m-range-start-true": dict(DIFF_CFG, m_range={"start": True, "stop": 4}),
+    "m-range-stop-true": dict(DIFF_CFG, m_range={"start": 1, "stop": True}),
+    "m-range-step-true": dict(DIFF_CFG, m_range={"start": 1, "stop": 4, "step": True}),
+    "field-p-true": dict(ORTH_CFG, field={"p": True}),
+    "pair-numerator-true": dict(FEKETE_CFG, pool=["0", [True, 1], "2"]),
+    "pair-denominator-true": dict(DIFF_CFG, t_grid=[[1, True]]),
 }
 
 
@@ -458,6 +534,26 @@ def test_huge_radius_names_the_row(tmp_path, capsys, name, where, q):
     assert capsys.readouterr().err == want
 
 
+@pytest.mark.parametrize(
+    "name, where",
+    [
+        ("metric-d-true", "metric.d"),
+        ("fekete-m-true", "m"),
+        ("m-range-list-true", "m_range"),
+        ("m-range-start-true", "m_range.start"),
+        ("m-range-stop-true", "m_range.stop"),
+        ("m-range-step-true", "m_range.step"),
+        ("field-p-true", "field.p"),
+        ("pair-numerator-true", "pool"),
+        ("pair-denominator-true", "t_grid"),
+    ],
+)
+def test_boolean_is_not_an_integer(tmp_path, capsys, name, where):
+    cfg = write_config(tmp_path, f"{name}.json", DOMAIN_ERROR_CFGS[name])
+    assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == f"validation error: {where}: expected an integer, got True\n"
+
+
 def test_radius_cap_is_inclusive(tmp_path, capsys):
     base = DOMAIN_ERROR_CFGS["dirac-point-huge-radius"]
     at_cap = write_config(tmp_path, "cap.json", dict(base, point=[1, 1, MAX_RADIUS_EXPONENT, 1]))
@@ -602,6 +698,17 @@ def mutated_configs(draw):
 @example(cfg=DOMAIN_ERROR_CFGS["m-range-huge-stop"])
 @example(cfg=DOMAIN_ERROR_CFGS["dirac-point-huge-radius"])
 @example(cfg=DOMAIN_ERROR_CFGS["tree-row-huge-radius"])
+@example(cfg=DOMAIN_ERROR_CFGS["diff-t-grid-zero"])
+@example(cfg=DOMAIN_ERROR_CFGS["diff-t-grid-empty"])
+@example(cfg=DOMAIN_ERROR_CFGS["metric-d-true"])
+@example(cfg=DOMAIN_ERROR_CFGS["fekete-m-true"])
+@example(cfg=DOMAIN_ERROR_CFGS["m-range-list-true"])
+@example(cfg=DOMAIN_ERROR_CFGS["m-range-start-true"])
+@example(cfg=DOMAIN_ERROR_CFGS["m-range-stop-true"])
+@example(cfg=DOMAIN_ERROR_CFGS["m-range-step-true"])
+@example(cfg=DOMAIN_ERROR_CFGS["field-p-true"])
+@example(cfg=DOMAIN_ERROR_CFGS["pair-numerator-true"])
+@example(cfg=DOMAIN_ERROR_CFGS["pair-denominator-true"])
 def test_fuzz_run_never_crashes(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.json"

@@ -20,15 +20,17 @@ from berkvol.sections import (
     vandermonde_value,
     vol_m,
 )
-from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point, is_below, meet
+from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point, meet
 
 from conftest import (
+    is_below,
     random_chain_tree,
     random_pl_metric,
     random_psh_chain_metric,
     random_psh_metric,
     random_tree,
 )
+from fekete_oracle import pairwise_vandermonde_value
 from slice_oracle import _slice_integral
 
 
@@ -135,6 +137,27 @@ def test_vandermonde_value():
     phi = slope_metric(2, 1, Fraction(-1, 2))
     # both points retract into the weighted disc
     assert vandermonde_value([Fraction(0), Fraction(2)], phi, 1) == 1 - 1
+
+
+def test_vandermonde_value_matches_pairwise_sum():
+    """The range-minimum sum over the points in digit order equals the sum
+    over every pair, with repeated points and unit denominators."""
+    rng = random.Random(43)
+    repeated = 0
+    for _ in range(2000):
+        p, d, m = rng.choice([2, 3, 5]), rng.randint(1, 2), rng.randint(1, 5)
+        phi = random_psh_metric(p, d, rng)
+        digits = rng.randint(1, 6)
+        pts = [
+            Fraction(rng.randint(0, p**digits - 1), rng.choice([1, p + 1, p * p + 1]))
+            for _ in range(m * d + 1)
+        ]
+        if rng.random() < 0.2:
+            pts[rng.randrange(len(pts))] = rng.choice(pts)
+        want = pairwise_vandermonde_value(pts, phi, m)
+        assert vandermonde_value(pts, phi, m) == want
+        repeated += want == INF
+    assert repeated > 200
 
 
 def nonpositive_extra(phi, rng):

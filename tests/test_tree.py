@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,12 +15,14 @@ from berkvol.tree import (
     TreePoint,
     build_tree,
     constant_function,
+    digit_order,
     gauss_point,
-    is_below,
     laplacian,
     meet,
     refine,
 )
+
+from conftest import is_below
 
 centers = st.integers(min_value=0, max_value=31).map(Fraction)
 radii = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)])
@@ -133,6 +137,95 @@ def test_tree_primitives_match_point_building_versions():
             new, old = tree.retract(z.center, q), _old_retract(tree, z.center, q)
             assert new == old and new.center == old.center
             assert (new is tree.root) == (new == tree.root)
+
+
+def _scan_retract(tree, center, q=None):
+    """Retraction by scanning every vertex: the depth shared with the
+    deepest one, named by the given center."""
+    center = Fraction(center)
+    depth = max(min(v.q, padic_valuation(center - v.center, tree.p)) for v in tree.vertices)
+    if q is not None:
+        depth = min(depth, q)
+    return tree.root if depth == 0 else TreePoint(tree.p, center, depth)
+
+
+def _scan_locate(tree, x):
+    """For x on the tree, the edge (u, c) with u <= x <= c and t = q_x - q_u,
+    by scanning every vertex; c is None when x is a vertex."""
+    u = max((v for v in tree.vertices if is_below(v, x)), key=lambda v: v.q)
+    if u == x:
+        return u, None, Fraction(0)
+    return u, next(c for c in tree.children[u] if is_below(x, c)), x.q - u.q
+
+
+def test_place_matches_scanning_oracle():
+    """place, retract, evaluate and evaluate_center agree with retracting
+    by a scan of every vertex and then locating the edge by another, for
+    type-1 and type-2 points on vertices, inside edges and off the tree."""
+    rng = random.Random(37)
+    seen = {"vertex": 0, "edge": 0, "off": 0, "type-1": 0}
+    for _ in range(3000):
+        p = rng.choice([2, 3, 5])
+
+        def center():
+            return Fraction(rng.randint(0, p**4 - 1), rng.choice([1, p + 1, 2 * p + 1]))
+
+        def radius():
+            return Fraction(rng.randint(1, 12), rng.choice([1, 2, 3]))
+
+        tree = build_tree(p, [TreePoint(p, center(), radius()) for _ in range(rng.randint(0, 6))])
+        values = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for v in tree.vertices}
+        f = PLFunction(tree, values)
+        v = rng.choice(tree.vertices)
+        u = tree.parent[v] or v
+        other = v.center + p ** math.ceil(v.q) * rng.randint(-3, 3)
+        queries = [
+            (other, v.q),  # a vertex, named by another center
+            (other, u.q + (v.q - u.q) * Fraction(rng.randint(1, 4), 5)),  # inside its edge
+            (center(), radius()),  # anywhere, mostly off the tree
+            (center(), None),
+            (other, None),
+        ]
+        for c, q in queries:
+            r = _scan_retract(tree, c, q)
+            want = _scan_locate(tree, r)
+            assert tree.place(c, q) == want
+            got = tree.retract(c, q)
+            assert got == r and got.center == r.center and (got is tree.root) == (r is tree.root)
+            u0, c0, t = want
+            value = f.values[u0] if c0 is None else (
+                f.values[u0] + (f.values[c0] - f.values[u0]) * t / (c0.q - u0.q)
+            )
+            if q is None:
+                assert f.evaluate_center(c) == value
+                seen["type-1"] += 1
+            else:
+                x = TreePoint(p, c, q)
+                assert f.evaluate(x) == value
+                seen["vertex" if x in tree.vertices else "edge" if r == x else "off"] += 1
+    assert min(seen.values()) > 1000
+
+
+def test_digit_order_makes_residue_classes_segments():
+    """digit_order is a total order (0 only on equal points), and every
+    residue class mod p^k is a run of the sorted points."""
+    rng = random.Random(47)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5])
+        pts = [
+            Fraction(rng.randint(0, p**5 - 1), rng.choice([1, p + 1]))
+            for _ in range(rng.randint(1, 12))
+        ]
+        pts += rng.sample(pts, rng.randint(0, len(pts)))
+        for x, y in itertools.combinations(pts, 2):
+            assert digit_order(x, y, p) == -digit_order(y, x, p)
+            assert (digit_order(x, y, p) == 0) == (x == y)
+        pts.sort(key=cmp_to_key(lambda x, y: digit_order(x, y, p)))
+        for k in range(1, 6):
+            mod = p**k
+            classes = [x.numerator * pow(x.denominator, -1, mod) % mod for x in pts]
+            runs = [key for key, _ in itertools.groupby(classes)]
+            assert len(runs) == len(set(runs))
 
 
 def test_retract_rejects_centers_off_the_closed_disc():
