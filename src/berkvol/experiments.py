@@ -24,7 +24,7 @@ from .metrics import (
     is_psh,
     ma_measure,
 )
-from .sections import unit_ball_valuation, vandermonde_value
+from .sections import unit_ball_valuations, vandermonde_value
 from .tree import DiscreteMeasure, PLFunction, TreePoint, digit_order
 from .volumes import ExtrapolationReport, _vol_limit, vol_limit
 
@@ -58,8 +58,8 @@ def diff_experiment(
 ) -> DiffReport:
     """Symmetric finite differences of t -> vol(L, phi + t f, phi).
 
-    Every leg is measured against phi, so phi's unit ball is computed
-    once per level and shared by the legs.
+    Every leg is measured against phi, so phi's series of unit balls is
+    computed once and shared by the legs.
     """
     if not is_psh(phi):
         raise ExperimentError("base metric must be psh")
@@ -67,14 +67,18 @@ def diff_experiment(
     target = integrate_against(phi, f)
     legs: List[DiffLeg] = []
     derivs: List[Tuple[Fraction, Fraction, Fraction]] = []
-    ms = list(m_range)
+    ms = sorted(set(m_range))
     if any(m < 1 for m in ms):
         raise ExperimentError("m must be >= 1")
-    base = {m: unit_ball_valuation(phi, m) for m in ms}
+    base = dict(zip(ms, unit_ball_valuations(phi, ms)))
 
     def leg(s: Fraction) -> ExtrapolationReport:
         phi_s = _add_direction(phi, f, s)
-        return _vol_limit(phi_s, phi, ms, lambda m: base[m] - unit_ball_valuation(phi_s, m))
+
+        def vols(levels: List[int]) -> List[Fraction]:
+            return [base[m] - v for m, v in zip(levels, unit_ball_valuations(phi_s, levels))]
+
+        return _vol_limit(phi_s, phi, ms, vols)
 
     for t in ts:
         rep_p, rep_m = leg(t), leg(-t)

@@ -22,6 +22,11 @@ F_j is the max over root counts c >= 0 on the vertices with sum j of
 min_x (m g(x) + extra(x) + sum_y c_y q(x ^ y)).  Nothing here names a
 ramification index, a residue field or a slice of Z_p: the value is the
 same over every complete field whose value group holds the weights.
+
+The level m enters only as the factor of g in the vertex lines
+j -> j q(x) + m g(x) + extra(x), so unit_ball_valuations scales the
+vertex data of a metric to integers once, by one common denominator,
+and that one scaling serves every level of a series.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import math
 from dataclasses import dataclass
 from functools import cmp_to_key
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import BerkvolError
 from .field import INF, FieldContext, int_valuation, padic_valuation
@@ -95,20 +100,12 @@ def sup_norm(s: Section, phi: Metric, m: int):
     return min(point_norm(s, x, phi, m) for x in phi.tree.vertices)
 
 
-def _vertex_base(
-    phi: Metric, m: int, x: TreePoint, extra: Optional[PLFunction]
-) -> Fraction:
-    """m g(x) + extra(x): the weight at vertex x of the constant section."""
-    base = m * phi.g.values[x]
-    if extra is not None:
-        base += extra.evaluate(x)
-    return base
-
-
 def _vertex_weights(
     phi: Metric, m: int, x: TreePoint, extra: Optional[PLFunction]
 ) -> List[Fraction]:
-    base = _vertex_base(phi, m, x, extra)
+    base = m * phi.g.values[x]
+    if extra is not None:
+        base += extra.evaluate(x)
     return [i * x.q + base for i in range(m * phi.d + 1)]
 
 
@@ -127,7 +124,7 @@ def diagonal_weights(phi: Metric, m: int, extra: Optional[PLFunction] = None) ->
     Valid only on a chain of discs, where the vertices share one center,
     the recentered bases coincide and the unit ball is diagonal in the
     monomial basis.  Term by term, this is the tests' oracle for the
-    envelope sum that unit_ball_valuation computes on such trees.
+    envelope sum that unit_ball_valuations computes on such trees.
     """
     if not _is_chain(phi.tree):
         raise SectionError("diagonal weights need a single-center tree")
@@ -143,7 +140,7 @@ def sup_norm_lattice(
 
     Intersection over the tree vertices of the diagonal lattices in the
     recentered monomial bases {(z - a_x)^i} with weights i q_x + m g(x).
-    This is the K_M oracle for unit_ball_valuation, which computes the
+    This is the K_M oracle for unit_ball_valuations, which computes the
     same determinant valuation from root counts on the tree; only tests
     call it.
     """
@@ -241,45 +238,70 @@ def _root_count_norms(
     return h[tree.vertices[0]]
 
 
+def unit_ball_valuations(
+    phi: Metric, ms: Iterable[int], extra: Optional[PLFunction] = None
+) -> List[Fraction]:
+    """[v(det U_m) for m in ms]: the unit balls U_m of the level-m sup norms of phi.
+
+    v(det U_m) = -sum_{j=0}^{md} F_j, with F_j the best monic degree-j
+    norm over root counts on the tree (module docstring).  It involves
+    only the vertex lines j -> j q_x + m g(x) + extra(x), so no
+    ramification index is chosen.  q_x, g(x) and extra(x) are read once
+    and scaled to integers Q_x, G_x, E_x by the lcm D of all their
+    denominators; level m runs on the integer lines j -> j Q_x + m G_x
+    + E_x and builds one Fraction.  Both kernels are homogeneous under a
+    common positive scaling, so every level is exact.  On a chain of
+    discs the max-min is the lower envelope of the lines, summed by
+    _envelope_sum in O(V^2) per level; on any other tree
+    _root_count_norms runs the tree recursion in O(V (md + 1)).
+    """
+    ms = list(ms)
+    if any(m < 1 for m in ms):
+        raise SectionError("m must be >= 1")
+    tree = phi.tree
+    rows = [
+        (x.q, phi.g.values[x], Fraction(0) if extra is None else extra.evaluate(x))
+        for x in tree.vertices
+    ]
+    # A list, not a generator: a tuple built from a generator is resized,
+    # and CPython's free list then keeps up to 2000 of them per length.
+    D = math.lcm(*[c.denominator for row in rows for c in row])
+
+    def scale(c: Fraction) -> int:
+        return c.numerator * (D // c.denominator)
+
+    scaled = [(scale(q), scale(g), scale(e)) for q, g, e in rows]
+    chain = _is_chain(tree)
+    out = []
+    for m in ms:
+        lines = [(q, m * g + e) for q, g, e in scaled]
+        n = m * phi.d + 1
+        if chain:
+            total = _envelope_sum(lines, n)
+        else:
+            total = sum(_root_count_norms(tree, dict(zip(tree.vertices, lines)), n))
+        out.append(Fraction(-total, D))
+    return out
+
+
 def unit_ball_valuation(
     phi: Metric, m: int, extra: Optional[PLFunction] = None
 ) -> Fraction:
     """v(det U) of the unit ball U of the level-m sup norm of phi.
 
-    v(det U) = -sum_{j=0}^{md} F_j, with F_j the best monic degree-j
-    norm over root counts on the tree (module docstring).  It involves
-    only the vertex lines j -> j q_x + b_x, b_x = m g(x) + extra(x), so
-    no ramification index M is chosen: the lines are scaled to integers
-    by the lcm D of their denominators, and one Fraction is built at the
-    end.  On a chain of discs the max-min is the lower envelope
-    min_x (j q_x + b_x), summed by _envelope_sum in O(V^2) per level;
-    on any other tree _root_count_norms runs the tree recursion in
-    O(V (md + 1)).
+    The one-level case of unit_ball_valuations.
     """
-    tree = phi.tree
-    lines = {x: (x.q, _vertex_base(phi, m, x, extra)) for x in tree.vertices}
-    # A list, not a generator: a tuple built from a generator is resized,
-    # and CPython's free list then keeps up to 2000 of them per length.
-    D = math.lcm(*[c.denominator for line in lines.values() for c in line])
-    scaled = {x: (a.numerator * (D // a.denominator), b.numerator * (D // b.denominator))
-              for x, (a, b) in lines.items()}
-    n = m * phi.d + 1
-    if _is_chain(tree):
-        total = _envelope_sum(list(scaled.values()), n)
-    else:
-        total = sum(_root_count_norms(tree, scaled, n))
-    return Fraction(-total, D)
+    return unit_ball_valuations(phi, [m], extra)[0]
 
 
 def vol_m(phi: Metric, psi: Metric, m: int) -> Fraction:
     """Exact relative volume of the level-m sup norms of phi and psi.
 
-    v(det U_psi) - v(det U_phi), each from unit_ball_valuation.
+    v(det U_psi) - v(det U_phi), each from unit_ball_valuations, which
+    rejects m < 1.
     """
     if phi.d != psi.d:
         raise SectionError("metrics live on different line bundles")
-    if m < 1:
-        raise SectionError("m must be >= 1")
     # Larger norms mean smaller balls, hence a larger determinant
     # valuation for the second argument.
     return unit_ball_valuation(psi, m) - unit_ball_valuation(phi, m)

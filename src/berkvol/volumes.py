@@ -14,7 +14,7 @@ from typing import Callable, Iterable, List, Tuple
 
 from .errors import BerkvolError
 from .metrics import Metric, envelope, energy, is_psh, ma_measure
-from .sections import unit_ball_valuation, vol_m
+from .sections import unit_ball_valuations
 from .tree import PLFunction, refine
 
 
@@ -54,10 +54,14 @@ class ExtrapolationReport:
 
 
 def _extrapolate(
-    fn: Callable[[int], Fraction], m_range: Iterable[int], power: int
+    series: Callable[[List[int]], List[Fraction]], m_range: Iterable[int], power: int
 ) -> ExtrapolationReport:
-    """Fit fn(m) / m^power = a + b/m over the last DEFAULT_WINDOW levels."""
-    samples = [(m, fn(m)) for m in sorted(set(m_range))]
+    """Fit value(m) / m^power = a + b/m over the last DEFAULT_WINDOW levels.
+
+    series maps the sorted distinct levels to their values, in order.
+    """
+    ms = sorted(set(m_range))
+    samples = list(zip(ms, series(ms)))
     tail = samples[-DEFAULT_WINDOW:]
     if len(tail) < 4:
         raise VolumeError(f"window of {len(tail)} samples is too small (need >= 4)")
@@ -70,24 +74,38 @@ def _extrapolate(
 
 
 def vol_limit(phi: Metric, psi: Metric, m_range: Iterable[int]) -> ExtrapolationReport:
-    """Extrapolated vol(L, phi, psi) from exact finite-level volumes."""
-    return _vol_limit(phi, psi, m_range, lambda m: vol_m(phi, psi, m))
+    """Extrapolated vol(L, phi, psi) from exact finite-level volumes.
+
+    Each level's volume equals sections.vol_m, read off one series of
+    unit balls per metric.
+    """
+
+    def vols(ms: List[int]) -> List[Fraction]:
+        return [a - b for a, b in zip(unit_ball_valuations(psi, ms), unit_ball_valuations(phi, ms))]
+
+    return _vol_limit(phi, psi, m_range, vols)
 
 
 def _vol_limit(
-    phi: Metric, psi: Metric, m_range: Iterable[int], vol: Callable[[int], Fraction]
+    phi: Metric,
+    psi: Metric,
+    m_range: Iterable[int],
+    vols: Callable[[List[int]], List[Fraction]],
 ) -> ExtrapolationReport:
-    """vol_limit, with the level-m volume vol(m) of phi against psi
+    """vol_limit, with the series of level-m volumes of phi against psi
     supplied by the caller (diff_experiment shares psi's unit balls)."""
     if phi.d != psi.d:
         raise VolumeError("metrics live on different line bundles")
+    ms = sorted(set(m_range))
+    if any(m < 1 for m in ms):
+        raise VolumeError("m must be >= 1")
     if phi.d == 0:
-        samples = [(m, Fraction(0)) for m in sorted(set(m_range))]
+        samples = [(m, Fraction(0)) for m in ms]
         return ExtrapolationReport(
             Fraction(0), Fraction(0), samples, [m for m, _ in samples],
             [(m, Fraction(0)) for m, _ in samples], Fraction(0),
         )
-    return _extrapolate(vol, m_range, power=2)
+    return _extrapolate(vols, ms, power=2)
 
 
 @dataclass
@@ -115,10 +133,10 @@ def rr_content(phi_D: PLFunction, phi_A: Metric, m: int) -> Fraction:
     Computed as the content of the quotient of the unit ball of the
     level-m sup norm of phi_A by the sublattice of sections s with
     pointwise valuation of |s| e^{-m phi_A} at least phi_D everywhere.
-    Both unit balls come from sections.unit_ball_valuation on the common
+    Both unit balls come from sections.unit_ball_valuations on the common
     refinement of the two trees.
     """
-    return _rr_content_refined(*_rr_refine(phi_D, phi_A), m)
+    return _rr_content_refined(*_rr_refine(phi_D, phi_A), [m])[0]
 
 
 def _rr_refine(phi_D: PLFunction, phi_A: Metric) -> Tuple[Metric, PLFunction]:
@@ -134,9 +152,10 @@ def _rr_refine(phi_D: PLFunction, phi_A: Metric) -> Tuple[Metric, PLFunction]:
     return phi_A.on_tree(tree), phi_D.scale(Fraction(-1)).on_tree(tree)
 
 
-def _rr_content_refined(phi_r: Metric, shrink_r: PLFunction, m: int) -> Fraction:
-    """Level-m part of rr_content, on the common tree of _rr_refine."""
-    return unit_ball_valuation(phi_r, m, shrink_r) - unit_ball_valuation(phi_r, m)
+def _rr_content_refined(phi_r: Metric, shrink_r: PLFunction, ms: List[int]) -> List[Fraction]:
+    """rr_content at each level of ms, on the common tree of _rr_refine."""
+    shrunk = unit_ball_valuations(phi_r, ms, shrink_r)
+    return [a - b for a, b in zip(shrunk, unit_ball_valuations(phi_r, ms))]
 
 
 @dataclass
@@ -159,6 +178,6 @@ def rr_slope_experiment(
     """Fit rr_content(m)/m against 1/m; the intercept should approach
     the pairing of phi_D with the Monge-Ampere measure of phi_A."""
     phi_r, shrink_r = _rr_refine(phi_D, phi_A)
-    rep = _extrapolate(lambda m: _rr_content_refined(phi_r, shrink_r, m), m_range, power=1)
+    rep = _extrapolate(lambda ms: _rr_content_refined(phi_r, shrink_r, ms), m_range, power=1)
     target = ma_measure(phi_A).integrate(phi_D)
     return RRReport(rep.samples, rep.estimate, target, rep.residuals, rep.error_bound, rep.window)

@@ -56,28 +56,32 @@ def test_diff_requires_psh_base():
 
 
 def test_diff_computes_each_unit_ball_once(monkeypatch):
-    """The base metric's level-m unit ball is shared by every leg: each
-    distinct (metric, m) pair is computed once."""
-    from berkvol import sections
+    """The base metric's series of unit balls is shared by every leg: one
+    series for the base and one per leg, each over every level, and no
+    metric's series is computed twice."""
+    from berkvol import sections, volumes
 
     calls = []
-    original = sections.unit_ball_valuation
+    original = sections.unit_ball_valuations
 
-    def counted(phi, m, extra=None):
-        calls.append((phi.d, frozenset(phi.g.values.items()), m))
-        return original(phi, m, extra)
+    def counted(phi, ms, extra=None):
+        ms = list(ms)
+        calls.append((phi.d, frozenset(phi.g.values.items()), tuple(ms), extra))
+        return original(phi, ms, extra)
 
-    monkeypatch.setattr(sections, "unit_ball_valuation", counted)
-    monkeypatch.setattr(experiments, "unit_ball_valuation", counted)
+    for module in (sections, volumes, experiments):
+        monkeypatch.setattr(module, "unit_ball_valuations", counted)
     rng = random.Random(12)
     for p in (2, 3):
         phi = random_psh_metric(p, 1, rng)
         f = random_pl_metric(p, 1, rng).g
-        ms = [2, 4, 6, 8]
+        ms = [6, 2, 8, 4, 6]
         calls.clear()
         rep = diff_experiment(phi, f, [Fraction(1, 2), Fraction(-1, 4), Fraction(1, 4)], ms)
         assert len(rep.legs) == 4
-        assert len(calls) == len(set(calls)) == (1 + len(rep.legs)) * len(ms)
+        assert len(calls) == 1 + len(rep.legs)
+        assert len({(d, g) for d, g, _, _ in calls}) == len(calls)
+        assert all(levels == (2, 4, 6, 8) and extra is None for _, _, levels, extra in calls)
         # each leg still equals vol_limit against the base, level by level
         for leg in rep.legs:
             want = vol_limit(experiments._add_direction(phi, f, leg.t), phi, ms)

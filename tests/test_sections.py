@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from berkvol.sections import (
     Section,
     SectionError,
     _envelope_sum,
+    _is_chain,
     _maxmin_merge,
     _root_count_norms,
     diagonal_weights,
@@ -17,10 +19,12 @@ from berkvol.sections import (
     sup_norm,
     sup_norm_lattice,
     unit_ball_valuation,
+    unit_ball_valuations,
     vandermonde_value,
     vol_m,
 )
 from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point, meet
+from berkvol.volumes import _rr_refine
 
 from conftest import (
     is_below,
@@ -377,6 +381,83 @@ def test_root_count_norms_reduce_to_the_envelope_on_chains():
         want = [min(b[x] + x.q * j for x in tree.vertices) for j in range(n)]
         lines = {x: (x.q, b[x]) for x in tree.vertices}
         assert _root_count_norms(tree, lines, n) == want
+
+
+def per_level_unit_ball_valuation(phi, m, extra=None):
+    """v(det U_m) from the vertex lines of level m alone.
+
+    Each level scales its own lines j -> j q_x + m g(x) + extra(x) to
+    integers by the lcm of their denominators, so it shares no scaling
+    with unit_ball_valuations, which scales once for every level.
+    """
+    tree = phi.tree
+    lines = {}
+    for x in tree.vertices:
+        base = m * phi.g.values[x]
+        if extra is not None:
+            base += extra.evaluate(x)
+        lines[x] = (x.q, base)
+    D = math.lcm(*[c.denominator for line in lines.values() for c in line])
+    scaled = {
+        x: (a.numerator * (D // a.denominator), b.numerator * (D // b.denominator))
+        for x, (a, b) in lines.items()
+    }
+    n = m * phi.d + 1
+    if _is_chain(tree):
+        total = _envelope_sum(list(scaled.values()), n)
+    else:
+        total = sum(_root_count_norms(tree, scaled, n))
+    return Fraction(-total, D)
+
+
+def random_levels(rng):
+    """An unsorted level list with gaps, now and then a repeat or all of 1..48."""
+    if rng.random() < 0.04:
+        return range(1, 49)
+    ms = rng.sample(range(1, 13), rng.randint(1, 5))
+    if rng.random() < 0.2:
+        ms.append(rng.choice(ms))
+    return ms
+
+
+def test_unit_ball_valuations_match_per_level_oracle():
+    """One integer scaling per metric gives every level the per-level value.
+
+    Chains and branching trees, p in {2, 3, 5}, d in {0, 1, 2, 3}, psh and
+    arbitrary g, extra absent or rr_content's -phi_D on the common tree of
+    _rr_refine, and level lists that are unsorted, have gaps or repeats.
+    """
+    rng = random.Random(14)
+    seen = set()
+    fractional_q = whole_range = 0
+    for _ in range(1000):
+        p, d = rng.choice([2, 3, 5]), rng.choice([0, 1, 2, 3])
+        chain, with_extra = rng.random() < 0.5, rng.random() < 0.5
+        center = rng.choice([0, rng.randint(1, p**4 - 1)])
+        if chain and (with_extra or rng.random() < 0.5):
+            phi = random_psh_chain_metric(p, d, rng, center=center)
+        elif chain:
+            phi = Metric(d, signed_function(random_chain_tree(p, rng, center), rng))
+        elif with_extra or rng.random() < 0.5:
+            phi = random_psh_metric(p, d, rng)
+        else:
+            phi = random_pl_metric(p, d, rng)
+        extra = None
+        if with_extra:
+            # a divisor on phi's own tree keeps a chain a chain
+            tree = phi.tree if chain or rng.random() < 0.5 else random_tree(p, rng)
+            phi_D = PLFunction(
+                tree, {v: Fraction(rng.randint(0, 6), rng.choice([1, 2, 3])) for v in tree.vertices}
+            )
+            phi, extra = _rr_refine(phi_D, phi)
+        ms = random_levels(rng)
+        want = [per_level_unit_ball_valuation(phi, m, extra) for m in ms]
+        assert unit_ball_valuations(phi, ms, extra) == want, (p, d, list(ms))
+        seen.add((p, d, _is_chain(phi.tree), extra is None))
+        fractional_q += any(x.q.denominator > 1 for x in phi.tree.vertices)
+        whole_range += len(ms) == 48
+    assert len(seen) == 48  # every p, d, tree shape, with and without extra
+    assert fractional_q >= 300 and whole_range >= 20
 
 
 def brute_maxmin_merge(g, h):

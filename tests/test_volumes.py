@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from berkvol import volumes
+from berkvol import sections, volumes
+from berkvol.errors import BerkvolError
 from berkvol.metrics import Metric, energy, ma_measure, trivial_metric
 from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point
 from berkvol.volumes import (
@@ -144,3 +145,89 @@ def test_report_normalized_series():
     norm = dict(rep.normalized())
     assert norm[8] == Fraction(-10, 64)
     assert rep.estimate == Fraction(-1, 8)
+
+
+def branching_metric(p=2):
+    """A Gauss point with two children: the root-count recursion runs."""
+    g0 = gauss_point(p)
+    a, b = TreePoint(p, Fraction(0), Fraction(1)), TreePoint(p, Fraction(1), Fraction(1))
+    tree = build_tree(p, [g0, a, b])
+    return Metric(1, PLFunction(tree, {g0: Fraction(0), a: Fraction(-1, 2), b: Fraction(-1, 2)}))
+
+
+@pytest.mark.parametrize("shape", ["branching", "chain"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda phi, D: sections.unit_ball_valuation(phi, -1),
+        lambda phi, D: sections.unit_ball_valuation(phi, 0),
+        lambda phi, D: sections.unit_ball_valuations(phi, [3, 0, 2]),
+        lambda phi, D: rr_content(D, phi, -1),
+        lambda phi, D: rr_slope_experiment(D, phi, [-3, -2, -1, 0]),
+        lambda phi, D: vol_limit(phi, phi.shift(Fraction(1)), [0, 1, 2, 3, 4]),
+    ],
+    ids=[
+        "unit_ball_valuation-minus-1",
+        "unit_ball_valuation-0",
+        "unit_ball_valuations-with-0",
+        "rr_content-minus-1",
+        "rr_slope_experiment",
+        "vol_limit",
+    ],
+)
+def test_levels_below_one_are_rejected(shape, call):
+    """Used to raise IndexError or ZeroDivisionError, or to return 0."""
+    phi = branching_metric() if shape == "branching" else slope_metric(2, 1, Fraction(-1, 2))
+    D = PLFunction(phi.tree, {v: Fraction(v.q) for v in phi.tree.vertices})
+    with pytest.raises(BerkvolError, match="m must be >= 1"):
+        call(phi, D)
+
+
+@pytest.mark.parametrize("ms", [[-3, -2, -1, 0], [0, 1, 2, 3]])
+def test_vol_limit_rejects_levels_below_one_in_degree_zero(ms):
+    """The d = 0 shortcut used to return zeros for any levels."""
+    phi = trivial_metric(2, 0)
+    with pytest.raises(BerkvolError, match="m must be >= 1"):
+        vol_limit(phi, phi.shift(Fraction(1)), ms)
+
+
+def count_series(monkeypatch):
+    """Record (metric, levels, extra) of every unit_ball_valuations call."""
+    calls = []
+    original = sections.unit_ball_valuations
+
+    def counted(phi, ms, extra=None):
+        ms = list(ms)
+        calls.append((phi, ms, extra))
+        return original(phi, ms, extra)
+
+    monkeypatch.setattr(sections, "unit_ball_valuations", counted)
+    monkeypatch.setattr(volumes, "unit_ball_valuations", counted)
+    return calls
+
+
+def test_vol_limit_computes_two_series(monkeypatch):
+    rng = random.Random(24)
+    phi, psi = random_psh_metric(2, 1, rng), random_psh_metric(2, 1, rng)
+    ms = [9, 4, 12, 5, 4, 8, 6, 7]
+    calls = count_series(monkeypatch)
+    rep = vol_limit(phi, psi, ms)
+    assert [(metric is psi, metric is phi, levels, extra) for metric, levels, extra in calls] == [
+        (True, False, sorted(set(ms)), None),
+        (False, True, sorted(set(ms)), None),
+    ]
+    assert rep.samples == [(m, sections.vol_m(phi, psi, m)) for m in sorted(set(ms))]
+
+
+def test_rr_slope_computes_two_series(monkeypatch):
+    rng = random.Random(25)
+    phiA = random_psh_metric(2, 1, rng)
+    phiD = PLFunction(phiA.tree, {v: Fraction(rng.randint(0, 3)) for v in phiA.tree.vertices})
+    ms = [7, 1, 3, 2, 6]
+    calls = count_series(monkeypatch)
+    rep = rr_slope_experiment(phiD, phiA, ms)
+    assert len(calls) == 2
+    (phi_1, levels_1, extra_1), (phi_2, levels_2, extra_2) = calls
+    assert phi_1 is phi_2 and levels_1 == levels_2 == sorted(ms)
+    assert extra_1 is not None and extra_2 is None
+    assert rep.samples == [(m, rr_content(phiD, phiA, m)) for m in sorted(ms)]
