@@ -5,8 +5,9 @@ Usage:
     berkvol describe <kind>
     berkvol run <config.json> [--out-dir DIR] [--m-max M]
 
-Configs are JSON with every rational written exactly, either as the
-string "num/den" or as a [num, den] pair; decimals never appear.  Reports
+Configs are JSON with every rational written exactly: an integer, the
+string "num/den" (or an integer string, with an optional sign), or a
+[num, den] pair; a decimal or exponent string is a validation error.  Reports
 carry both the exact rational (as "num/den") and a display decimal.
 Exit status: 0 all assertions pass, 1 assertion failure, 2 parse error,
 3 validation error (a malformed config, an input outside the domain of the
@@ -20,6 +21,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -112,10 +114,18 @@ def parse_int(obj: Any, where: str) -> int:
     return obj
 
 
+#: A rational written as a string: an integer or "num/den", with an optional sign.
+_RATIONAL_STRING = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(obj: Any, where: str) -> Fraction:
     if isinstance(obj, int):
         return Fraction(parse_int(obj, where))
     if isinstance(obj, str):
+        # Fraction would also read decimals and exponents, and build 10^e
+        # for "1e<e>"; only the exact forms get that far.
+        if not _RATIONAL_STRING.fullmatch(obj):
+            raise ConfigError(f"{where}: bad rational {obj!r}: expected an integer or 'num/den'")
         try:
             return Fraction(obj)
         except (ValueError, ZeroDivisionError) as e:

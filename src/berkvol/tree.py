@@ -5,39 +5,42 @@ center a (with v_p(a) >= 0) and a rational radius exponent q >= 0; the
 Gauss point is (0, 0).  Distances along the tree are differences of
 radius exponents, matching the v(p) = 1 normalization.
 
-`build_tree` alone closes a vertex set under meets, and `SkeletonTree.place`
-alone finds where a point retracts onto a tree, by one descent from the
-root.  In `digit_order` every residue class mod p^k is a segment.
+Each point also keeps k = ceil(q) and its digits, the center modulo p^k
+as an integer in [0, p^k); the tree primitives read only these integers.
+x lies below y (on the path from the Gauss point to y) iff q_x <= q_y and
+y's digits reduce to x's modulo p^k_x, and two points that are not
+comparable branch at the integer depth v_p of the difference of their
+digits.  So the depth-first preorder of the tree, ancestors first and the
+branches at a vertex in the order of their digit there, is one integer
+comparison (`_preorder`); `digit_order` is the same comparison on type-1
+points.  `build_tree` closes a vertex set under meets in one pass over
+that order, and `SkeletonTree.place` alone finds where a point retracts
+onto a tree, by one descent from the root.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import BerkvolError
-from .field import INF, padic_valuation
+from .field import INF, int_valuation
 
 
 class TreeError(BerkvolError):
     pass
 
 
-def _ceil(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
-
-
-def _canonical_center(a: Fraction, q: Fraction, p: int) -> Fraction:
-    """Representative of a modulo p^ceil(q), as an integer in [0, p^k)."""
-    if q == 0:
-        return Fraction(0)
-    k = _ceil(q)
+def _digits(a: Fraction, k: int, p: int) -> int:
+    """a modulo p^k as an integer in [0, p^k), for a with a p-adic unit denominator."""
+    if k == 0:
+        return 0
     mod = p**k
-    num = a.numerator % mod
-    den_inv = pow(a.denominator % mod, -1, mod)
-    return Fraction((num * den_inv) % mod)
+    if a.denominator == 1:
+        return a.numerator % mod
+    return a.numerator * pow(a.denominator, -1, mod) % mod
 
 
 @dataclass(frozen=True)
@@ -47,15 +50,24 @@ class TreePoint:
     q: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "center", Fraction(self.center))
-        object.__setattr__(self, "q", Fraction(self.q))
-        if self.q < 0:
-            raise TreeError(f"radius exponent {self.q} must be >= 0")
-        if padic_valuation(self.center, self.p) < 0:
-            raise TreeError(f"center {self.center} lies outside the closed unit disc")
+        center, q, p = self.center, self.q, self.p
+        if not isinstance(center, Fraction):
+            center = Fraction(center)
+            object.__setattr__(self, "center", center)
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
+            object.__setattr__(self, "q", q)
+        if q.numerator < 0:
+            raise TreeError(f"radius exponent {q} must be >= 0")
+        if center.denominator % p == 0:
+            raise TreeError(f"center {center} lies outside the closed unit disc")
+        k = -(-q.numerator // q.denominator)
+        digits = _digits(center, k, p)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "digits", digits)
         # The disc, not the chosen center, identifies the point; every dict
         # lookup compares keys, so the canonical key and its hash are fixed here.
-        key = (self.p, self.q, _canonical_center(self.center, self.q, self.p))
+        key = (p, q, digits)
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "_hash", hash(key))
 
@@ -73,16 +85,42 @@ def gauss_point(p: int) -> TreePoint:
     return TreePoint(p, Fraction(0), Fraction(0))
 
 
+def _branch_depth(x: TreePoint, y: TreePoint) -> Optional[int]:
+    """The depth v_p(a_x - a_y) at which x and y branch, or None when one
+    lies below the other."""
+    d = x.digits - y.digits
+    if d:
+        # an integer v < min(q_x, q_y) iff v < min(k_x, k_y)
+        v = int_valuation(d, x.p)
+        if v < x.k and v < y.k:
+            return v
+    return None
+
+
 def meet(x: TreePoint, y: TreePoint) -> TreePoint:
     """Infimum of x and y in the tree order rooted at the Gauss point."""
     if x.p != y.p:
         raise TreeError("points over different primes")
-    q = min(x.q, y.q, padic_valuation(x.center - y.center, x.p))
-    if q == x.q:
-        return x
-    if q == y.q:
-        return y
-    return TreePoint(x.p, x.center, q)
+    v = _branch_depth(x, y)
+    if v is not None:
+        return TreePoint(x.p, x.center, Fraction(v))
+    return x if x.q <= y.q else y
+
+
+def _digit_cmp(a: int, b: int, v: int, p: int) -> int:
+    """-1 or 1 as the digit of a at p^v is below or above that of b."""
+    pv = p**v
+    return -1 if a // pv % p < b // pv % p else 1
+
+
+def _preorder(x: TreePoint, y: TreePoint) -> int:
+    """-1, 0 or 1 as x comes before, with or after y in the depth-first
+    preorder of the tree: an ancestor first, and two points that branch
+    at depth v in the order of their digits at p^v."""
+    v = _branch_depth(x, y)
+    if v is not None:
+        return _digit_cmp(x.digits, y.digits, v, x.p)
+    return (x.q > y.q) - (x.q < y.q)
 
 
 def digit_order(x: Fraction, y: Fraction, p: int) -> int:
@@ -91,9 +129,9 @@ def digit_order(x: Fraction, y: Fraction, p: int) -> int:
     residue class mod p^k is a segment of this order."""
     if x == y:
         return 0
-    mod = p ** (int(padic_valuation(x - y, p)) + 1)
-    rx, ry = (z.numerator * pow(z.denominator, -1, mod) % mod for z in (x, y))
-    return -1 if rx < ry else 1
+    # denominators are p-adic units, so this numerator has v_p(x - y)
+    v = int_valuation(x.numerator * y.denominator - y.numerator * x.denominator, p)
+    return _digit_cmp(_digits(x, v + 1, p), _digits(y, v + 1, p), v, p)
 
 
 @dataclass
@@ -102,6 +140,8 @@ class SkeletonTree:
     vertices: List[TreePoint]
     parent: Dict[TreePoint, Optional[TreePoint]] = field(repr=False)
     children: Dict[TreePoint, List[TreePoint]] = field(repr=False)
+    #: The largest k of a vertex: digits modulo p^depth decide every place.
+    depth: int = field(repr=False)
 
     @property
     def root(self) -> TreePoint:
@@ -134,13 +174,21 @@ class SkeletonTree:
 
         Descends from the root: at each vertex u at most one child shares
         more than q_u with the point."""
-        center, q = Fraction(center), INF if q is None else q
-        if padic_valuation(center, self.p) < 0:
+        p = self.p
+        if not isinstance(center, Fraction):
+            center = Fraction(center)
+        if center.denominator % p == 0:
             raise TreeError(f"center {center} lies outside the closed unit disc")
+        if q is None:
+            q = INF
+        digits = _digits(center, self.depth, p)
         u = self.root
         while True:
             for c in self.children[u]:
-                shared = min(c.q, q, padic_valuation(center - c.center, self.p))
+                d = digits - c.digits
+                v = int_valuation(d, p) if d else INF
+                # the point and c share min(q, q_c, v); v < q_c iff v < k_c
+                shared = min(v, q) if v < c.k else min(c.q, q)
                 if shared > u.q:
                     if shared < c.q:
                         return u, c, shared - u.q
@@ -156,25 +204,66 @@ class SkeletonTree:
 
 
 def build_tree(p: int, points: Iterable[TreePoint]) -> SkeletonTree:
-    """Smallest meet-closed tree containing the points and the Gauss point."""
+    """Smallest meet-closed tree containing the points and the Gauss point.
+
+    In depth-first preorder the meet closure of a set is the set and the
+    meets of its adjacent pairs, so one walk with a stack holding the path
+    to the last point takes V - 1 meets and finds every parent.  A vertex
+    the input does not name is named by the center of the first input
+    point below it, in the iteration order of the set {Gauss point} and
+    the points: the point whose first pairwise meet with a later point
+    makes it.  Vertices are listed by (q, key), and children in that order.
+    """
     verts = {gauss_point(p)}
     for pt in points:
         if pt.p != p:
             raise TreeError("point over a different prime")
         verts.add(pt)
-    # In a rooted tree x^y^z is one of x^y, x^z, y^z: one round closes.
-    verts |= {meet(x, y) for x, y in itertools.combinations(verts, 2)}
-    # Every prefix of this order is meet-closed, so each vertex retracts
-    # onto the tree built so far at a vertex: its parent.
-    ordered = sorted(verts, key=lambda v: (v.q, v.key))
-    root = ordered[0]
-    tree = SkeletonTree(p, [root], {root: None}, {root: []})
-    for v in ordered[1:]:
-        par = tree.place(v.center, v.q)[0]
-        tree.vertices.append(v)
-        tree.parent[v], tree.children[v] = par, []
-        tree.children[par].append(v)
-    return tree
+    given = list(verts)
+    order = sorted(given, key=cmp_to_key(_preorder))
+    parent: Dict[TreePoint, Optional[TreePoint]] = {order[0]: None}
+    made: List[TreePoint] = []
+    stack = order[:1]  # the path from the root to the last point, each below the previous
+    for x in order[1:]:
+        m = meet(stack[-1], x)
+        while stack[-1].q > m.q:
+            top = stack.pop()
+            if stack[-1].q < m.q:  # m lies inside the edge above top
+                parent[m], parent[top] = stack[-1], m
+                stack.append(m)
+                made.append(m)
+        parent[x] = stack[-1]
+        stack.append(x)
+    if made:
+        parent = _name_made_vertices(p, given, parent, made)
+    vertices = sorted(parent, key=lambda v: (v.q, v.digits))
+    children: Dict[TreePoint, List[TreePoint]] = {v: [] for v in vertices}
+    for v in vertices[1:]:
+        children[parent[v]].append(v)
+    return SkeletonTree(
+        p, vertices, {v: parent[v] for v in vertices}, children, max(v.k for v in vertices)
+    )
+
+
+def _name_made_vertices(
+    p: int,
+    given: List[TreePoint],
+    parent: Dict[TreePoint, Optional[TreePoint]],
+    made: List[TreePoint],
+) -> Dict[TreePoint, Optional[TreePoint]]:
+    """parent, with each made vertex renamed by the first given point below it."""
+    made = set(made)
+    names: Dict[TreePoint, TreePoint] = {}
+    seen = set()
+    for x in given:
+        # every vertex above a seen one is seen, and named if made
+        u = x
+        while u is not None and u not in seen:
+            seen.add(u)
+            if u in made:
+                names[u] = u if u.center == x.center else TreePoint(p, x.center, u.q)
+            u = parent[u]
+    return {names.get(v, v): (None if u is None else names.get(u, u)) for v, u in parent.items()}
 
 
 def refine(tree: SkeletonTree, extra: Iterable[TreePoint]) -> SkeletonTree:

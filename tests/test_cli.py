@@ -22,6 +22,7 @@ from berkvol.cli import (
     ConfigError,
     main,
     parse_metric,
+    parse_rational,
 )
 from berkvol.tree import TreePoint, build_tree, gauss_point, meet
 
@@ -365,6 +366,10 @@ DOMAIN_ERROR_CFGS = {
     "field-p-true": dict(ORTH_CFG, field={"p": True}),
     "pair-numerator-true": dict(FEKETE_CFG, pool=["0", [True, 1], "2"]),
     "pair-denominator-true": dict(DIFF_CFG, t_grid=[[1, True]]),
+    # rationals are integers or "num/den": no decimal or exponent strings,
+    # and 10^30000000 is never built
+    "diff-t-grid-decimal": dict(DIFF_CFG, t_grid=["1.5"]),
+    "fekete-pool-exponent": dict(FEKETE_CFG, pool=["0", "1e30000000", "2"]),
 }
 
 
@@ -521,6 +526,16 @@ def test_domain_error_is_validation_status(tmp_path, capsys, name):
     assert err.startswith("validation error: ")
     assert "Traceback" not in err
     assert not (tmp_path / f"{name}.report.json").exists()
+
+
+def test_rational_strings_are_integers_or_num_den():
+    for text, want in [("3", 3), ("-3", -3), ("+3/4", Fraction(3, 4)), ("-6/4", Fraction(-3, 2))]:
+        assert parse_rational(text, "x") == want
+    for text in ["1.5", "1e3", "1e30000000", "1/2.0", " 1/2", "1/-2", "1_000", "inf", "nan", ""]:
+        with pytest.raises(ConfigError, match="expected an integer or 'num/den'"):
+            parse_rational(text, "x")
+    with pytest.raises(ConfigError, match="bad rational '1/0'"):
+        parse_rational("1/0", "x")
 
 
 @pytest.mark.parametrize(
@@ -709,6 +724,8 @@ def mutated_configs(draw):
 @example(cfg=DOMAIN_ERROR_CFGS["field-p-true"])
 @example(cfg=DOMAIN_ERROR_CFGS["pair-numerator-true"])
 @example(cfg=DOMAIN_ERROR_CFGS["pair-denominator-true"])
+@example(cfg=DOMAIN_ERROR_CFGS["diff-t-grid-decimal"])
+@example(cfg=DOMAIN_ERROR_CFGS["fekete-pool-exponent"])
 def test_fuzz_run_never_crashes(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.json"

@@ -7,6 +7,7 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import berkvol.tree as tree_module
 from berkvol.field import padic_valuation
 from berkvol.tree import (
     DiscreteMeasure,
@@ -23,6 +24,7 @@ from berkvol.tree import (
 )
 
 from conftest import is_below
+from tree_oracle import all_pairs_build_tree, descend
 
 centers = st.integers(min_value=0, max_value=31).map(Fraction)
 radii = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)])
@@ -59,10 +61,60 @@ def test_point_key_ignores_the_representative():
 
 
 def test_point_rejects_center_outside_unit_disc():
-    with pytest.raises(Exception):
-        TreePoint(2, Fraction(1, 2), Fraction(1))
-    with pytest.raises(Exception):
-        TreePoint(2, Fraction(0), Fraction(-1))
+    for p in (2, 3, 5):
+        with pytest.raises(TreeError, match=rf"^center 1/{p} lies outside the closed unit disc$"):
+            TreePoint(p, Fraction(1, p), Fraction(1))
+        with pytest.raises(TreeError, match=r"^radius exponent -1/2 must be >= 0$"):
+            TreePoint(p, Fraction(0), Fraction(-1, 2))
+        # a denominator prime to p is a p-adic unit
+        x = TreePoint(p, Fraction(1, p + 1), Fraction(2))
+        assert (x.digits * (p + 1)) % p**2 == 1
+
+
+def test_point_reads_int_fraction_and_unreduced_inputs():
+    """Ints, Fractions and centers off [0, p^k) name the same point with
+    the same k, digits, key and hash; a Fraction is stored as given."""
+    p = 3
+    c, q = Fraction(7), Fraction(2)
+    x = TreePoint(p, c, q)
+    assert x.center is c and x.q is q
+    assert (x.k, x.digits, x.key) == (2, 7, (3, Fraction(2), 7))
+    for center, radius in [(7, 2), (Fraction(14, 2), Fraction(6, 3)), (7 - 9 * 5, 2), (7 + 9 * 4, 2)]:
+        y = TreePoint(p, center, radius)
+        assert (y.k, y.digits, y.key, hash(y)) == (x.k, x.digits, x.key, hash(x))
+        assert y == x and isinstance(y.center, Fraction) and isinstance(y.q, Fraction)
+    # a denominator prime to p is a unit: 1/4 = 7 mod 9 and 1 mod 3
+    assert TreePoint(p, Fraction(1, 4), 2) == x
+    assert TreePoint(p, Fraction(1, 4), Fraction(3, 2)).digits == 7
+    assert TreePoint(p, Fraction(1, 4), Fraction(1, 2)).digits == 1
+    assert gauss_point(p).digits == 0 and gauss_point(p).k == 0
+    # the key's hash is that of the Fraction digits the key used to hold
+    assert hash(x) == hash((3, Fraction(2), Fraction(7)))
+
+
+def test_meet_matches_the_valuation_formula():
+    """meet(x, y) has depth min(q_x, q_y, v_p(a_x - a_y)); it is x or y
+    itself when that is their depth, and otherwise a new point at that
+    integer depth, named by x's center."""
+    rng = random.Random(53)
+    made = 0
+    for _ in range(3000):
+        p = rng.choice([2, 3, 5])
+        a = Fraction(rng.randint(-(p**5), p**5), rng.choice([1, p + 1, 2 * p + 1]))
+        x = TreePoint(p, a, Fraction(rng.randint(0, 12), rng.choice([1, 2, 3])))
+        b = a + p ** rng.randint(0, 5) * Fraction(rng.randint(-p, p), rng.choice([1, p + 1]))
+        y = TreePoint(p, b, Fraction(rng.randint(0, 12), rng.choice([1, 2, 3])))
+        q = min(x.q, y.q, padic_valuation(x.center - y.center, p))
+        z = meet(x, y)
+        if q == x.q:
+            assert z is x
+        elif q == y.q:
+            assert z is y
+        else:
+            assert z.center == x.center and z.q == q and z.q.denominator == 1
+            made += 1
+        assert meet(y, x) == z
+    assert made > 500
 
 
 @given(x=points, y=points)
@@ -313,6 +365,69 @@ def test_build_tree_parents_match_scan():
         assert list(tree.children) == list(children)
         branched += any(len(c) > 1 for c in children.values())
     assert branched > 100
+
+
+def _draw_points(rng, p):
+    """Up to 9 points: fresh ones with non-integer radii and centers with
+    unit denominators, the same disc again under another center, and
+    discs nested in or around one already drawn."""
+    pts = []
+    for _ in range(rng.randint(0, 9)):
+        kind = rng.random()
+        if pts and kind < 0.2:
+            x = rng.choice(pts)
+            pts.append(TreePoint(p, x.center + p ** math.ceil(x.q) * rng.randint(-3, 3), x.q))
+        elif pts and kind < 0.45:
+            x = rng.choice(pts)
+            pts.append(TreePoint(p, x.center, Fraction(rng.randint(0, 12), rng.choice([1, 2, 3]))))
+        else:
+            a = Fraction(rng.randint(-(p**4), p**4), rng.choice([1, p + 1, 2 * p + 1]))
+            pts.append(TreePoint(p, a, Fraction(rng.randint(0, 12), rng.choice([1, 2, 3]))))
+    return pts
+
+
+def _shape(v):
+    """A vertex as a report prints it: its center and radius exponent."""
+    return None if v is None else (v.center, v.q)
+
+
+def test_build_tree_matches_the_all_pairs_builder():
+    """The preorder builder gives the all-pairs builder's vertices in
+    order, each with the same center, the same parents and the same order
+    of children; place agrees with the Fraction descent."""
+    rng = random.Random(61)
+    made = branched = 0
+    for _ in range(1500):
+        p = rng.choice([2, 3, 5])
+        pts = _draw_points(rng, p)
+        new, old = build_tree(p, pts), all_pairs_build_tree(p, pts)
+        assert [_shape(v) for v in new.vertices] == [_shape(v) for v in old.vertices]
+        assert list(new.parent) == new.vertices and list(new.children) == new.vertices
+        for v, w in zip(new.vertices, old.vertices):
+            assert _shape(new.parent[v]) == _shape(old.parent[w])
+            assert [_shape(c) for c in new.children[v]] == [_shape(c) for c in old.children[w]]
+        assert new.depth == max(math.ceil(v.q) for v in new.vertices)
+        for x in _draw_points(rng, p)[:3]:
+            for q in (x.q, None):
+                assert new.place(x.center, q) == descend(old, x.center, q)
+        made += len(new.vertices) > len(set(pts) | {gauss_point(p)})
+        branched += any(len(c) > 1 for c in new.children.values())
+    assert made > 300 and branched > 600
+
+
+def test_build_tree_takes_one_meet_per_adjacent_pair(monkeypatch):
+    """One build calls meet once per adjacent pair of its distinct input
+    points in preorder, at most V - 1 times for V vertices."""
+    calls = []
+    real_meet = tree_module.meet
+    monkeypatch.setattr(tree_module, "meet", lambda x, y: calls.append(1) or real_meet(x, y))
+    rng = random.Random(67)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5])
+        pts = _draw_points(rng, p)
+        calls.clear()
+        tree = build_tree(p, pts)
+        assert len(calls) == len(set(pts) | {gauss_point(p)}) - 1 <= len(tree.vertices) - 1
 
 
 def test_edge_lengths_and_retraction():
