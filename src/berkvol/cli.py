@@ -138,9 +138,24 @@ def parse_rational(obj: Any, where: str) -> Fraction:
     raise ConfigError(f"{where}: expected 'num/den', int, or [num, den], got {obj!r}")
 
 
-def fmt_rational(x: Fraction) -> Dict[str, Any]:
-    x = Fraction(x)
-    return {"exact": f"{x.numerator}/{x.denominator}", "decimal": float(x)}
+def fmt_rational(x: Fraction, where: str) -> Dict[str, Any]:
+    """x as its exact "num/den" and a display decimal; where names the field."""
+    try:
+        decimal = float(x)
+    except OverflowError:
+        raise ConfigError(f"{where}: the value is too large for a display decimal") from None
+    return {"exact": f"{x.numerator}/{x.denominator}", "decimal": decimal}
+
+
+def fmt_results(obj: Any, where: str = "results") -> Any:
+    """obj with every Fraction in it written by fmt_rational, named by its path."""
+    if isinstance(obj, Fraction):
+        return fmt_rational(obj, where)
+    if isinstance(obj, dict):
+        return {k: fmt_results(v, f"{where}.{k}") for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [fmt_results(v, f"{where}[{i}]") for i, v in enumerate(obj)]
+    return obj
 
 
 def fmt_point(pt: TreePoint) -> Dict[str, Any]:
@@ -152,7 +167,7 @@ def fmt_point(pt: TreePoint) -> Dict[str, Any]:
 
 def fmt_measure(mu) -> List[Dict[str, Any]]:
     items = sorted(mu.masses.items(), key=lambda kv: (kv[0].q, str(kv[0].center)))
-    return [{**fmt_point(pt), "mass": fmt_rational(m)} for pt, m in items]
+    return [{**fmt_point(pt), "mass": m} for pt, m in items]
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +277,14 @@ def parse_point(obj: Any, p: int, where: str) -> TreePoint:
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners: config -> (results dict, assertions, csv rows)
+# Experiment runners: config -> (results with exact Fractions, assertions, csv rows)
 
 
 def _vol_report_json(rep: vo.ExtrapolationReport) -> Dict[str, Any]:
     return {
-        "estimate": fmt_rational(rep.estimate),
-        "slope": fmt_rational(rep.slope),
-        "error_bound": fmt_rational(rep.error_bound),
+        "estimate": rep.estimate,
+        "slope": rep.slope,
+        "error_bound": rep.error_bound,
         "window": rep.window,
     }
 
@@ -277,13 +292,14 @@ def _vol_report_json(rep: vo.ExtrapolationReport) -> Dict[str, Any]:
 def _series_rows(samples, normalize, t: str = "") -> List[Dict[str, Any]]:
     rows = []
     for m, v in samples:
+        where = f"series m={m}" + (f" t={t}" if t else "") + " normalized"
         rows.append(
             {
                 "m": m,
                 "t": t,
                 "value_num": v.numerator,
                 "value_den": v.denominator,
-                "normalized": float(normalize(m, v)),
+                "normalized": fmt_rational(normalize(m, v), where)["decimal"],
             }
         )
     return rows
@@ -293,7 +309,7 @@ def run_orth(cfg: Dict[str, Any], opts) -> Tuple[Dict, List, List]:
     p = cfg["_p"]
     phi = parse_metric(cfg.get("metric"), p, "metric")
     residual = ex.orthogonality_experiment(phi)
-    results = {"residual": fmt_rational(residual)}
+    results = {"residual": residual}
     assertions = [("orthogonality_residual_zero", residual == 0, f"residual = {residual}")]
     return results, assertions, []
 
@@ -306,7 +322,7 @@ def run_dirac(cfg: Dict[str, Any], opts) -> Tuple[Dict, List, List]:
     results = {
         "measure": fmt_measure(rep.measure),
         "equilibrium_values": [
-            {**fmt_point(v), "value": fmt_rational(rep.metric.g.values[v])}
+            {**fmt_point(v), "value": rep.metric.g.values[v]}
             for v in rep.metric.tree.vertices
         ],
     }
@@ -332,9 +348,9 @@ def run_diff(cfg: Dict[str, Any], opts) -> Tuple[Dict, List, List]:
     tol = cfg.get("tolerance")
     tol = parse_rational(tol, "tolerance") if tol is not None else None
     results = {
-        "target": fmt_rational(rep.target),
+        "target": rep.target,
         "derivatives": [
-            {"t": fmt_rational(t), "estimate": fmt_rational(e), "bound": fmt_rational(b)}
+            {"t": t, "estimate": e, "bound": b}
             for t, e, b in rep.derivatives
         ],
     }
@@ -361,10 +377,10 @@ def run_sandwich(cfg: Dict[str, Any], opts) -> Tuple[Dict, List, List]:
     check_section_degree(ms[-1], phi.d, "m_range")
     rep = ex.sandwich_check(phi, psi1, psi2, ms)
     results = {
-        "lower": fmt_rational(rep.lower),
-        "middle": fmt_rational(rep.middle),
-        "upper": fmt_rational(rep.upper),
-        "vol_bound": fmt_rational(rep.vol_bound),
+        "lower": rep.lower,
+        "middle": rep.middle,
+        "upper": rep.upper,
+        "vol_bound": rep.vol_bound,
     }
     assertions = [("sandwich_holds", rep.holds(), f"{rep.lower} <= {rep.middle} <= {rep.upper}")]
     return results, assertions, []
@@ -379,8 +395,8 @@ def run_vol_energy(cfg: Dict[str, Any], opts) -> Tuple[Dict, List, List]:
     rep = vo.check_vol_equals_energy(phi, psi, ms)
     results = {
         "volume": _vol_report_json(rep.volume),
-        "energy": fmt_rational(rep.energy),
-        "gap": fmt_rational(rep.gap),
+        "energy": rep.energy,
+        "gap": rep.gap,
     }
     assertions = [("vol_equals_energy_within_bound", rep.within_bound(), f"gap = {rep.gap}")]
     bmax = cfg.get("bound_max")
@@ -401,9 +417,9 @@ def run_rr(cfg: Dict[str, Any], opts) -> Tuple[Dict, List, List]:
     check_section_degree(ms[-1], phi_A.d, "m_range")
     rep = vo.rr_slope_experiment(phi_D, phi_A, ms)
     results = {
-        "slope_estimate": fmt_rational(rep.slope_estimate),
-        "target": fmt_rational(rep.target),
-        "error_bound": fmt_rational(rep.error_bound),
+        "slope_estimate": rep.slope_estimate,
+        "target": rep.target,
+        "error_bound": rep.error_bound,
     }
     assertions = [
         ("slope_matches_pairing", abs(rep.gap) <= rep.error_bound, f"gap = {rep.gap}")
@@ -427,12 +443,12 @@ def run_fekete(cfg: Dict[str, Any], opts) -> Tuple[Dict, List, List]:
     pool = [parse_rational(x, "pool") for x in pool_raw]
     rep = ex.fekete_experiment(phi, m, pool)
     results = {
-        "best_valuation": fmt_rational(rep.best_valuation),
+        "best_valuation": rep.best_valuation,
         "best_config": [f"{x.numerator}/{x.denominator}" for x in rep.best_config],
         "n_optima": rep.n_optima,
         "empirical": fmt_measure(rep.empirical),
         "target": fmt_measure(rep.target),
-        "tv_distance": fmt_rational(rep.tv_distance),
+        "tv_distance": rep.tv_distance,
     }
     assertions = []
     expected = cfg.get("expected_valuation")
@@ -505,6 +521,7 @@ def cmd_run(args) -> int:
             raise ConfigError(f"name: {cfg['name']!r} contains a path separator")
         cfg["_p"] = p
         results, assertions, rows = RUNNERS[kind](cfg, args)
+        results = fmt_results(results)
     except (ConfigError, BerkvolError) as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -126,8 +126,8 @@ def sandwich_check(
 def orthogonality_experiment(phi: Metric) -> Fraction:
     """Exact residual int (phi - env(phi)) d MA(env(phi)); contract: zero.
 
-    Integrated term by term: phi.g - env.g would rebuild phi's tree, on
-    which env already lives.
+    Integrated term by term, so no difference function is built; env
+    lives on phi's tree, and is phi itself when phi is psh.
     """
     env = envelope(phi)
     mu = ma_measure(env)

@@ -3,15 +3,18 @@
 A metric is the trivial model metric of O(d) twisted by a PL function g.
 Its Monge-Ampere measure is d times the Dirac mass at the Gauss point
 plus the tree Laplacian of g; psh means that measure is nonnegative.
+A Metric is immutable and computes that measure at most once: ma_measure,
+is_psh, energy, envelope and equilibrium_metric all read the same one.
 Envelopes and equilibrium metrics are greatest psh minorants of an
 obstacle, found exactly by one leaf-to-root and one root-to-leaf pass
-over the tree.
+over the tree; the envelope of a psh metric is the metric itself.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -33,7 +36,7 @@ class MetricError(BerkvolError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Metric:
     d: int
     g: PLFunction
@@ -41,6 +44,12 @@ class Metric:
     def __post_init__(self):
         if self.d < 0:
             raise MetricError("degree must be nonnegative")
+
+    @cached_property
+    def _measure(self) -> DiscreteMeasure:
+        """The measure ma_measure returns, computed on first use."""
+        anchor = DiscreteMeasure({gauss_point(self.p): Fraction(self.d)})
+        return anchor.add(laplacian(self.g))
 
     @property
     def tree(self) -> SkeletonTree:
@@ -51,7 +60,9 @@ class Metric:
         return self.g.tree.p
 
     def on_tree(self, new_tree: SkeletonTree) -> "Metric":
-        return Metric(self.d, self.g.on_tree(new_tree))
+        """The same metric on a refinement; itself on an equal vertex list."""
+        g = self.g.on_tree(new_tree)
+        return self if g is self.g else Metric(self.d, g)
 
     def shift(self, c: Fraction) -> "Metric":
         return Metric(self.d, self.g.shift(c))
@@ -67,9 +78,12 @@ def trivial_metric(p: int, d: int) -> Metric:
 
 
 def ma_measure(phi: Metric) -> DiscreteMeasure:
-    """d * delta_Gauss + Laplacian(g); total mass is exactly d."""
-    anchor = DiscreteMeasure({gauss_point(phi.p): Fraction(phi.d)})
-    return anchor.add(laplacian(phi.g))
+    """d * delta_Gauss + Laplacian(g); total mass is exactly d.
+
+    Computed once per metric and shared by every caller: add and scale
+    return new measures.
+    """
+    return phi._measure
 
 
 def is_psh(phi: Metric) -> bool:
@@ -84,10 +98,13 @@ def energy(phi: Metric, psi: Metric) -> Fraction:
         raise MetricError("energy needs d >= 1")
     if not (is_psh(phi) and is_psh(psi)):
         raise MetricError("energy requires psh inputs")
-    tree = refine(phi.tree, psi.tree.vertices)
-    a, b = phi.on_tree(tree), psi.on_tree(tree)
-    diff = PLFunction(tree, {v: a.g.values[v] - b.g.values[v] for v in tree.vertices})
-    total = ma_measure(a).integrate(diff) + ma_measure(b).integrate(diff)
+    # each measure sits on its own metric's vertices, where phi - psi is read
+    # pointwise, so no common tree is built
+    total = sum(
+        (m * (phi.value(x) - psi.value(x)) for mu in (ma_measure(phi), ma_measure(psi))
+         for x, m in mu.masses.items()),
+        Fraction(0),
+    )
     return total / 2
 
 
@@ -159,7 +176,8 @@ def _componentwise_max(
 
 
 def envelope(phi: Metric) -> Metric:
-    """Greatest psh metric <= phi, as a PL metric on the same tree.
+    """Greatest psh metric <= phi, as a PL metric on the same tree: phi
+    itself when phi is psh.
 
     On each edge the obstacle is affine, so the solution is affine there
     and the problem is a finite obstacle problem in the vertex values.
@@ -167,6 +185,8 @@ def envelope(phi: Metric) -> Metric:
     if phi.d == 0:
         # psh metrics on O(0) are the constants, so the envelope is min g
         return Metric(0, constant_function(phi.tree, phi.g.min_value()))
+    if is_psh(phi):
+        return phi
     g = phi.g
     hvals = _componentwise_max(phi.tree, phi.d, g.values)
     env = Metric(phi.d, PLFunction(phi.tree, hvals))

@@ -267,7 +267,13 @@ def _name_made_vertices(
 
 
 def refine(tree: SkeletonTree, extra: Iterable[TreePoint]) -> SkeletonTree:
-    return build_tree(tree.p, list(tree.vertices) + list(extra))
+    """The tree built from tree's vertices and extra: tree itself when every
+    extra point is already a vertex, since the builder names each vertex by
+    the first point that gives it."""
+    extra = list(extra)
+    if all(x in tree.parent for x in extra):
+        return tree
+    return build_tree(tree.p, list(tree.vertices) + extra)
 
 
 @dataclass
@@ -297,7 +303,10 @@ class PLFunction:
         return self.values[u] + (self.values[c] - self.values[u]) * t / (c.q - u.q)
 
     def on_tree(self, new_tree: SkeletonTree) -> "PLFunction":
-        """The same function, re-expressed on a refinement."""
+        """The same function, re-expressed on a refinement; itself when the
+        refinement has the same vertex list."""
+        if new_tree.vertices == self.tree.vertices:
+            return self
         return PLFunction(new_tree, {v: self.evaluate(v) for v in new_tree.vertices})
 
     def _combine(self, other: "PLFunction", sign: int) -> "PLFunction":

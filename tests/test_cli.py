@@ -370,6 +370,16 @@ DOMAIN_ERROR_CFGS = {
     # and 10^30000000 is never built
     "diff-t-grid-decimal": dict(DIFF_CFG, t_grid=["1.5"]),
     "fekete-pool-exponent": dict(FEKETE_CFG, pool=["0", "1e30000000", "2"]),
+    # an exact result beyond the float range has no display decimal
+    "vol-energy-value-overflow": dict(
+        VOL_ENERGY_CFG, metric={"d": 1, "tree": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, -(10**400), 1]]}
+    ),
+    "dirac-value-overflow": {
+        "kind": "dirac",
+        "field": {"p": 3},
+        "metric": {"d": 1, "tree": [[0, 1, 0, 1, -(10**400), 1]]},
+        "point": [0, 1, 1, 1],
+    },
 }
 
 
@@ -578,6 +588,31 @@ def test_radius_cap_is_inclusive(tmp_path, capsys):
     assert "radius exponent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, where",
+    [
+        ("vol-energy-value-overflow", "series m=8 normalized"),
+        ("dirac-value-overflow", "results.equilibrium_values[0].value"),
+    ],
+)
+def test_value_beyond_the_float_range_names_the_field(tmp_path, capsys, name, where):
+    cfg = write_config(tmp_path, f"{name}.json", DOMAIN_ERROR_CFGS[name])
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out-dir", str(out)]) == 3
+    want = f"validation error: {where}: the value is too large for a display decimal\n"
+    assert capsys.readouterr().err == want
+    assert not out.exists()
+
+
+def test_huge_value_with_a_small_result_runs(tmp_path):
+    # the exact residual is 0, so every display decimal exists
+    cfg = dict(ORTH_CFG, metric={"d": 1, "tree": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, 10**400, 1]]})
+    path = write_config(tmp_path, "orth-huge.json", cfg)
+    assert main(["run", path, "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "orth-huge.report.json").read_text())
+    assert report["results"]["residual"] == {"exact": "0/1", "decimal": 0.0}
+
+
 def test_huge_degree_is_rejected_before_allocation():
     # Called directly: without the check, the metric would be accepted and a
     # later stage would try to build 10**30 + 1 section coefficients.
@@ -726,6 +761,8 @@ def mutated_configs(draw):
 @example(cfg=DOMAIN_ERROR_CFGS["pair-denominator-true"])
 @example(cfg=DOMAIN_ERROR_CFGS["diff-t-grid-decimal"])
 @example(cfg=DOMAIN_ERROR_CFGS["fekete-pool-exponent"])
+@example(cfg=DOMAIN_ERROR_CFGS["vol-energy-value-overflow"])
+@example(cfg=DOMAIN_ERROR_CFGS["dirac-value-overflow"])
 def test_fuzz_run_never_crashes(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.json"
@@ -737,3 +774,52 @@ def test_fuzz_run_never_crashes(cfg):
         assert "Traceback" not in err.getvalue()
         if status == 1:
             assert (Path(tmp) / "fuzz.report.json").exists()
+
+
+def test_each_kind_takes_one_measure_per_metric(tmp_path, monkeypatch):
+    """Bench pool configs whose metrics share one vertex set take one
+    Laplacian per metric that needs a measure, no envelope solve whose answer
+    is the input, and no tree build past parsing (plus the refinement by a
+    dirac point that is not a vertex)."""
+    import berkvol.cli as cli_module
+    import berkvol.metrics as metrics
+    import berkvol.tree as tree_module
+    from test_bench_reference import corpus  # bench/ read without writing bytecode
+
+    counts = {"laplacian": 0, "solve": 0, "build": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(metrics, "laplacian", counted("laplacian", metrics.laplacian))
+    monkeypatch.setattr(metrics, "_componentwise_max", counted("solve", metrics._componentwise_max))
+    build = counted("build", tree_module.build_tree)
+    monkeypatch.setattr(tree_module, "build_tree", build)
+    monkeypatch.setattr(cli_module, "build_tree", build)
+    # kind: (workload, pool indices, Laplacians, solves, trees parsed)
+    expected = {
+        "vol-energy": ("lattice-ramified", [0, 3], 2, 0, 2),
+        "sandwich": ("lattice-ramified", [1, 4], 3, 0, 3),
+        "rr": ("lattice-ramified", [2, 5], 1, 0, 2),
+        "diff": ("lattice-wide", [2, 5], 1, 0, 2),
+        "dirac": ("envelope-points", [1, 4, 52], 1, 1, 1),  # the point of 52 is a vertex
+        "fekete": ("envelope-points", [2, 5], 1, 0, 1),
+    }
+    for kind, (workload, ks, laplacians, solves, trees) in expected.items():
+        for k in ks:
+            cfg = corpus.make_config(workload, k)
+            assert cfg["kind"] == kind
+            path = write_config(tmp_path, f"{kind}-{k}.json", cfg)
+            built = trees
+            if kind == "dirac":
+                p, (c, _, q_num, q_den) = cfg["field"]["p"], cfg["point"]
+                vertices = parse_metric(cfg["metric"], p, "metric").tree.vertices
+                built += TreePoint(p, Fraction(c), Fraction(q_num, q_den)) not in vertices
+            for key in counts:
+                counts[key] = 0
+            with redirect_stdout(io.StringIO()):
+                assert main(["run", path, "--out-dir", str(tmp_path)]) in (0, 1)
+            assert counts == {"laplacian": laplacians, "solve": solves, "build": built}, (kind, k)

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+import berkvol.metrics as metrics
 from berkvol import simplex
 from berkvol.metrics import (
     Metric,
@@ -86,12 +88,65 @@ def test_energy_shift():
     assert energy(phi.shift(c), phi) == c * 2
 
 
-def test_envelope_of_psh_is_identity():
+def test_envelope_of_psh_is_identity(monkeypatch):
+    # the greatest psh minorant of a psh metric is the metric: no solve runs
+    calls = []
+    solve = metrics._componentwise_max
+    monkeypatch.setattr(metrics, "_componentwise_max", lambda *a: calls.append(a) or solve(*a))
     rng = random.Random(23)
     for _ in range(8):
         phi = random_psh_metric(2, 1, rng)
         env = envelope(phi)
+        assert env is phi
         assert all(env.g.values[v] == phi.g.values[v] for v in phi.tree.vertices)
+    assert calls == []
+
+
+def test_metric_is_frozen_and_computes_its_measure_once(monkeypatch):
+    calls = []
+    lap = metrics.laplacian
+    monkeypatch.setattr(metrics, "laplacian", lambda g: calls.append(g) or lap(g))
+    phi = slope_metric(2, 1, Fraction(-1, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        phi.d = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        phi.g = phi.g.shift(1)
+    mu = ma_measure(phi)
+    want = dict(mu.masses)
+    other = ma_measure(slope_metric(2, 1, Fraction(-1)))
+    assert mu.add(other).masses != want and mu.scale(3).masses != want
+    assert is_psh(phi) and energy(phi, phi) == 0 and envelope(phi) is phi
+    assert integrate_against(phi, phi.g) == Fraction(-1, 4)
+    assert ma_measure(phi) is mu and mu.masses == want
+    assert len(calls) == 2 and calls[0] is phi.g  # phi's measure, then other's
+
+
+def test_metric_on_an_equal_vertex_list_is_itself():
+    rng = random.Random(29)
+    for _ in range(1000):
+        p = rng.choice([2, 3, 5])
+        phi = random_pl_metric(p, rng.choice([0, 1, 2]), rng, tree=random_tree(p, rng, 6, digits=3))
+        # the same discs under other centers, built in another order
+        names = [TreePoint(p, v.center + p**v.k * rng.randint(1, 3), v.q) for v in phi.tree.vertices]
+        twin = build_tree(p, rng.sample(names, len(names)))
+        assert twin.vertices == phi.tree.vertices
+        assert phi.on_tree(phi.tree) is phi and phi.on_tree(twin) is phi
+        finer = refine(phi.tree, [TreePoint(p, Fraction(rng.randint(0, p**3)), Fraction(7, 2))])
+        if len(finer.vertices) > len(phi.tree.vertices):
+            assert phi.on_tree(finer).g.values == {v: phi.value(v) for v in finer.vertices}
+
+
+def test_energy_matches_the_common_tree_formula():
+    """E(phi, psi) read pointwise on each measure's support equals the
+    integral of the difference re-expressed on the common refinement."""
+    rng = random.Random(31)
+    for _ in range(150):
+        p, d = rng.choice([2, 3]), rng.choice([1, 2])
+        phi, psi = random_psh_metric(p, d, rng), random_psh_metric(p, d, rng)
+        tree = build_tree(p, phi.tree.vertices + psi.tree.vertices)
+        a, b = phi.on_tree(tree), psi.on_tree(tree)
+        diff = PLFunction(tree, {v: a.g.values[v] - b.g.values[v] for v in tree.vertices})
+        assert energy(phi, psi) == (ma_measure(a).integrate(diff) + ma_measure(b).integrate(diff)) / 2
 
 
 def test_envelope_tent():
@@ -224,7 +279,10 @@ def test_envelope_recursion_matches_lp_oracle():
         phi = draw(p, d, rng, tree=random_tree(p, rng, 8 if i % 10 == 9 else 3, digits=3))
         tree, g = phi.tree, phi.g
         big += len(tree.vertices) >= 10
-        assert envelope(phi).g.values == one_lp_max(tree, d, g.values, g.min_value())
+        want = one_lp_max(tree, d, g.values, g.min_value())
+        # envelope skips the recursion on a psh phi, so it is also run directly
+        assert _componentwise_max(tree, d, g.values) == want
+        assert envelope(phi).g.values == want
 
         kind = list(kinds)[i % 4]
         x = _point_of_kind(kind, tree, rng)

@@ -486,6 +486,46 @@ def test_refine_keeps_values():
         assert f2.values[v] == f.values[v]
 
 
+def _renamed(v, rng):
+    """v under another center, when its disc has more than one."""
+    return TreePoint(v.p, v.center + v.p**v.k * rng.randint(-3, 3), v.q)
+
+
+def test_refine_by_vertices_is_the_tree_itself():
+    """refine returns its tree, unbuilt, when every extra point is a vertex,
+    even one named by another center; the all-pairs builder gives the same
+    centers, parents and order of children.  A function re-expressed on a
+    tree with an equal vertex list is the function itself."""
+    rng = random.Random(71)
+    renamed = added = 0
+    for _ in range(1200):
+        p = rng.choice([2, 3, 5])
+        tree = build_tree(p, _draw_points(rng, p))
+        extra = [_renamed(v, rng) if rng.random() < 0.5 else v
+                 for v in rng.sample(tree.vertices, rng.randint(0, len(tree.vertices)))]
+        renamed += any(x.center != v.center for x in extra for v in tree.vertices if x == v)
+        assert refine(tree, extra) is tree
+        old = all_pairs_build_tree(p, list(tree.vertices) + extra)
+        assert [_shape(v) for v in tree.vertices] == [_shape(v) for v in old.vertices]
+        for v, w in zip(tree.vertices, old.vertices):
+            assert _shape(tree.parent[v]) == _shape(old.parent[w])
+            assert [_shape(c) for c in tree.children[v]] == [_shape(c) for c in old.children[w]]
+
+        f = PLFunction(tree, {v: Fraction(rng.randint(-6, 6), rng.choice([1, 2])) for v in tree.vertices})
+        twin = build_tree(p, [_renamed(v, rng) for v in rng.sample(tree.vertices, len(tree.vertices))])
+        assert twin.vertices == tree.vertices
+        assert f.on_tree(tree) is f and f.on_tree(twin) is f
+
+        x = _draw_points(rng, p)[:1]
+        if x and x[0] not in tree.parent:
+            added += 1
+            finer = refine(tree, extra + x)
+            assert finer is not tree and x[0] in finer.vertices
+            g = f.on_tree(finer)
+            assert g is not f and all(g.values[v] == f.values[v] for v in tree.vertices)
+    assert renamed > 300 and added > 300
+
+
 def test_laplacian_total_mass_zero():
     p = 3
     pts = [
