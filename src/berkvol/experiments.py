@@ -26,7 +26,7 @@ from .metrics import (
 )
 from .sections import unit_ball_valuations, vandermonde_value
 from .tree import DiscreteMeasure, PLFunction, TreePoint, digit_order
-from .volumes import ExtrapolationReport, _vol_limit, vol_limit
+from .volumes import ExtrapolationReport, _extrapolate, vol_limit
 
 
 class ExperimentError(BerkvolError):
@@ -58,8 +58,10 @@ def diff_experiment(
 ) -> DiffReport:
     """Symmetric finite differences of t -> vol(L, phi + t f, phi).
 
-    Every leg is measured against phi, so phi's series of unit balls is
-    computed once and shared by the legs.
+    Each leg's level series is vol_m(phi + s f, phi) = v(det U_m(phi)) -
+    v(det U_m(phi + s f)), read off one series of unit balls per metric;
+    phi's series is computed once and shared by the legs, and every
+    finished series is fitted by volumes._extrapolate.
     """
     if not is_psh(phi):
         raise ExperimentError("base metric must be psh")
@@ -68,21 +70,13 @@ def diff_experiment(
     legs: List[DiffLeg] = []
     derivs: List[Tuple[Fraction, Fraction, Fraction]] = []
     ms = sorted(set(m_range))
-    if any(m < 1 for m in ms):
-        raise ExperimentError("m must be >= 1")
-    base = dict(zip(ms, unit_ball_valuations(phi, ms)))
-
-    def leg(s: Fraction) -> ExtrapolationReport:
-        phi_s = _add_direction(phi, f, s)
-
-        def vols(levels: List[int]) -> List[Fraction]:
-            return [base[m] - v for m, v in zip(levels, unit_ball_valuations(phi_s, levels))]
-
-        return _vol_limit(phi_s, phi, ms, vols)
-
+    base = unit_ball_valuations(phi, ms)
     for t in ts:
-        rep_p, rep_m = leg(t), leg(-t)
-        legs.extend([DiffLeg(t, rep_p), DiffLeg(-t, rep_m)])
+        for s in (t, -t):
+            series = unit_ball_valuations(_add_direction(phi, f, s), ms)
+            vols = [(m, b - v) for m, b, v in zip(ms, base, series)]
+            legs.append(DiffLeg(s, _extrapolate(vols, power=2)))
+        rep_p, rep_m = legs[-2].report, legs[-1].report
         est = (rep_p.estimate - rep_m.estimate) / (2 * t)
         bound = (rep_p.error_bound + rep_m.error_bound) / (2 * t)
         derivs.append((t, est, bound))

@@ -1,16 +1,19 @@
 """Asymptotics of relative volumes and the Riemann-Roch slope experiment.
 
-The finite-level values are exact rationals; a limit is read off an exact
-least-squares affine fit of value / m^power against 1/m over the last
-DEFAULT_WINDOW levels.  The reported error bound is twice the largest fit
-residual, a conservative empirical figure (no convergence rate is assumed).
+Every fitted experiment (here, and diff and sandwich in experiments) first
+builds its exact level series [(m, value)] from sections.unit_ball_valuations,
+at every degree d >= 0, and hands the finished list to _extrapolate, the one
+fit: an exact least-squares affine fit of value / m^power against 1/m over
+the last DEFAULT_WINDOW levels.  The reported error bound is twice the
+largest fit residual, a conservative empirical figure (no convergence rate
+is assumed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 from .errors import BerkvolError
 from .metrics import Metric, envelope, energy, is_psh, ma_measure
@@ -46,31 +49,22 @@ class ExtrapolationReport:
     slope: Fraction
     samples: List[Tuple[int, Fraction]]
     window: List[int]
-    residuals: List[Tuple[int, Fraction]]
     error_bound: Fraction
 
-    def normalized(self) -> List[Tuple[int, Fraction]]:
-        return [(m, v / (m * m)) for m, v in self.samples]
 
+def _extrapolate(samples: List[Tuple[int, Fraction]], power: int) -> ExtrapolationReport:
+    """Fit value / m^power = a + b/m over the last DEFAULT_WINDOW samples.
 
-def _extrapolate(
-    series: Callable[[List[int]], List[Fraction]], m_range: Iterable[int], power: int
-) -> ExtrapolationReport:
-    """Fit value(m) / m^power = a + b/m over the last DEFAULT_WINDOW levels.
-
-    series maps the sorted distinct levels to their values, in order.
+    samples is a finished exact series [(m, value)], in increasing m.
     """
-    ms = sorted(set(m_range))
-    samples = list(zip(ms, series(ms)))
     tail = samples[-DEFAULT_WINDOW:]
     if len(tail) < 4:
         raise VolumeError(f"window of {len(tail)} samples is too small (need >= 4)")
     xs = [Fraction(1, m) for m, _ in tail]
     ys = [v / m**power for m, v in tail]
     a, b = affine_fit(xs, ys)
-    residuals = [(m, y - (a + b * x)) for (m, _), x, y in zip(tail, xs, ys)]
-    bound = 2 * max(abs(r) for _, r in residuals)
-    return ExtrapolationReport(a, b, samples, [m for m, _ in tail], residuals, bound)
+    bound = 2 * max(abs(y - (a + b * x)) for x, y in zip(xs, ys))
+    return ExtrapolationReport(a, b, samples, [m for m, _ in tail], bound)
 
 
 def vol_limit(phi: Metric, psi: Metric, m_range: Iterable[int]) -> ExtrapolationReport:
@@ -79,33 +73,11 @@ def vol_limit(phi: Metric, psi: Metric, m_range: Iterable[int]) -> Extrapolation
     Each level's volume equals sections.vol_m, read off one series of
     unit balls per metric.
     """
-
-    def vols(ms: List[int]) -> List[Fraction]:
-        return [a - b for a, b in zip(unit_ball_valuations(psi, ms), unit_ball_valuations(phi, ms))]
-
-    return _vol_limit(phi, psi, m_range, vols)
-
-
-def _vol_limit(
-    phi: Metric,
-    psi: Metric,
-    m_range: Iterable[int],
-    vols: Callable[[List[int]], List[Fraction]],
-) -> ExtrapolationReport:
-    """vol_limit, with the series of level-m volumes of phi against psi
-    supplied by the caller (diff_experiment shares psi's unit balls)."""
     if phi.d != psi.d:
         raise VolumeError("metrics live on different line bundles")
     ms = sorted(set(m_range))
-    if any(m < 1 for m in ms):
-        raise VolumeError("m must be >= 1")
-    if phi.d == 0:
-        samples = [(m, Fraction(0)) for m in ms]
-        return ExtrapolationReport(
-            Fraction(0), Fraction(0), samples, [m for m, _ in samples],
-            [(m, Fraction(0)) for m, _ in samples], Fraction(0),
-        )
-    return _extrapolate(vols, ms, power=2)
+    vols = [a - b for a, b in zip(unit_ball_valuations(psi, ms), unit_ball_valuations(phi, ms))]
+    return _extrapolate(list(zip(ms, vols)), power=2)
 
 
 @dataclass
@@ -160,16 +132,12 @@ def _rr_content_refined(phi_r: Metric, shrink_r: PLFunction, ms: List[int]) -> L
 
 @dataclass
 class RRReport:
-    samples: List[Tuple[int, Fraction]]
-    slope_estimate: Fraction
+    content: ExtrapolationReport
     target: Fraction
-    residuals: List[Tuple[int, Fraction]]
-    error_bound: Fraction
-    window: List[int]
 
     @property
     def gap(self) -> Fraction:
-        return self.slope_estimate - self.target
+        return self.content.estimate - self.target
 
 
 def rr_slope_experiment(
@@ -178,6 +146,6 @@ def rr_slope_experiment(
     """Fit rr_content(m)/m against 1/m; the intercept should approach
     the pairing of phi_D with the Monge-Ampere measure of phi_A."""
     phi_r, shrink_r = _rr_refine(phi_D, phi_A)
-    rep = _extrapolate(lambda ms: _rr_content_refined(phi_r, shrink_r, ms), m_range, power=1)
-    target = ma_measure(phi_A).integrate(phi_D)
-    return RRReport(rep.samples, rep.estimate, target, rep.residuals, rep.error_bound, rep.window)
+    ms = sorted(set(m_range))
+    content = _extrapolate(list(zip(ms, _rr_content_refined(phi_r, shrink_r, ms))), power=1)
+    return RRReport(content, ma_measure(phi_A).integrate(phi_D))

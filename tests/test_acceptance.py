@@ -257,18 +257,18 @@ def test_acceptance_11_riemann_roch_slope():
             assert rr_content(phiD, trivial_metric(p, 1), m) == k * (m + 1)
         for d in (1, 2):
             rep = rr_slope_experiment(phiD, trivial_metric(p, d), range(2, 21, 2))
-            assert rep.slope_estimate == k * d
-            assert rep.error_bound == 0
+            assert rep.content.estimate == k * d
+            assert rep.content.error_bound == 0
     # tent divisor against a curved ample metric
     phiA = slope_metric(p, 1, Fraction(-1, 2))
     rep = rr_slope_experiment(tent_function(p), phiA, range(4, 41, 4))
     target = ma_measure(phiA).integrate(tent_function(p))
     assert rep.target == target == Fraction(1, 2)
-    assert abs(rep.slope_estimate - rep.target) <= rep.error_bound
-    assert rep.error_bound <= Fraction(1, 20)
+    assert abs(rep.content.estimate - rep.target) <= rep.content.error_bound
+    assert rep.content.error_bound <= Fraction(1, 20)
     report(
         "acceptance 11",
-        f"h0 = k(m+1) exact; tent slope {rep.slope_estimate} vs {rep.target}",
+        f"h0 = k(m+1) exact; tent slope {rep.content.estimate} vs {rep.target}",
     )
 
 

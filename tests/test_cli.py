@@ -259,6 +259,52 @@ def test_run_diff_series_csv(tmp_path):
     assert got == DIFF_SERIES_CSV.replace("\n", "\r\n").encode()
 
 
+def test_degree_zero_diff_series_holds_the_volumes(tmp_path):
+    """At d = 0 the series holds vol_m = m (min g_phi - min g_psi), as at
+    any other degree."""
+    cfg = {
+        "kind": "diff",
+        "field": {"p": 2},
+        "metric": {"d": 0, "tree": [[0, 1, 0, 1, 0, 1]]},
+        "direction": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, -1, 1]],
+        "t_grid": ["1/2"],
+        "m_range": [1, 2, 3, 4],
+    }
+    assert main(["run", write_config(tmp_path, "d0.json", cfg), "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "d0.series.csv") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["t"] == "1/2"]
+    assert [Fraction(int(r["value_num"]), int(r["value_den"])) for r in rows] == [
+        Fraction(-1, 2), Fraction(-1), Fraction(-3, 2), Fraction(-2)
+    ]
+
+
+def test_diff_has_no_tolerance_key(tmp_path):
+    """The derivative is checked against the fit's bound alone; an unknown
+    "tolerance" key does not widen it."""
+    cfg = {
+        "kind": "diff",
+        "field": {"p": 2},
+        "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1], [3, 1, 1, 1, -1, 5]]},
+        "direction": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 2, -6, 1]],
+        "t_grid": ["1/8"],
+        "m_range": [1, 2, 3, 4],
+        "tolerance": "100",
+    }
+    assert main(["run", write_config(tmp_path, "tol.json", cfg), "--out-dir", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "tol.report.json").read_text())
+    assert report["assertions"][0]["detail"] == "gap=2 bound=0"
+
+
+def test_config_hash_covers_every_key(tmp_path):
+    """Every key enters the hash, "_"-prefixed ones too."""
+    hashes = []
+    for extra in ({}, {"_note": "a"}, {"_note": "b"}):
+        cfg = write_config(tmp_path, "ve.json", dict(VOL_ENERGY_CFG, **extra))
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 0
+        hashes.append(json.loads((tmp_path / "ve.report.json").read_text())["config_hash"])
+    assert len(set(hashes)) == 3
+
+
 ORTH_CFG = {"kind": "orth", "field": {"p": 2}, "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]}}
 DIFF_CFG = {
     "kind": "diff",

@@ -88,12 +88,6 @@ def test_diff_computes_each_unit_ball_once(monkeypatch):
             assert leg.report == want
 
 
-def test_diff_rejects_levels_below_one():
-    phi, f = slope_metric(2, 1, Fraction(-1, 2)), tent_direction(2)
-    with pytest.raises(ExperimentError):
-        diff_experiment(phi, f, [Fraction(1, 8)], [0, 1, 2, 3])
-
-
 def test_sandwich_randomized_chain_corpus():
     rng = random.Random(101)
     for _ in range(6):

@@ -67,6 +67,29 @@ def test_lp_is_oracle_only():
     assert callers == []
 
 
+def callers_of(name):
+    """(module, top-level function or None) of every call to name, by a
+    bare name or as an attribute."""
+    found = []
+    for path in MODULES:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            scope = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+            found += [
+                (path.name, scope)
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Call)
+                and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            ]
+    return found
+
+
+def test_one_fit_routine():
+    # every fitted kind hands a finished series to volumes._extrapolate,
+    # the only caller of affine_fit, so one function holds the fit
+    assert set(callers_of("affine_fit")) == {("volumes.py", "_extrapolate")}
+    assert {module for module, _ in callers_of("_extrapolate")} <= {"volumes.py", "experiments.py"}
+
+
 def display_only_nodes(path, tree):
     """Nodes where a float may appear: the value of field.INF, and in cli.py
     the display columns (fmt_rational and the "normalized" series field)."""

@@ -5,6 +5,7 @@ import pytest
 
 from berkvol import sections, volumes
 from berkvol.errors import BerkvolError
+from berkvol.experiments import diff_experiment, sandwich_check
 from berkvol.metrics import Metric, energy, ma_measure, trivial_metric
 from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point
 from berkvol.volumes import (
@@ -119,7 +120,7 @@ def test_rr_slope_matches_pairing():
     rep = rr_slope_experiment(phiD, phiA, range(2, 21, 2))
     target = ma_measure(phiA).integrate(phiD)
     assert rep.target == target == Fraction(1, 2)
-    assert abs(rep.slope_estimate - rep.target) <= rep.error_bound
+    assert abs(rep.content.estimate - rep.target) <= rep.content.error_bound
 
 
 def test_rr_slope_refines_once(monkeypatch):
@@ -135,14 +136,14 @@ def test_rr_slope_refines_once(monkeypatch):
         expected = [(m, rr_content(phiD, phiA, m)) for m in range(1, 6)]
         calls.clear()
         rep = rr_slope_experiment(phiD, phiA, range(1, 6))
-        assert rep.samples == expected
+        assert rep.content.samples == expected
         assert len(calls) == 1
 
 
 def test_report_normalized_series():
     phi = slope_metric(2, 1, Fraction(-1, 2))
     rep = vol_limit(phi, trivial_metric(2, 1), range(8, 25, 2))
-    norm = dict(rep.normalized())
+    norm = {m: v / (m * m) for m, v in rep.samples}
     assert norm[8] == Fraction(-10, 64)
     assert rep.estimate == Fraction(-1, 8)
 
@@ -165,6 +166,8 @@ def branching_metric(p=2):
         lambda phi, D: rr_content(D, phi, -1),
         lambda phi, D: rr_slope_experiment(D, phi, [-3, -2, -1, 0]),
         lambda phi, D: vol_limit(phi, phi.shift(Fraction(1)), [0, 1, 2, 3, 4]),
+        lambda phi, D: diff_experiment(phi, D, [Fraction(1, 8)], [0, 1, 2, 3]),
+        lambda phi, D: sandwich_check(phi, phi, phi.shift(Fraction(1)), [0, 1, 2, 3, 4]),
     ],
     ids=[
         "unit_ball_valuation-minus-1",
@@ -173,6 +176,8 @@ def branching_metric(p=2):
         "rr_content-minus-1",
         "rr_slope_experiment",
         "vol_limit",
+        "diff_experiment",
+        "sandwich_check",
     ],
 )
 def test_levels_below_one_are_rejected(shape, call):
@@ -206,9 +211,13 @@ def count_series(monkeypatch):
     return calls
 
 
-def test_vol_limit_computes_two_series(monkeypatch):
+@pytest.mark.parametrize("d", [0, 1])
+def test_vol_limit_computes_two_series(monkeypatch, d):
+    """At d = 0 too: its samples are vol_m, as at any other degree."""
     rng = random.Random(24)
-    phi, psi = random_psh_metric(2, 1, rng), random_psh_metric(2, 1, rng)
+    phi, psi = random_psh_metric(2, d, rng), random_psh_metric(2, d, rng)
+    if d == 0:
+        psi = psi.shift(Fraction(-1, 3))
     ms = [9, 4, 12, 5, 4, 8, 6, 7]
     calls = count_series(monkeypatch)
     rep = vol_limit(phi, psi, ms)
@@ -230,4 +239,4 @@ def test_rr_slope_computes_two_series(monkeypatch):
     (phi_1, levels_1, extra_1), (phi_2, levels_2, extra_2) = calls
     assert phi_1 is phi_2 and levels_1 == levels_2 == sorted(ms)
     assert extra_1 is not None and extra_2 is None
-    assert rep.samples == [(m, rr_content(phiD, phiA, m)) for m in sorted(ms)]
+    assert rep.content.samples == [(m, rr_content(phiD, phiA, m)) for m in sorted(ms)]
