@@ -66,8 +66,8 @@ KINDS: Dict[str, str] = {
     "diff": (
         "Differentiability of relative volumes: the one-sided derivative of "
         "t -> vol(L, phi + t f, phi) at t = 0 equals the pairing of f with "
-        "the Monge-Ampere measure of phi.  Checked by symmetric finite "
-        "differences of extrapolated volumes against the exact pairing."
+        "the Monge-Ampere measure of phi.  Both exact one-sided derivatives "
+        "are checked for equality with the exact pairing."
     ),
     "sandwich": (
         "Siu-type sandwich bound: for f = psi1 - psi2 a difference of psh "
@@ -93,12 +93,11 @@ KINDS: Dict[str, str] = {
         "Asymptotic Riemann-Roch slope: the content of the level-m "
         "restriction to a vertical divisor grows like m times the pairing "
         "of the divisor function with the Monge-Ampere measure of the ample "
-        "metric."
+        "metric.  The exact slope is checked for equality with the pairing."
     ),
     "vol-energy": (
-        "Volume equals energy: the extrapolated relative volume of two "
-        "metrics agrees with the relative Monge-Ampere energy of their psh "
-        "envelopes."
+        "Volume equals energy: the exact relative volume of two metrics "
+        "equals the relative Monge-Ampere energy of their psh envelopes."
     ),
 }
 
@@ -281,15 +280,6 @@ def parse_point(obj: Any, p: int, where: str) -> TreePoint:
 # Fractions, assertions, csv rows)
 
 
-def _vol_report_json(rep: vo.ExtrapolationReport) -> Dict[str, Any]:
-    return {
-        "estimate": rep.estimate,
-        "slope": rep.slope,
-        "error_bound": rep.error_bound,
-        "window": rep.window,
-    }
-
-
 def _series_rows(samples, normalize, t: str = "") -> List[Dict[str, Any]]:
     rows = []
     for m, v in samples:
@@ -345,21 +335,17 @@ def run_diff(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
     rep = ex.diff_experiment(phi, f, t_grid, ms)
     results = {
         "target": rep.target,
-        "derivatives": [
-            {"t": t, "estimate": e, "bound": b}
-            for t, e, b in rep.derivatives
-        ],
+        "right_derivative": rep.right_derivative,
+        "left_derivative": rep.left_derivative,
     }
-    assertions = []
-    for t, est, bound in rep.derivatives:
-        gap = abs(est - rep.target)
-        assertions.append(
-            (f"derivative_within_bound_t={t}", gap <= bound, f"gap={gap} bound={bound}")
-        )
+    assertions = [
+        (f"{side}_derivative_equals_pairing", value == rep.target, f"{side} = {value}")
+        for side, value in (("right", rep.right_derivative), ("left", rep.left_derivative))
+    ]
     rows = []
     for leg in rep.legs:
         t = f"{leg.t.numerator}/{leg.t.denominator}"
-        rows += _series_rows(leg.report.samples, lambda m, v: v / (m * m), t)
+        rows += _series_rows(leg.samples, lambda m, v: v / (m * m), t)
     return results, assertions, rows
 
 
@@ -367,15 +353,8 @@ def run_sandwich(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
     phi = parse_metric(cfg.get("metric"), p, "metric")
     psi1 = parse_metric(cfg.get("psi1"), p, "psi1")
     psi2 = parse_metric(cfg.get("psi2"), p, "psi2")
-    ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max)
-    check_section_degree(ms[-1], phi.d, "m_range")
-    rep = ex.sandwich_check(phi, psi1, psi2, ms)
-    results = {
-        "lower": rep.lower,
-        "middle": rep.middle,
-        "upper": rep.upper,
-        "vol_bound": rep.vol_bound,
-    }
+    rep = ex.sandwich_check(phi, psi1, psi2)
+    results = {"lower": rep.lower, "middle": rep.middle, "upper": rep.upper}
     assertions = [("sandwich_holds", rep.holds(), f"{rep.lower} <= {rep.middle} <= {rep.upper}")]
     return results, assertions, []
 
@@ -386,19 +365,9 @@ def run_vol_energy(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]
     ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max)
     check_section_degree(ms[-1], max(phi.d, psi.d), "m_range")
     rep = vo.check_vol_equals_energy(phi, psi, ms)
-    results = {
-        "volume": _vol_report_json(rep.volume),
-        "energy": rep.energy,
-        "gap": rep.gap,
-    }
-    assertions = [("vol_equals_energy_within_bound", rep.within_bound(), f"gap = {rep.gap}")]
-    bmax = cfg.get("bound_max")
-    if bmax is not None:
-        bmax = parse_rational(bmax, "bound_max")
-        assertions.append(
-            ("error_bound_small", rep.volume.error_bound <= bmax, f"bound = {rep.volume.error_bound}")
-        )
-    rows = _series_rows(rep.volume.samples, lambda m, v: v / (m * m))
+    results = {"limit": rep.limit, "energy": rep.energy, "gap": rep.gap}
+    assertions = [("vol_equals_energy", rep.gap == 0, f"gap = {rep.gap}")]
+    rows = _series_rows(rep.samples, lambda m, v: v / (m * m))
     return results, assertions, rows
 
 
@@ -408,15 +377,9 @@ def run_rr(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
     ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max)
     check_section_degree(ms[-1], phi_A.d, "m_range")
     rep = vo.rr_slope_experiment(phi_D, phi_A, ms)
-    results = {
-        "slope_estimate": rep.content.estimate,
-        "target": rep.target,
-        "error_bound": rep.content.error_bound,
-    }
-    assertions = [
-        ("slope_matches_pairing", abs(rep.gap) <= rep.content.error_bound, f"gap = {rep.gap}")
-    ]
-    rows = _series_rows(rep.content.samples, lambda m, v: v / m)
+    results = {"slope": rep.slope, "target": rep.target}
+    assertions = [("slope_matches_pairing", rep.slope == rep.target, f"slope = {rep.slope}")]
+    rows = _series_rows(rep.samples, lambda m, v: v / m)
     return results, assertions, rows
 
 

@@ -3,7 +3,9 @@ orthogonality of envelopes, Dirac Monge-Ampere solutions, and Fekete
 point equidistribution.
 
 Every experiment is deterministic given its configuration; all
-intermediate quantities are exact rationals.
+intermediate quantities are exact rationals.  Volumes enter as the exact
+limits and one-sided derivatives of volumes, so every verdict is an exact
+equality or inequality; a level series, where kept, is data only.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from .metrics import (
     ma_measure,
 )
 from .sections import unit_ball_valuations, vandermonde_value
-from .tree import DiscreteMeasure, PLFunction, TreePoint, digit_order
-from .volumes import ExtrapolationReport, _extrapolate, vol_limit
+from .tree import DiscreteMeasure, PLFunction, TreePoint, digit_order, refine
+from .volumes import right_derivative, vol_limit
 
 
 class ExperimentError(BerkvolError):
@@ -40,14 +42,15 @@ def _add_direction(phi: Metric, f: PLFunction, t: Fraction) -> Metric:
 @dataclass
 class DiffLeg:
     t: Fraction
-    report: ExtrapolationReport
+    samples: List[Tuple[int, Fraction]]
 
 
 @dataclass
 class DiffReport:
     target: Fraction
+    right_derivative: Fraction
+    left_derivative: Fraction
     legs: List[DiffLeg]
-    derivatives: List[Tuple[Fraction, Fraction, Fraction]]  # (|t|, estimate, bound)
 
 
 def diff_experiment(
@@ -56,31 +59,24 @@ def diff_experiment(
     t_grid: Sequence[Fraction],
     m_range: Iterable[int],
 ) -> DiffReport:
-    """Symmetric finite differences of t -> vol(L, phi + t f, phi).
-
-    Each leg's level series is vol_m(phi + s f, phi) = v(det U_m(phi)) -
-    v(det U_m(phi + s f)), read off one series of unit balls per metric;
-    phi's series is computed once and shared by the legs, and every
-    finished series is fitted by volumes._extrapolate.
-    """
+    """The exact one-sided derivatives of t -> vol(L, phi + t f, phi) at 0
+    (the left one from the direction -f, on the same common tree), against
+    the pairing of f with MA(phi).  As data, each leg t of t_grid records
+    vol_m(phi + t f, phi) = u_m(phi) - u_m(phi + t f); u_m(phi) is shared."""
     if not is_psh(phi):
         raise ExperimentError("base metric must be psh")
-    ts = sorted({abs(Fraction(t)) for t in t_grid if t != 0})
-    target = integrate_against(phi, f)
-    legs: List[DiffLeg] = []
-    derivs: List[Tuple[Fraction, Fraction, Fraction]] = []
+    tree = refine(phi.tree, f.tree.vertices)
+    phi_r, f_r = phi.on_tree(tree), f.on_tree(tree)
+    right = right_derivative(phi_r, f_r)
+    left = -right_derivative(phi_r, f_r.scale(Fraction(-1)))
     ms = sorted(set(m_range))
     base = unit_ball_valuations(phi, ms)
-    for t in ts:
+    legs: List[DiffLeg] = []
+    for t in sorted({abs(Fraction(t)) for t in t_grid if t != 0}):
         for s in (t, -t):
             series = unit_ball_valuations(_add_direction(phi, f, s), ms)
-            vols = [(m, b - v) for m, b, v in zip(ms, base, series)]
-            legs.append(DiffLeg(s, _extrapolate(vols, power=2)))
-        rep_p, rep_m = legs[-2].report, legs[-1].report
-        est = (rep_p.estimate - rep_m.estimate) / (2 * t)
-        bound = (rep_p.error_bound + rep_m.error_bound) / (2 * t)
-        derivs.append((t, est, bound))
-    return DiffReport(target, legs, derivs)
+            legs.append(DiffLeg(s, [(m, b - v) for m, b, v in zip(ms, base, series)]))
+    return DiffReport(integrate_against(phi, f), right, left, legs)
 
 
 @dataclass
@@ -88,22 +84,15 @@ class SandwichReport:
     lower: Fraction
     middle: Fraction
     upper: Fraction
-    vol_bound: Fraction
 
     def holds(self) -> bool:
-        return (
-            self.lower - self.vol_bound <= self.middle <= self.upper + self.vol_bound
-        )
+        return self.lower <= self.middle <= self.upper
 
 
-def sandwich_check(
-    phi: Metric,
-    psi1: Metric,
-    psi2: Metric,
-    m_range: Iterable[int],
-) -> SandwichReport:
+def sandwich_check(phi: Metric, psi1: Metric, psi2: Metric) -> SandwichReport:
     """Siu-type bound: with f = psi1 - psi2 on O(e) and C = e,
-    C inf f <= int f d(MA(phi) + MA(psi1)) - vol(L, phi + f, phi) <= C sup f."""
+    C inf f <= int f d(MA(phi) + MA(psi1)) - vol(L, phi + f, phi) <= C sup f,
+    with the exact volume of volumes.vol_limit."""
     if psi1.d != psi2.d:
         raise ExperimentError("auxiliary metrics live on different bundles")
     if not (is_psh(phi) and is_psh(psi1) and is_psh(psi2)):
@@ -111,10 +100,8 @@ def sandwich_check(
     e = psi1.d
     f = psi1.g - psi2.g
     mixed = ma_measure(phi).add(ma_measure(psi1))
-    pairing = mixed.integrate(f)
-    rep = vol_limit(_add_direction(phi, f, Fraction(1)), phi, m_range)
-    middle = pairing - rep.estimate
-    return SandwichReport(e * f.min_value(), middle, e * f.max_value(), rep.error_bound)
+    middle = mixed.integrate(f) - vol_limit(_add_direction(phi, f, Fraction(1)), phi)
+    return SandwichReport(e * f.min_value(), middle, e * f.max_value())
 
 
 def orthogonality_experiment(phi: Metric) -> Fraction:

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from .errors import BerkvolError
 from .tree import (
@@ -120,54 +120,60 @@ def _eval(W: _Knots, z: Fraction) -> Fraction:
     return z if i < 0 else ws[i] + slopes[i] * (z - zs[i])
 
 
+def _leaf_to_root(tree: SkeletonTree, obstacle: Dict[TreePoint, Any], zero):
+    """W_c for every non-root vertex c, and the root's (xs, fs, tail).
+
+    With s_c = (h(parent) - h(c)) / L_c the slope into c, psh means
+    s_v >= sum_{children c} s_c at each non-root vertex v and
+    sum_{children of the root} s_c <= d.  W_c(z) is the greatest value
+    at c when its parent has value z: W_c(z) = min(g(c), T_c^{-1}(z)) with
+    T_c(w) = w + L_c sum_{c'} (w - W_{c'}(w)) / L_{c'} over the children
+    c' of c.  At a vertex, xs holds the children's knots below its
+    obstacle g, then g; fs the deficit sum_c (x - W_c(x)) / L_c at each x,
+    nondecreasing from 0; tail its slope past the last child knot.  Only
+    field operations and comparisons run, from zero, a Fraction or a dual.
+    """
+    W: Dict[TreePoint, _Knots] = {}
+
+    def knots_and_deficits(v: TreePoint):
+        cap = obstacle.get(v)
+        kids = [(W[c], tree.edge_length(c)) for c in tree.children[v]]
+        xs = sorted({z for Wc, _ in kids for z in Wc[0] if cap is None or z < cap})
+        if cap is not None:
+            xs.append(cap)
+        # W_c is the identity up to its first knot, where c adds no deficit
+        fs = [sum(((x - _eval(Wc, x)) / L for Wc, L in kids if Wc[0] and Wc[0][0] < x), zero)
+              for x in xs]
+        tail = sum(((1 - Wc[2][-1]) / L for Wc, L in kids), zero)
+        return xs, fs, tail
+
+    for c in reversed(tree.vertices[1:]):
+        L = tree.edge_length(c)
+        xs, fs, tail = knots_and_deficits(c)
+        zs = [x + L * f for x, f in zip(xs, fs)]
+        slopes = [(x1 - x0) / (z1 - z0) for x0, x1, z0, z1 in zip(xs, xs[1:], zs, zs[1:])]
+        slopes.append(zero if c in obstacle else 1 / (1 + L * tail))
+        W[c] = (zs, xs, slopes)
+    return W, knots_and_deficits(tree.root)
+
+
 def _componentwise_max(
     tree: SkeletonTree, d: int, obstacle: Dict[TreePoint, Fraction]
 ) -> Dict[TreePoint, Fraction]:
     """Componentwise maximum of {h psh-feasible, h <= obstacle where given}.
 
-    With s_c = (h(parent) - h(c)) / L_c the slope into c, psh means
-    s_v >= sum_{children c} s_c at each non-root vertex v and
-    sum_{children of the root} s_c <= d.  Leaf to root, W_c(z) is the
-    greatest value at c when its parent has value z:
-    W_c(z) = min(g(c), T_c^{-1}(z)) with
-    T_c(w) = w + L_c sum_{c'} (w - W_{c'}(w)) / L_{c'} over the children
-    c' of c, and W_c has a knot (T_c(x), x) at each child knot x < g(c)
-    and at x = g(c).  The root takes the largest z with
-    sum_c (z - W_c(z)) / L_c <= d, capped by its obstacle; root to leaf,
-    h(c) = W_c(h(parent)).
+    The root takes the largest z with deficit at most d, capped by its
+    obstacle; root to leaf, h(c) = W_c(h(parent)).
     """
-    W: Dict[TreePoint, _Knots] = {}
-
-    def knots_and_deficits(v: TreePoint, cap) -> Tuple[List[Fraction], List[Fraction], Fraction]:
-        # the children's knots below cap, sum_c (x - W_c(x)) / L_c at each,
-        # and that sum's slope right of the last knot
-        kids = [(W[c], tree.edge_length(c)) for c in tree.children[v]]
-        xs = sorted({z for Wc, _ in kids for z in Wc[0] if cap is None or z < cap})
-        if cap is not None:
-            xs.append(cap)
-        fs = [sum(((x - _eval(Wc, x)) / L for Wc, L in kids), Fraction(0)) for x in xs]
-        tail = sum(((1 - Wc[2][-1]) / L for Wc, L in kids), Fraction(0))
-        return xs, fs, tail
-
-    for c in reversed(tree.vertices[1:]):
-        L, cap = tree.edge_length(c), obstacle.get(c)
-        xs, fs, tail = knots_and_deficits(c, cap)
-        zs = [x + L * f for x, f in zip(xs, fs)]
-        slopes = [(x1 - x0) / (z1 - z0) for x0, x1, z0, z1 in zip(xs, xs[1:], zs, zs[1:])]
-        slopes.append(Fraction(0) if cap is not None else 1 / (1 + L * tail))
-        W[c] = (zs, xs, slopes)
-
-    xs, fs, tail = knots_and_deficits(tree.root, None)
-    z = None
-    if xs:  # fs is nondecreasing from fs[0] = 0
-        k = bisect_right(fs, d) - 1
-        rate = tail if k + 1 == len(xs) else (fs[k + 1] - fs[k]) / (xs[k + 1] - xs[k])
-        if rate > 0:
-            z = xs[k] + (d - fs[k]) / rate
-    top = obstacle.get(tree.root)
-    if top is not None and (z is None or top < z):
-        z = top
-    if z is None:
+    W, (xs, fs, tail) = _leaf_to_root(tree, obstacle, Fraction(0))
+    k = bisect_right(fs, d) - 1  # no knot: k = -1, tail = 0, and no z
+    if k + 1 < len(xs):
+        z = xs[k] + (d - fs[k]) * (xs[k + 1] - xs[k]) / (fs[k + 1] - fs[k])
+    elif tree.root in obstacle:  # the root's obstacle, the last knot, binds
+        z = xs[k]
+    elif tail > 0:
+        z = xs[k] + (d - fs[k]) / tail
+    else:
         raise MetricError("no obstacle bounds the psh minorant")
     h = {tree.root: z}
     for c in tree.vertices[1:]:

@@ -276,6 +276,11 @@ def refine(tree: SkeletonTree, extra: Iterable[TreePoint]) -> SkeletonTree:
     return build_tree(tree.p, list(tree.vertices) + extra)
 
 
+def _exact(x) -> Fraction:
+    """x as a Fraction: x itself when it is one already."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 @dataclass
 class PLFunction:
     """Piecewise-affine function on a skeleton, constant off the tree."""
@@ -284,7 +289,7 @@ class PLFunction:
     values: Dict[TreePoint, Fraction]
 
     def __post_init__(self):
-        self.values = {v: Fraction(self.values[v]) for v in self.tree.vertices}
+        self.values = {v: _exact(self.values[v]) for v in self.tree.vertices}
 
     def evaluate(self, x: TreePoint) -> Fraction:
         value = self.values.get(x)
@@ -345,7 +350,7 @@ class DiscreteMeasure:
     masses: Dict[TreePoint, Fraction]
 
     def __post_init__(self):
-        self.masses = {k: Fraction(v) for k, v in self.masses.items() if v != 0}
+        self.masses = {k: _exact(v) for k, v in self.masses.items() if v != 0}
 
     def total_mass(self) -> Fraction:
         return sum(self.masses.values(), Fraction(0))
@@ -377,7 +382,7 @@ def laplacian(g: PLFunction) -> DiscreteMeasure:
 
     Off-tree directions carry slope 0 by the constancy convention.
     """
-    masses: Dict[TreePoint, Fraction] = {v: Fraction(0) for v in g.tree.vertices}
+    masses: Dict[TreePoint, Fraction] = dict.fromkeys(g.tree.vertices, Fraction(0))
     for u, c, length in g.tree.edges():
         slope = (g.values[c] - g.values[u]) / length
         masses[u] += slope

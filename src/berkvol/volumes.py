@@ -1,12 +1,12 @@
-"""Asymptotics of relative volumes and the Riemann-Roch slope experiment.
+"""Exact limits of relative volumes, their one-sided derivatives, and the
+Riemann-Roch slope experiment.
 
-Every fitted experiment (here, and diff and sandwich in experiments) first
-builds its exact level series [(m, value)] from sections.unit_ball_valuations,
-at every degree d >= 0, and hands the finished list to _extrapolate, the one
-fit: an exact least-squares affine fit of value / m^power against 1/m over
-the last DEFAULT_WINDOW levels.  The reported error bound is twice the
-largest fit residual, a conservative empirical figure (no convergence rate
-is assumed).
+With u_m(phi) = v(det U_m(phi)) (sections.unit_ball_valuations), -u_m / m^2
+tends to the integral over [0, d] of G(t) = min(g(root), max{z : F(z) <= t}),
+F the root deficit of metrics._leaf_to_root with obstacle g at every vertex:
+vol_limit is exact, and nothing is fitted.  Over dual numbers a + b eps,
+obstacle g + eps f gives the right derivative of t -> vol(L, phi + t f, phi)
+at 0 as the eps-part.  Level series are kept as data only.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, List, Tuple
 
 from .errors import BerkvolError
-from .metrics import Metric, envelope, energy, is_psh, ma_measure
+from .metrics import Metric, _leaf_to_root, envelope, energy, is_psh, ma_measure
 from .sections import unit_ball_valuations
 from .tree import PLFunction, refine
 
@@ -25,9 +25,8 @@ class VolumeError(BerkvolError):
     pass
 
 
-DEFAULT_WINDOW = 8
-
-
+# Not called by the package: it stays importable while the benchmark's
+# tracer patches it by name.
 def affine_fit(xs: List[Fraction], ys: List[Fraction]) -> Tuple[Fraction, Fraction]:
     """Exact least-squares fit y = a + b x; returns (a, b)."""
     n = len(xs)
@@ -43,60 +42,100 @@ def affine_fit(xs: List[Fraction], ys: List[Fraction]) -> Tuple[Fraction, Fracti
     return a, b
 
 
-@dataclass
-class ExtrapolationReport:
-    estimate: Fraction
-    slope: Fraction
-    samples: List[Tuple[int, Fraction]]
-    window: List[int]
-    error_bound: Fraction
+class _Dual(tuple):
+    """a + b eps as the pair (a, b), for an infinitesimal eps > 0: eps^2 is
+    dropped and the tuple order is the lexicographic one.  Arithmetic also
+    takes a rational operand; comparisons take _Duals only."""
+
+    def __add__(self, o):
+        a, b = self
+        return _Dual((a + o[0], b + o[1]) if type(o) is _Dual else (a + o, b))
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        a, b = self
+        return _Dual((a - o[0], b - o[1]) if type(o) is _Dual else (a - o, b))
+
+    def __rsub__(self, o):
+        a, b = self
+        return _Dual((o - a, -b))
+
+    def __mul__(self, o):
+        a, b = self
+        return _Dual((a * o[0], a * o[1] + b * o[0]) if type(o) is _Dual else (a * o, b * o))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        a, b = self
+        if type(o) is not _Dual:
+            return _Dual((a / o, b / o))
+        c, e = o
+        if c == 0:
+            # Infinitesimal over infinitesimal: a slope across a piece of
+            # length O(eps).  Its eps-part only ever meets O(eps) factors, so
+            # it would only reach eps^2: the ratio of the eps-parts counts.
+            if a != 0:
+                raise ZeroDivisionError("finite over infinitesimal")
+            return _Dual((b / e, Fraction(0)))
+        q = a / c
+        return _Dual((q, (b - q * e) / c))
+
+    def __rtruediv__(self, o):
+        a, b = self
+        q = o / a
+        return _Dual((q, -q * b / a))
 
 
-def _extrapolate(samples: List[Tuple[int, Fraction]], power: int) -> ExtrapolationReport:
-    """Fit value / m^power = a + b/m over the last DEFAULT_WINDOW samples.
+def _integral(phi: Metric, obstacle: dict, zero):
+    """The integral of G over [0, d] for an obstacle at every vertex of phi.tree.
 
-    samples is a finished exact series [(m, value)], in increasing m.
-    """
-    tail = samples[-DEFAULT_WINDOW:]
-    if len(tail) < 4:
-        raise VolumeError(f"window of {len(tail)} samples is too small (need >= 4)")
-    xs = [Fraction(1, m) for m, _ in tail]
-    ys = [v / m**power for m, v in tail]
-    a, b = affine_fit(xs, ys)
-    bound = 2 * max(abs(y - (a + b * x)) for x, y in zip(xs, ys))
-    return ExtrapolationReport(a, b, samples, [m for m, _ in tail], bound)
+    G runs along the root's pieces of F inverted, one trapezoid each, and
+    stays at the cap for t >= F(cap).  Where d cuts a piece, the position
+    along it is a ratio of widths: a dual piece may be infinitesimal."""
+    _, (zs, ts, _) = _leaf_to_root(phi.tree, obstacle, zero)
+    twice, d = zero, zero + phi.d
+    for z0, z1, t0, t1 in zip(zs, zs[1:], ts, ts[1:]):
+        if d <= t0:
+            break
+        if d < t1:
+            z1, t1 = z0 + (z1 - z0) * ((d - t0) / (t1 - t0)), d
+        twice += (t1 - t0) * (z0 + z1)
+    return (twice + 2 * zs[-1] * max(d - ts[-1], zero)) / 2
 
 
-def vol_limit(phi: Metric, psi: Metric, m_range: Iterable[int]) -> ExtrapolationReport:
-    """Extrapolated vol(L, phi, psi) from exact finite-level volumes.
+def right_derivative(phi: Metric, f: PLFunction) -> Fraction:
+    """d/dt at 0+ of the integral of G for phi + t f, with f on phi's tree."""
+    obstacle = {v: _Dual((phi.g.values[v], f.values[v])) for v in phi.tree.vertices}
+    return _integral(phi, obstacle, _Dual((Fraction(0), Fraction(0))))[1]
 
-    Each level's volume equals sections.vol_m, read off one series of
-    unit balls per metric.
-    """
+
+def vol_limit(phi: Metric, psi: Metric) -> Fraction:
+    """vol(L, phi, psi), exactly: the difference of the integrals of G."""
     if phi.d != psi.d:
         raise VolumeError("metrics live on different line bundles")
-    ms = sorted(set(m_range))
-    vols = [a - b for a, b in zip(unit_ball_valuations(psi, ms), unit_ball_valuations(phi, ms))]
-    return _extrapolate(list(zip(ms, vols)), power=2)
+    return _integral(phi, phi.g.values, Fraction(0)) - _integral(psi, psi.g.values, Fraction(0))
 
 
 @dataclass
 class VolEnergyReport:
-    volume: ExtrapolationReport
+    samples: List[Tuple[int, Fraction]]
+    limit: Fraction
     energy: Fraction
     gap: Fraction
-
-    def within_bound(self) -> bool:
-        return abs(self.gap) <= self.volume.error_bound
 
 
 def check_vol_equals_energy(
     phi: Metric, psi: Metric, m_range: Iterable[int]
 ) -> VolEnergyReport:
-    """Compare vol(L, phi, psi) against E(env(phi), env(psi))."""
-    rep = vol_limit(phi, psi, m_range)
+    """Compare vol(L, phi, psi) against E(env(phi), env(psi)), and record
+    the exact level series vol_m(phi, psi) for m in m_range."""
+    limit = vol_limit(phi, psi)
+    ms = sorted(set(m_range))
+    vols = [a - b for a, b in zip(unit_ball_valuations(psi, ms), unit_ball_valuations(phi, ms))]
     e = energy(envelope(phi), envelope(psi))
-    return VolEnergyReport(rep, e, rep.estimate - e)
+    return VolEnergyReport(list(zip(ms, vols)), limit, e, limit - e)
 
 
 def rr_content(phi_D: PLFunction, phi_A: Metric, m: int) -> Fraction:
@@ -132,20 +171,20 @@ def _rr_content_refined(phi_r: Metric, shrink_r: PLFunction, ms: List[int]) -> L
 
 @dataclass
 class RRReport:
-    content: ExtrapolationReport
+    samples: List[Tuple[int, Fraction]]
+    slope: Fraction
     target: Fraction
-
-    @property
-    def gap(self) -> Fraction:
-        return self.content.estimate - self.target
 
 
 def rr_slope_experiment(
     phi_D: PLFunction, phi_A: Metric, m_range: Iterable[int]
 ) -> RRReport:
-    """Fit rr_content(m)/m against 1/m; the intercept should approach
-    the pairing of phi_D with the Monge-Ampere measure of phi_A."""
+    """The exact slope lim rr_content(m) / m, against the pairing of phi_D
+    with MA(phi_A).  As rr_content(m) = u_m(phi_A - phi_D / m) - u_m(phi_A),
+    it is minus the right derivative in the direction -phi_D, on the tree of
+    _rr_refine; the level series is recorded as data."""
     phi_r, shrink_r = _rr_refine(phi_D, phi_A)
     ms = sorted(set(m_range))
-    content = _extrapolate(list(zip(ms, _rr_content_refined(phi_r, shrink_r, ms))), power=1)
-    return RRReport(content, ma_measure(phi_A).integrate(phi_D))
+    samples = list(zip(ms, _rr_content_refined(phi_r, shrink_r, ms)))
+    slope = -right_derivative(phi_r, shrink_r)
+    return RRReport(samples, slope, ma_measure(phi_A).integrate(phi_D))

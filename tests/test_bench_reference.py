@@ -36,7 +36,7 @@ def test_pool_configs_match_the_bench_reference(tmp_path, workload):
         out = tmp_path / f"out-{k:04d}"
         with contextlib.redirect_stdout(io.StringIO()):
             status = main(["run", str(path), "--out-dir", str(out)])
-        assert status in (0, 1), f"{cfg['name']}: exit status {status}"
+        assert status == 0, f"{cfg['name']}: exit status {status}"
         report = reference.read_report(cfg, out)
         assert report is not None, f"{cfg['name']}: no report"
         assert report[0] == ref["exact"], f"{cfg['name']}: exact fields differ from the reference"

@@ -15,9 +15,8 @@ from berkvol.experiments import (
     sandwich_check,
 )
 from berkvol.metrics import Metric, envelope, ma_measure, trivial_metric
-from berkvol.sections import vandermonde_value
+from berkvol.sections import vandermonde_value, vol_m
 from berkvol.tree import DiscreteMeasure, PLFunction, TreePoint, build_tree, gauss_point
-from berkvol.volumes import vol_limit
 
 from conftest import random_pl_metric, random_psh_chain_metric, random_psh_metric
 from fekete_oracle import tabulated_optima
@@ -38,14 +37,14 @@ def tent_direction(p, height=Fraction(1)):
 
 
 def test_diff_symmetric_quotient_exact():
+    """The one-sided derivatives agree, so the symmetric quotient's limit is
+    the derivative, and it is the pairing exactly."""
     p = 2
     phi = slope_metric(p, 1, Fraction(-1, 2))
     f = tent_direction(p)
     rep = diff_experiment(phi, f, [Fraction(1, 8)], range(16, 81, 16))
     assert rep.target == Fraction(1, 2)
-    (t, est, bound) = rep.derivatives[0]
-    assert est == Fraction(1, 2)
-    assert bound == 0
+    assert rep.right_derivative == rep.left_derivative == Fraction(1, 2)
 
 
 def test_diff_requires_psh_base():
@@ -82,10 +81,10 @@ def test_diff_computes_each_unit_ball_once(monkeypatch):
         assert len(calls) == 1 + len(rep.legs)
         assert len({(d, g) for d, g, _, _ in calls}) == len(calls)
         assert all(levels == (2, 4, 6, 8) and extra is None for _, _, levels, extra in calls)
-        # each leg still equals vol_limit against the base, level by level
+        # each leg is vol_m against the base, level by level
         for leg in rep.legs:
-            want = vol_limit(experiments._add_direction(phi, f, leg.t), phi, ms)
-            assert leg.report == want
+            moved = experiments._add_direction(phi, f, leg.t)
+            assert leg.samples == [(m, vol_m(moved, phi, m)) for m in (2, 4, 6, 8)]
 
 
 def test_sandwich_randomized_chain_corpus():
@@ -94,7 +93,7 @@ def test_sandwich_randomized_chain_corpus():
         phi = random_psh_chain_metric(2, 1, rng)
         psi1 = random_psh_chain_metric(2, 1, rng)
         psi2 = random_psh_chain_metric(2, 1, rng)
-        rep = sandwich_check(phi, psi1, psi2, range(8, 25, 4))
+        rep = sandwich_check(phi, psi1, psi2)
         assert rep.holds(), (rep.lower, rep.middle, rep.upper)
 
 
@@ -103,7 +102,7 @@ def test_sandwich_mixed_center_case():
     phi = random_psh_metric(2, 1, rng)
     psi1 = random_psh_metric(2, 1, rng)
     psi2 = random_psh_metric(2, 1, rng)
-    rep = sandwich_check(phi, psi1, psi2, range(2, 9))
+    rep = sandwich_check(phi, psi1, psi2)
     assert rep.holds(), (rep.lower, rep.middle, rep.upper)
 
 

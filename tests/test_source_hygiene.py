@@ -84,10 +84,9 @@ def callers_of(name):
 
 
 def test_one_fit_routine():
-    # every fitted kind hands a finished series to volumes._extrapolate,
-    # the only caller of affine_fit, so one function holds the fit
-    assert set(callers_of("affine_fit")) == {("volumes.py", "_extrapolate")}
-    assert {module for module, _ in callers_of("_extrapolate")} <= {"volumes.py", "experiments.py"}
+    # no verdict rests on a fit: limits and derivatives are exact, and
+    # volumes.affine_fit stays only as a name the benchmark's tracer patches
+    assert callers_of("affine_fit") == []
 
 
 def display_only_nodes(path, tree):

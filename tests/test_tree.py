@@ -560,3 +560,20 @@ def test_measure_integration_and_tv():
     assert mu.integrate(f) == 3
     assert mu.tv_distance(nu) == Fraction(1, 2)
     assert constant_function(tree, Fraction(5)).evaluate(a) == 5
+
+
+def test_fraction_values_are_kept_not_rewrapped():
+    """PLFunction and DiscreteMeasure keep the Fraction objects they are
+    given, and wrap only what is not a Fraction yet."""
+    p = 2
+    a = TreePoint(p, Fraction(0), Fraction(1))
+    tree = build_tree(p, [a])
+    vals = {tree.root: Fraction(1, 3), a: Fraction(-2, 5)}
+    f = PLFunction(tree, vals)
+    assert all(f.values[v] is vals[v] for v in tree.vertices)
+    masses = {tree.root: Fraction(1, 2), a: Fraction(1, 2)}
+    mu = DiscreteMeasure(masses)
+    assert all(mu.masses[v] is masses[v] for v in masses)
+    g = PLFunction(tree, {tree.root: 1, a: 2})
+    assert all(type(x) is Fraction for x in g.values.values())
+    assert g.values == {tree.root: 1, a: 2}

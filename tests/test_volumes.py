@@ -5,11 +5,10 @@ import pytest
 
 from berkvol import sections, volumes
 from berkvol.errors import BerkvolError
-from berkvol.experiments import diff_experiment, sandwich_check
-from berkvol.metrics import Metric, energy, ma_measure, trivial_metric
-from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point
+from berkvol.experiments import diff_experiment
+from berkvol.metrics import Metric, energy, envelope, is_psh, ma_measure, trivial_metric
+from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point, refine
 from berkvol.volumes import (
-    VolumeError,
     affine_fit,
     check_vol_equals_energy,
     rr_content,
@@ -17,7 +16,7 @@ from berkvol.volumes import (
     vol_limit,
 )
 
-from conftest import random_psh_metric
+from conftest import random_pl_metric, random_psh_metric
 
 
 def slope_metric(p, d, slope, depth=1):
@@ -44,32 +43,23 @@ def test_vol_limit_constant_shift():
     rng = random.Random(9)
     phi = random_psh_metric(2, 1, rng)
     c = Fraction(3, 2)
-    rep = vol_limit(phi.shift(c), phi, range(4, 20, 2))
-    # vol_m = m c (m d + 1), so vol_m / m^2 = c d + c/m with zero residuals
-    assert rep.estimate == c
-    assert rep.slope == c
-    assert rep.error_bound == 0
-
-
-def test_vol_limit_needs_enough_samples():
-    phi = trivial_metric(2, 1)
-    with pytest.raises(VolumeError):
-        vol_limit(phi, phi, [2, 4, 6])
+    # vol_m = m c (m d + 1), so vol_m / m^2 tends to c d
+    assert vol_limit(phi.shift(c), phi) == c
 
 
 def test_vol_limit_degree_zero():
     phi = trivial_metric(2, 0)
-    rep = vol_limit(phi, phi.shift(Fraction(0)), [1, 2, 3, 4])
-    assert rep.estimate == 0 and rep.error_bound == 0
+    assert vol_limit(phi, phi.shift(Fraction(0))) == 0
+    # vol_m = m (min g_phi - min g_psi) grows only linearly at d = 0
+    assert vol_limit(phi, phi.shift(Fraction(1))) == 0
 
 
 def test_check_vol_equals_energy_exact_case():
     phi = slope_metric(2, 1, Fraction(-1, 2))
     rep = check_vol_equals_energy(phi, trivial_metric(2, 1), range(8, 41, 2))
-    assert rep.volume.estimate == Fraction(-1, 8)
+    assert rep.limit == Fraction(-1, 8)
     assert rep.energy == Fraction(-1, 8)
     assert rep.gap == 0
-    assert rep.within_bound()
 
 
 def test_vol_uses_envelopes_for_non_psh_input():
@@ -78,8 +68,8 @@ def test_vol_uses_envelopes_for_non_psh_input():
     tent = Metric(1, tent_function(p))
     rep = check_vol_equals_energy(tent, trivial_metric(p, 1), range(8, 41, 4))
     assert rep.energy == 0
-    assert rep.volume.estimate == 0
-    assert rep.within_bound()
+    assert rep.limit == 0
+    assert rep.gap == 0
 
 
 def test_rr_content_constant_divisor():
@@ -120,7 +110,7 @@ def test_rr_slope_matches_pairing():
     rep = rr_slope_experiment(phiD, phiA, range(2, 21, 2))
     target = ma_measure(phiA).integrate(phiD)
     assert rep.target == target == Fraction(1, 2)
-    assert abs(rep.content.estimate - rep.target) <= rep.content.error_bound
+    assert rep.slope == rep.target
 
 
 def test_rr_slope_refines_once(monkeypatch):
@@ -136,16 +126,17 @@ def test_rr_slope_refines_once(monkeypatch):
         expected = [(m, rr_content(phiD, phiA, m)) for m in range(1, 6)]
         calls.clear()
         rep = rr_slope_experiment(phiD, phiA, range(1, 6))
-        assert rep.content.samples == expected
+        assert rep.samples == expected
+        assert rep.slope == rep.target
         assert len(calls) == 1
 
 
 def test_report_normalized_series():
     phi = slope_metric(2, 1, Fraction(-1, 2))
-    rep = vol_limit(phi, trivial_metric(2, 1), range(8, 25, 2))
+    rep = check_vol_equals_energy(phi, trivial_metric(2, 1), range(8, 25, 2))
     norm = {m: v / (m * m) for m, v in rep.samples}
     assert norm[8] == Fraction(-10, 64)
-    assert rep.estimate == Fraction(-1, 8)
+    assert rep.limit == Fraction(-1, 8)
 
 
 def branching_metric(p=2):
@@ -165,9 +156,8 @@ def branching_metric(p=2):
         lambda phi, D: sections.unit_ball_valuations(phi, [3, 0, 2]),
         lambda phi, D: rr_content(D, phi, -1),
         lambda phi, D: rr_slope_experiment(D, phi, [-3, -2, -1, 0]),
-        lambda phi, D: vol_limit(phi, phi.shift(Fraction(1)), [0, 1, 2, 3, 4]),
+        lambda phi, D: check_vol_equals_energy(phi, phi.shift(Fraction(1)), [0, 1, 2, 3, 4]),
         lambda phi, D: diff_experiment(phi, D, [Fraction(1, 8)], [0, 1, 2, 3]),
-        lambda phi, D: sandwich_check(phi, phi, phi.shift(Fraction(1)), [0, 1, 2, 3, 4]),
     ],
     ids=[
         "unit_ball_valuation-minus-1",
@@ -175,9 +165,8 @@ def branching_metric(p=2):
         "unit_ball_valuations-with-0",
         "rr_content-minus-1",
         "rr_slope_experiment",
-        "vol_limit",
+        "check_vol_equals_energy",
         "diff_experiment",
-        "sandwich_check",
     ],
 )
 def test_levels_below_one_are_rejected(shape, call):
@@ -190,10 +179,12 @@ def test_levels_below_one_are_rejected(shape, call):
 
 @pytest.mark.parametrize("ms", [[-3, -2, -1, 0], [0, 1, 2, 3]])
 def test_vol_limit_rejects_levels_below_one_in_degree_zero(ms):
-    """The d = 0 shortcut used to return zeros for any levels."""
+    """The d = 0 shortcut used to return zeros for any levels.  The
+    vol-energy series checks its levels before the energy, which needs
+    d >= 1, can fail."""
     phi = trivial_metric(2, 0)
     with pytest.raises(BerkvolError, match="m must be >= 1"):
-        vol_limit(phi, phi.shift(Fraction(1)), ms)
+        check_vol_equals_energy(phi, phi.shift(Fraction(1)), ms)
 
 
 def count_series(monkeypatch):
@@ -211,16 +202,15 @@ def count_series(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("d", [0, 1])
-def test_vol_limit_computes_two_series(monkeypatch, d):
-    """At d = 0 too: its samples are vol_m, as at any other degree."""
+def test_vol_energy_computes_two_series(monkeypatch):
+    """One series per metric, as data; the limit reads no series."""
     rng = random.Random(24)
-    phi, psi = random_psh_metric(2, d, rng), random_psh_metric(2, d, rng)
-    if d == 0:
-        psi = psi.shift(Fraction(-1, 3))
+    phi, psi = random_psh_metric(2, 1, rng), random_psh_metric(2, 1, rng)
     ms = [9, 4, 12, 5, 4, 8, 6, 7]
     calls = count_series(monkeypatch)
-    rep = vol_limit(phi, psi, ms)
+    assert vol_limit(phi, psi) == energy(phi, psi)
+    assert calls == []
+    rep = check_vol_equals_energy(phi, psi, ms)
     assert [(metric is psi, metric is phi, levels, extra) for metric, levels, extra in calls] == [
         (True, False, sorted(set(ms)), None),
         (False, True, sorted(set(ms)), None),
@@ -239,4 +229,84 @@ def test_rr_slope_computes_two_series(monkeypatch):
     (phi_1, levels_1, extra_1), (phi_2, levels_2, extra_2) = calls
     assert phi_1 is phi_2 and levels_1 == levels_2 == sorted(ms)
     assert extra_1 is not None and extra_2 is None
-    assert rep.content.samples == [(m, rr_content(phiD, phiA, m)) for m in sorted(ms)]
+    assert rep.samples == [(m, rr_content(phiD, phiA, m)) for m in sorted(ms)]
+
+
+def series_lead(phi, first=10, max_period=60):
+    """The exact m^2-coefficient of u_m = v(det U_m(phi)), or None.
+
+    If u_m = a m^2 + b m + c(m mod P) from m = first on, the second
+    difference (u_{m+2P} - 2 u_{m+P} + u_m) / (2 P^2) is a at every m.  It
+    is read at the least period P <= max_period for which it is constant
+    over 2P + 24 consecutive levels from first on.
+    """
+    u = [None]  # u[m] = u_m, extended on demand
+    for P in range(1, max_period + 1):
+        window = 2 * P + 24
+        top = first + window + 2 * P
+        if top >= len(u):
+            u += sections.unit_ball_valuations(phi, range(len(u), top + 1))
+        diffs = {u[m + 2 * P] - 2 * u[m + P] + u[m] for m in range(first, first + window)}
+        if len(diffs) == 1:
+            return diffs.pop() / (2 * P * P)
+    return None
+
+
+def test_limit_is_the_lead_of_the_level_series():
+    """vol_limit(phi, trivial) is lim -u_m(phi) / m^2, since u_m(trivial) = 0:
+    on seeded draws, half of them not psh and many on branching trees, it
+    equals the exact m^2-coefficient of the sampled series wherever a
+    period P <= 60 is found.  A period must be found on at least 90 % of
+    the draws; that share was fixed before the test was first run."""
+    rng = random.Random(16)
+    draws, found, branching, not_psh = 60, 0, 0, 0
+    for i in range(draws):
+        p, d = rng.choice([2, 3]), rng.choice([1, 2, 3])
+        phi = random_psh_metric(p, d, rng) if i % 2 else random_pl_metric(p, d, rng)
+        branching += any(len(c) >= 2 for c in phi.tree.children.values())
+        not_psh += not is_psh(phi)
+        lead = series_lead(phi)
+        if lead is not None:
+            found += 1
+            assert lead == -vol_limit(phi, trivial_metric(p, d)), i
+    assert 10 * found >= 9 * draws
+    assert branching >= 10 and not_psh >= 10
+
+
+def test_one_sided_derivatives_are_the_pairing_with_the_envelope(monkeypatch):
+    """For any phi, psh or not, both one-sided derivatives of
+    t -> vol(L, phi + t f, phi) at 0 equal int f dMA(env phi), exactly.
+    On the second draw the dual pass divides an infinitesimal by an
+    infinitesimal, so the rule for that division is exercised."""
+    divide, tiny = volumes._Dual.__truediv__, []
+
+    def counted(a, b):
+        tiny.append(type(b) is volumes._Dual and b[0] == 0)
+        return divide(a, b)
+
+    monkeypatch.setattr(volumes._Dual, "__truediv__", counted)
+    rng = random.Random(11)
+    for i in range(120):
+        p, d = rng.choice([2, 3]), rng.choice([1, 2, 3])
+        phi = random_psh_metric(p, d, rng) if i % 2 else random_pl_metric(p, d, rng)
+        f = random_pl_metric(p, d, rng).g
+        tiny.clear()
+        tree = refine(phi.tree, f.tree.vertices)
+        phi_r, f_r = phi.on_tree(tree), f.on_tree(tree)
+        right = volumes.right_derivative(phi_r, f_r)
+        left = -volumes.right_derivative(phi_r, f_r.scale(Fraction(-1)))
+        assert right == left == ma_measure(envelope(phi)).integrate(f), i
+        if i == 1:
+            assert any(tiny)
+
+
+def test_dual_division():
+    Dual = volumes._Dual
+    assert Dual((Fraction(3), Fraction(1))) / Dual((Fraction(2), Fraction(4))) == (
+        Fraction(3, 2), Fraction(-5, 2)
+    )
+    # infinitesimal over infinitesimal: the ratio of the eps-parts
+    assert Dual((Fraction(0), Fraction(3))) / Dual((Fraction(0), Fraction(6))) == (Fraction(1, 2), 0)
+    with pytest.raises(ZeroDivisionError):
+        Dual((Fraction(1), Fraction(0))) / Dual((Fraction(0), Fraction(6)))
+    assert Dual((0, -1)) < Dual((0, 0)) < Dual((0, 1)) < Dual((Fraction(1, 10**9), -(10**9)))
