@@ -4,7 +4,6 @@ over p-adic fields."""
 
 __version__ = "0.1.0"
 
-from .field import FieldContext, FieldElement  # noqa: F401
 from .tree import PLFunction, SkeletonTree, TreePoint, build_tree, gauss_point  # noqa: F401
 from .metrics import Metric, envelope, equilibrium_metric, energy, is_psh, ma_measure  # noqa: F401
 

@@ -137,17 +137,31 @@ def parse_rational(obj: Any, where: str) -> Fraction:
     raise ConfigError(f"{where}: expected 'num/den', int, or [num, den], got {obj!r}")
 
 
+def exact_terms(x: Fraction, where: str) -> Tuple[str, str]:
+    """x's numerator and denominator in decimal; where names the field.  Python
+    writes no integer past sys.get_int_max_str_digits() digits."""
+    try:
+        return str(x.numerator), str(x.denominator)
+    except ValueError:
+        raise ConfigError(f"{where}: the value has too many digits to print") from None
+
+
 def fmt_rational(x: Fraction, where: str) -> Dict[str, Any]:
     """x as its exact "num/den" and a display decimal; where names the field."""
     try:
         decimal = float(x)
     except OverflowError:
         raise ConfigError(f"{where}: the value is too large for a display decimal") from None
-    return {"exact": f"{x.numerator}/{x.denominator}", "decimal": decimal}
+    num, den = exact_terms(x, where)
+    return {"exact": f"{num}/{den}", "decimal": decimal}
 
 
 def fmt_results(obj: Any, where: str = "results") -> Any:
-    """obj with every Fraction in it written by fmt_rational, named by its path."""
+    """obj with every Fraction in it written by fmt_rational, named by its path.
+
+    Each runner formats its results before it writes its assertion details,
+    so every value a detail prints has passed exact_terms.
+    """
     if isinstance(obj, Fraction):
         return fmt_rational(obj, where)
     if isinstance(obj, dict):
@@ -283,14 +297,15 @@ def parse_point(obj: Any, p: int, where: str) -> TreePoint:
 def _series_rows(samples, normalize, t: str = "") -> List[Dict[str, Any]]:
     rows = []
     for m, v in samples:
-        where = f"series m={m}" + (f" t={t}" if t else "") + " normalized"
+        where = f"series m={m}" + (f" t={t}" if t else "")
+        num, den = exact_terms(v, f"{where} value")
         rows.append(
             {
                 "m": m,
                 "t": t,
-                "value_num": v.numerator,
-                "value_den": v.denominator,
-                "normalized": fmt_rational(normalize(m, v), where)["decimal"],
+                "value_num": num,
+                "value_den": den,
+                "normalized": fmt_rational(normalize(m, v), f"{where} normalized")["decimal"],
             }
         )
     return rows
@@ -299,7 +314,7 @@ def _series_rows(samples, normalize, t: str = "") -> List[Dict[str, Any]]:
 def run_orth(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
     phi = parse_metric(cfg.get("metric"), p, "metric")
     residual = ex.orthogonality_experiment(phi)
-    results = {"residual": residual}
+    results = fmt_results({"residual": residual})
     assertions = [("orthogonality_residual_zero", residual == 0, f"residual = {residual}")]
     return results, assertions, []
 
@@ -308,13 +323,13 @@ def run_dirac(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
     phi = parse_metric(cfg.get("metric"), p, "metric")
     x = parse_point(cfg.get("point"), p, "point")
     rep = ex.dirac_experiment(x, phi)
-    results = {
+    results = fmt_results({
         "measure": fmt_measure(rep.measure),
         "equilibrium_values": [
             {**fmt_point(v), "value": rep.metric.g.values[v]}
             for v in rep.metric.tree.vertices
         ],
-    }
+    })
     assertions = [
         ("measure_is_d_dirac_at_x", rep.is_dirac(), f"measure = {rep.measure.masses}")
     ]
@@ -333,19 +348,19 @@ def run_diff(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
     ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max)
     check_section_degree(ms[-1], phi.d, "m_range")
     rep = ex.diff_experiment(phi, f, t_grid, ms)
-    results = {
-        "target": rep.target,
-        "right_derivative": rep.right_derivative,
-        "left_derivative": rep.left_derivative,
-    }
-    assertions = [
-        (f"{side}_derivative_equals_pairing", value == rep.target, f"{side} = {value}")
-        for side, value in (("right", rep.right_derivative), ("left", rep.left_derivative))
-    ]
     rows = []
     for leg in rep.legs:
         t = f"{leg.t.numerator}/{leg.t.denominator}"
         rows += _series_rows(leg.samples, lambda m, v: v / (m * m), t)
+    results = fmt_results({
+        "target": rep.target,
+        "right_derivative": rep.right_derivative,
+        "left_derivative": rep.left_derivative,
+    })
+    assertions = [
+        (f"{side}_derivative_equals_pairing", value == rep.target, f"{side} = {value}")
+        for side, value in (("right", rep.right_derivative), ("left", rep.left_derivative))
+    ]
     return results, assertions, rows
 
 
@@ -354,7 +369,7 @@ def run_sandwich(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
     psi1 = parse_metric(cfg.get("psi1"), p, "psi1")
     psi2 = parse_metric(cfg.get("psi2"), p, "psi2")
     rep = ex.sandwich_check(phi, psi1, psi2)
-    results = {"lower": rep.lower, "middle": rep.middle, "upper": rep.upper}
+    results = fmt_results({"lower": rep.lower, "middle": rep.middle, "upper": rep.upper})
     assertions = [("sandwich_holds", rep.holds(), f"{rep.lower} <= {rep.middle} <= {rep.upper}")]
     return results, assertions, []
 
@@ -365,9 +380,9 @@ def run_vol_energy(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]
     ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max)
     check_section_degree(ms[-1], max(phi.d, psi.d), "m_range")
     rep = vo.check_vol_equals_energy(phi, psi, ms)
-    results = {"limit": rep.limit, "energy": rep.energy, "gap": rep.gap}
-    assertions = [("vol_equals_energy", rep.gap == 0, f"gap = {rep.gap}")]
     rows = _series_rows(rep.samples, lambda m, v: v / (m * m))
+    results = fmt_results({"limit": rep.limit, "energy": rep.energy, "gap": rep.gap})
+    assertions = [("vol_equals_energy", rep.gap == 0, f"gap = {rep.gap}")]
     return results, assertions, rows
 
 
@@ -377,9 +392,9 @@ def run_rr(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
     ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max)
     check_section_degree(ms[-1], phi_A.d, "m_range")
     rep = vo.rr_slope_experiment(phi_D, phi_A, ms)
-    results = {"slope": rep.slope, "target": rep.target}
-    assertions = [("slope_matches_pairing", rep.slope == rep.target, f"slope = {rep.slope}")]
     rows = _series_rows(rep.samples, lambda m, v: v / m)
+    results = fmt_results({"slope": rep.slope, "target": rep.target})
+    assertions = [("slope_matches_pairing", rep.slope == rep.target, f"slope = {rep.slope}")]
     return results, assertions, rows
 
 
@@ -396,14 +411,14 @@ def run_fekete(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
         raise ConfigError(f"pool: {len(pool_raw)} points exceed {MAX_POOL_POINTS}")
     pool = [parse_rational(x, "pool") for x in pool_raw]
     rep = ex.fekete_experiment(phi, m, pool)
-    results = {
+    results = fmt_results({
         "best_valuation": rep.best_valuation,
         "best_config": [f"{x.numerator}/{x.denominator}" for x in rep.best_config],
         "n_optima": rep.n_optima,
         "empirical": fmt_measure(rep.empirical),
         "target": fmt_measure(rep.target),
         "tv_distance": rep.tv_distance,
-    }
+    })
     assertions = []
     expected = cfg.get("expected_valuation")
     if expected is not None:
@@ -453,7 +468,7 @@ def cmd_run(args) -> int:
     try:
         raw = path.read_text()
         cfg = json.loads(raw)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:  # bad JSON or UTF-8, deep nesting
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
 
@@ -474,7 +489,6 @@ def cmd_run(args) -> int:
         if any(sep in cfg.get("name", "") for sep in ("/", os.sep)):
             raise ConfigError(f"name: {cfg['name']!r} contains a path separator")
         results, assertions, rows = RUNNERS[kind](cfg, p, args)
-        results = fmt_results(results)
     except (ConfigError, BerkvolError) as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -18,14 +18,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 from .errors import BerkvolError
 from .field import padic_valuation
-from .metrics import (
-    Metric,
-    envelope,
-    equilibrium_metric,
-    integrate_against,
-    is_psh,
-    ma_measure,
-)
+from .metrics import Metric, envelope, equilibrium_metric, is_psh, ma_measure
 from .sections import unit_ball_valuations, vandermonde_value
 from .tree import DiscreteMeasure, PLFunction, TreePoint, digit_order, refine
 from .volumes import right_derivative, vol_limit
@@ -76,7 +69,7 @@ def diff_experiment(
         for s in (t, -t):
             series = unit_ball_valuations(_add_direction(phi, f, s), ms)
             legs.append(DiffLeg(s, [(m, b - v) for m, b, v in zip(ms, base, series)]))
-    return DiffReport(integrate_against(phi, f), right, left, legs)
+    return DiffReport(ma_measure(phi).integrate(f), right, left, legs)
 
 
 @dataclass

@@ -119,9 +119,6 @@ class FieldContext:
         coeffs[r] = Fraction(self.p) ** q
         return FieldElement(self, tuple(coeffs))
 
-    def uniformizer(self) -> "FieldElement":
-        return self.pi_power(1)
-
 
 @dataclass(frozen=True)
 class FieldElement:
@@ -130,7 +127,7 @@ class FieldElement:
 
     def _check(self, other: "FieldElement") -> None:
         if self.ctx != other.ctx:
-            raise FieldError("mixed field contexts; embed explicitly first")
+            raise FieldError("mixed field contexts")
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -165,10 +162,6 @@ class FieldElement:
                     out[k - M] += a * b * p
         return FieldElement(self.ctx, tuple(out))
 
-    def scale(self, r: Rational) -> "FieldElement":
-        r = Fraction(r)
-        return FieldElement(self.ctx, tuple(c * r for c in self.coeffs))
-
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse, by solving x*y = 1 as a rational linear system."""
         if self.is_zero():
@@ -180,9 +173,6 @@ class FieldElement:
         rhs = [Fraction(1)] + [Fraction(0)] * (M - 1)
         sol = _solve_rational(A, rhs)
         return FieldElement(self.ctx, tuple(sol))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return self * other.inverse()
 
     def valuation(self):
         """min_j (v_p(a_j) + j/M); INF for zero.
@@ -199,17 +189,6 @@ class FieldElement:
             if v < best:
                 best = v
         return best
-
-    def embed(self, M2: int) -> "FieldElement":
-        """Canonical embedding K_M -> K_M2 (pi -> pi'^(M2/M))."""
-        if M2 % self.ctx.M != 0:
-            raise FieldError(f"M'={M2} is not a multiple of M={self.ctx.M}")
-        step = M2 // self.ctx.M
-        ctx2 = FieldContext(self.ctx.p, M2)
-        coeffs = [Fraction(0)] * M2
-        for j, a in enumerate(self.coeffs):
-            coeffs[j * step] = a
-        return FieldElement(ctx2, tuple(coeffs))
 
 
 def _solve_rational(A, b):

@@ -1,15 +1,19 @@
-"""Lattices over the valuation ring of K_M.
+"""Lattices over the valuation ring of K_M: the K_M oracle's half.
 
-A lattice is stored through a basis matrix whose columns span it over the
-valuation ring.  Lattice norms are reported in valuation form: the value
-attached to a vector v is -log_p ||v||, an element of (1/M)Z or INF.
+sections.sup_norm_lattice builds the unit ball of a sup norm as the
+intersection of diagonal vertex lattices, and the tests compare its
+determinant valuation with unit_ball_valuations.  A lattice is stored
+through a basis matrix whose columns span it over the valuation ring.
+lattice_norm, contains and lattices_equal let the tests check intersect
+itself; lattice norms are in valuation form: the value attached to a
+vector v is -log_p ||v||, an element of (1/M)Z or INF.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Union
+from typing import List
 
 from . import linalg
 from .errors import BerkvolError
@@ -40,39 +44,6 @@ class Lattice:
     def det_valuation(self) -> Fraction:
         return linalg.det_valuation(self.basis)
 
-    def scaled(self, a: FieldElement) -> "Lattice":
-        return Lattice(self.ctx, [[x * a for x in row] for row in self.basis])
-
-
-@dataclass
-class DiagonalNorm:
-    """Norm with valuation min_i (v(c_i) + w_i) in the given basis."""
-
-    ctx: FieldContext
-    basis: Matrix
-    weights: List[Fraction]
-
-    def unit_ball(self) -> Lattice:
-        """The unit ball as a lattice; needs all weights in (1/M)Z."""
-        M = self.ctx.M
-        cols = []
-        for j, w in enumerate(self.weights):
-            k = -w * M
-            if k.denominator != 1:
-                raise LatticeError(
-                    f"weight {w} not in (1/{M})Z; increase the ramification index"
-                )
-            scale = self.ctx.pi_power(int(k))
-            cols.append([self.basis[i][j] * scale for i in range(len(self.basis))])
-        return Lattice(self.ctx, [list(col) for col in zip(*cols)])
-
-
-Norm = Union[Lattice, DiagonalNorm]
-
-
-def _ball(n: Norm) -> Lattice:
-    return n if isinstance(n, Lattice) else n.unit_ball()
-
 
 def lattice_norm(L: Lattice, v: List[FieldElement]):
     """Valuation form of ||v||_L: min_i v(c_i) for c = basis^{-1} v."""
@@ -88,38 +59,6 @@ def contains(outer: Lattice, inner: Lattice) -> bool:
 
 def lattices_equal(L1: Lattice, L2: Lattice) -> bool:
     return contains(L1, L2) and contains(L2, L1)
-
-
-def smith_normal_form(A: Matrix):
-    """(U, d, V) with U A V diagonal of valuations d, U and V unimodular."""
-    return linalg.smith(A)
-
-
-@dataclass
-class TorsionModule:
-    outer: Lattice
-    inner: Lattice
-
-    def __post_init__(self):
-        if self.outer.dim != self.inner.dim:
-            raise LatticeError("dimension mismatch")
-        if not contains(self.outer, self.inner):
-            raise LatticeError("inner lattice is not contained in the outer one")
-
-
-def content(T: TorsionModule) -> Fraction:
-    """Sum of the Smith diagonal valuations of the transition matrix."""
-    trans = linalg.solve(T.outer.basis, T.inner.basis)
-    _, d, _ = linalg.smith(trans)
-    return sum(d, Fraction(0))
-
-
-def relative_volume(N1: Norm, N2: Norm) -> Fraction:
-    """vol(||.||_1, ||.||_2) = v(det B_2) - v(det B_1) for unit-ball bases B_i."""
-    B1, B2 = _ball(N1), _ball(N2)
-    if B1.dim != B2.dim:
-        raise LatticeError("dimension mismatch")
-    return B2.det_valuation() - B1.det_valuation()
 
 
 def intersect(L1: Lattice, L2: Lattice) -> Lattice:

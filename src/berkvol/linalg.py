@@ -90,10 +90,6 @@ def solve(A: Matrix, B: Matrix) -> Matrix:
     return [row[n:] for row in W]
 
 
-def inverse(A: Matrix) -> Matrix:
-    return solve(A, identity(A[0][0].ctx, len(A)))
-
-
 def solve_vector(A: Matrix, b: List[FieldElement]) -> List[FieldElement]:
     X = solve(A, [[x] for x in b])
     return [row[0] for row in X]

@@ -188,9 +188,6 @@ def envelope(phi: Metric) -> Metric:
     On each edge the obstacle is affine, so the solution is affine there
     and the problem is a finite obstacle problem in the vertex values.
     """
-    if phi.d == 0:
-        # psh metrics on O(0) are the constants, so the envelope is min g
-        return Metric(0, constant_function(phi.tree, phi.g.min_value()))
     if is_psh(phi):
         return phi
     g = phi.g
@@ -212,8 +209,3 @@ def equilibrium_metric(x: TreePoint, phi: Metric) -> Metric:
     if not is_psh(eq) or eq.g.values[x] > g.values[x]:
         raise MetricError("equilibrium solve returned an infeasible point")
     return eq
-
-
-def integrate_against(phi: Metric, f: PLFunction) -> Fraction:
-    """int f d(MA(phi)), exactly."""
-    return ma_measure(phi).integrate(f)

@@ -141,11 +141,12 @@ def check_vol_equals_energy(
 def rr_content(phi_D: PLFunction, phi_A: Metric, m: int) -> Fraction:
     """Content of the level-m restriction to the vertical divisor of phi_D.
 
-    Computed as the content of the quotient of the unit ball of the
-    level-m sup norm of phi_A by the sublattice of sections s with
-    pointwise valuation of |s| e^{-m phi_A} at least phi_D everywhere.
-    Both unit balls come from sections.unit_ball_valuations on the common
-    refinement of the two trees.
+    Computed as v(det U') - v(det U), for U the unit ball of the level-m
+    sup norm of phi_A and U' its sublattice of sections s with pointwise
+    valuation of |s| e^{-m phi_A} at least phi_D everywhere.  Over a DVR
+    that difference is the content of the quotient U / U'.  Both
+    determinant valuations come from sections.unit_ball_valuations on the
+    common refinement of the two trees.
     """
     return _rr_content_refined(*_rr_refine(phi_D, phi_A), [m])[0]
 

@@ -9,7 +9,6 @@ import math
 import random
 from fractions import Fraction
 
-from berkvol import linalg
 from berkvol.experiments import (
     diff_experiment,
     dirac_experiment,
@@ -18,12 +17,10 @@ from berkvol.experiments import (
     sandwich_check,
 )
 from berkvol.field import FieldContext, padic_valuation
-from berkvol.lattices import Lattice, TorsionModule, content
 from berkvol.metrics import (
     Metric,
     energy,
     envelope,
-    integrate_against,
     is_psh,
     ma_measure,
     trivial_metric,
@@ -51,49 +48,6 @@ def tent_function(p, height=Fraction(1)):
     x = TreePoint(p, Fraction(0), Fraction(1))
     tree = build_tree(p, [g0, x])
     return PLFunction(tree, {g0: Fraction(0), x: height})
-
-
-def test_acceptance_01_content_matches_row_reduction_oracle():
-    rng = random.Random(2026)
-
-    def unimodular(ctx, n):
-        A = linalg.identity(ctx, n)
-        if n < 2:
-            return A
-        for _ in range(2 * n):
-            i, j = rng.sample(range(n), 2)
-            c = ctx.from_rational(Fraction(rng.randint(-2, 2)))
-            for k in range(n):
-                A[i][k] = A[i][k] + c * A[j][k]
-        return A
-
-    checked = 0
-    # diagonal sanity cases first
-    for M in (1, 2, 3, 6):
-        ctx = FieldContext(2, M)
-        exps = [0, 1, 3, 2]
-        D = linalg.identity(ctx, 4)
-        for i, e in enumerate(exps):
-            D[i][i] = ctx.pi_power(e)
-        T = TorsionModule(Lattice(ctx, linalg.identity(ctx, 4)), Lattice(ctx, D))
-        assert content(T) == Fraction(sum(exps), M)
-        checked += 1
-    while checked < 210:
-        p = rng.choice([2, 3, 5])
-        M = rng.randint(1, 6)
-        n = rng.randint(1, 12)
-        ctx = FieldContext(p, M)
-        D = linalg.identity(ctx, n)
-        for i in range(n):
-            D[i][i] = ctx.pi_power(rng.randint(0, 3))
-        outer = Lattice(ctx, linalg.mat_mul(unimodular(ctx, n), D))
-        rel = linalg.mat_mul(unimodular(ctx, n), D)
-        inner = Lattice(ctx, linalg.mat_mul(outer.basis, rel))
-        got = content(TorsionModule(outer, inner))
-        oracle = inner.det_valuation() - outer.det_valuation()
-        assert got == oracle
-        checked += 1
-    report("acceptance 1", f"content == row-reduction oracle on {checked} instances")
 
 
 def test_acceptance_02_norm_level_identities():

@@ -20,6 +20,7 @@ from berkvol.cli import (
     MAX_RADIUS_EXPONENT,
     MAX_SECTION_DEGREE,
     ConfigError,
+    _series_rows,
     main,
     parse_metric,
     parse_rational,
@@ -98,11 +99,21 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
     assert (target / "ve.report.json").exists()
 
 
+MALFORMED_FILES = {
+    "not-json": b"{nope",
+    "nested-too-deep": b"[" * 100_000 + b"]" * 100_000,
+    "integer-past-the-digit-limit": b'{"kind": "orth", "m": ' + b"9" * 5_000 + b"}",
+    "invalid-utf-8": b'{"kind": "orth\xff"}',
+}
+
+
 def test_parse_error_status(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{nope")
-    assert main(["run", str(path)]) == 2
-    assert "parse error" in capsys.readouterr().err
+    for name, data in MALFORMED_FILES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2, name
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("parse error: "), (name, err)
 
 
 def test_validation_error_names_missing_meet(tmp_path, capsys):
@@ -436,6 +447,17 @@ DOMAIN_ERROR_CFGS = {
         "metric": {"d": 1, "tree": [[0, 1, 0, 1, -(10**400), 1]]},
         "point": [0, 1, 1, 1],
     },
+    # limit and energy have 5001 digits: a float exists, a decimal string does not
+    "vol-energy-too-many-digits": {
+        "kind": "vol-energy",
+        "field": {"p": 2},
+        "metric": {
+            "d": 1,
+            "tree": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, -(10**2500 + 7), 3 * 10**2500 + 1]],
+        },
+        "metric2": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]},
+        "m_range": [1, 2],
+    },
 }
 
 
@@ -657,6 +679,20 @@ def test_value_beyond_the_float_range_names_the_field(tmp_path, capsys, name, wh
     assert not out.exists()
 
 
+def test_value_with_too_many_digits_names_the_field(tmp_path, capsys):
+    cfg = write_config(tmp_path, "digits.json", DOMAIN_ERROR_CFGS["vol-energy-too-many-digits"])
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out-dir", str(out)]) == 3
+    want = "validation error: results.limit: the value has too many digits to print\n"
+    assert capsys.readouterr().err == want
+    assert not out.exists()
+
+
+def test_series_value_with_too_many_digits_names_the_level():
+    with pytest.raises(ConfigError, match="^series m=3 value: the value has too many digits"):
+        _series_rows([(3, Fraction(10**5000))], lambda m, v: v / m)
+
+
 def test_huge_value_with_a_small_result_runs(tmp_path):
     # the exact residual is 0, so every display decimal exists
     cfg = dict(ORTH_CFG, metric={"d": 1, "tree": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, 10**400, 1]]})
@@ -816,6 +852,7 @@ def mutated_configs(draw):
 @example(cfg=DOMAIN_ERROR_CFGS["fekete-pool-exponent"])
 @example(cfg=DOMAIN_ERROR_CFGS["vol-energy-value-overflow"])
 @example(cfg=DOMAIN_ERROR_CFGS["dirac-value-overflow"])
+@example(cfg=DOMAIN_ERROR_CFGS["vol-energy-too-many-digits"])
 def test_fuzz_run_never_crashes(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.json"

@@ -5,18 +5,10 @@ import pytest
 
 from berkvol import linalg
 from berkvol.field import FieldContext
-from berkvol.lattices import (
-    DiagonalNorm,
-    Lattice,
-    TorsionModule,
-    content,
-    contains,
-    intersect,
-    lattice_norm,
-    lattices_equal,
-    relative_volume,
-    smith_normal_form,
-)
+from berkvol.lattices import Lattice, contains, intersect, lattice_norm, lattices_equal
+from berkvol.metrics import Metric
+from berkvol.sections import SectionError, sup_norm_lattice
+from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point
 
 
 def std_lattice(ctx, n):
@@ -52,63 +44,9 @@ def test_smith_diagonal_case():
     A = linalg.identity(ctx, 3)
     A[0][0] = ctx.pi_power(4)
     A[2][2] = ctx.pi_power(1)
-    U, d, V = smith_normal_form(A)
+    U, d, V = linalg.smith(A)
     assert d == [0, Fraction(1, 2), 2]
     assert linalg.mat_mul(linalg.mat_mul(U, A), V)[0][0].valuation() == 0
-
-
-def test_content_of_scaled_lattice():
-    ctx = FieldContext(3, 2)
-    L = std_lattice(ctx, 4)
-    Lp = L.scaled(ctx.uniformizer())
-    T = TorsionModule(L, Lp)
-    assert content(T) == 4 * Fraction(1, 2)
-
-
-def test_torsion_module_requires_containment():
-    ctx = FieldContext(2, 1)
-    L = std_lattice(ctx, 2)
-    with pytest.raises(Exception):
-        TorsionModule(L.scaled(ctx.uniformizer()), L)
-
-
-def test_content_matches_determinant_oracle_randomized():
-    rng = random.Random(7)
-    for trial in range(60):
-        p = rng.choice([2, 3, 5])
-        M = rng.choice([1, 2, 3])
-        n = rng.randint(1, 6)
-        ctx = FieldContext(p, M)
-        outer, _ = random_sublattice(ctx, n, rng, max_exp=2)
-        inner_rel, _ = random_sublattice(ctx, n, rng, max_exp=2)
-        inner = Lattice(ctx, linalg.mat_mul(outer.basis, inner_rel.basis))
-        T = TorsionModule(outer, inner)
-        got = content(T)
-        oracle = inner.det_valuation() - outer.det_valuation()
-        assert got == oracle
-
-
-def test_relative_volume_antisymmetry_and_cocycle():
-    rng = random.Random(11)
-    ctx = FieldContext(2, 2)
-    for _ in range(20):
-        L1, _ = random_sublattice(ctx, 3, rng)
-        L2, _ = random_sublattice(ctx, 3, rng)
-        L3, _ = random_sublattice(ctx, 3, rng)
-        v12 = relative_volume(L1, L2)
-        v21 = relative_volume(L2, L1)
-        v13 = relative_volume(L1, L3)
-        v23 = relative_volume(L2, L3)
-        assert v12 == -v21
-        assert v13 == v12 + v23
-
-
-def test_relative_volume_of_pi_scaling():
-    ctx = FieldContext(5, 3)
-    L = std_lattice(ctx, 4)
-    Lp = L.scaled(ctx.uniformizer())
-    # shrinking the second lattice by pi increases the volume of the pair
-    assert relative_volume(L, Lp) == Fraction(4, 3)
 
 
 def test_lattice_norm_diagonal():
@@ -127,21 +65,21 @@ def test_contains_and_equality():
     U = random_unimodular(ctx, 3, rng)
     same = Lattice(ctx, linalg.mat_mul(L.basis, U))
     assert lattices_equal(L, same)
-    smaller = L.scaled(ctx.uniformizer())
+    pi = ctx.pi_power(1)
+    smaller = Lattice(ctx, [[x * pi for x in row] for row in L.basis])
     assert contains(L, smaller)
     assert not contains(smaller, L)
 
 
 def test_intersection_of_diagonal_norms():
     ctx = FieldContext(2, 2)
+    def diagonal(k, l):
+        # the lattice {v(x) >= k / 2, v(y) >= l / 2}
+        return Lattice(ctx, [[ctx.pi_power(k), ctx.zero()], [ctx.zero(), ctx.pi_power(l)]])
+
     # unit balls {v(x) >= 1/2, v(y) >= 0} and {v(x) >= 0, v(y) >= 1}
-    N1 = DiagonalNorm(ctx, linalg.identity(ctx, 2), [Fraction(-1, 2), Fraction(0)])
-    N2 = DiagonalNorm(ctx, linalg.identity(ctx, 2), [Fraction(0), Fraction(-1)])
-    L = intersect(N1.unit_ball(), N2.unit_ball())
-    want = DiagonalNorm(
-        ctx, linalg.identity(ctx, 2), [Fraction(-1, 2), Fraction(-1)]
-    ).unit_ball()
-    assert lattices_equal(L, want)
+    L = intersect(diagonal(1, 0), diagonal(0, 2))
+    assert lattices_equal(L, diagonal(1, 2))
 
 
 def test_intersection_agrees_with_containment():
@@ -162,6 +100,49 @@ def test_intersection_agrees_with_containment():
 
 
 def test_diagonal_norm_rejects_fractional_weight():
-    ctx = FieldContext(2, 2)
-    with pytest.raises(Exception):
-        DiagonalNorm(ctx, linalg.identity(ctx, 1), [Fraction(1, 3)]).unit_ball()
+    # sup_norm_lattice builds one diagonal lattice per vertex; at m = 1 the
+    # weight m g(x) = -1/3 at the disc vertex is not in (1/2)Z
+    g0, x = gauss_point(2), TreePoint(2, Fraction(0), Fraction(1))
+    phi = Metric(1, PLFunction(build_tree(2, [g0, x]), {g0: Fraction(0), x: Fraction(-1, 3)}))
+    with pytest.raises(SectionError, match="ramification insufficient"):
+        sup_norm_lattice(phi, 1, FieldContext(2, 2))
+
+
+def test_smith_diagonal_sums_to_the_determinant_valuation():
+    """210 instances, n <= 12, p in {2, 3, 5}, M <= 6: the Smith diagonal
+    d of U D, for an integral unimodular U and a diagonal D of pi powers,
+    has sum(d) = v(det), found by row reduction, = v(det D)."""
+    rng = random.Random(2026)
+
+    def unimodular(ctx, n):
+        A = linalg.identity(ctx, n)
+        if n < 2:
+            return A
+        for _ in range(2 * n):
+            i, j = rng.sample(range(n), 2)
+            c = ctx.from_rational(Fraction(rng.randint(-2, 2)))
+            for k in range(n):
+                A[i][k] = A[i][k] + c * A[j][k]
+        return A
+
+    checked = 0
+    for M in (1, 2, 3, 6):
+        ctx = FieldContext(2, M)
+        exps = [0, 1, 3, 2]
+        D = linalg.identity(ctx, 4)
+        for i, e in enumerate(exps):
+            D[i][i] = ctx.pi_power(e)
+        assert linalg.smith(D)[1] == [Fraction(e, M) for e in sorted(exps)]
+        checked += 1
+    while checked < 210:
+        p = rng.choice([2, 3, 5])
+        M = rng.randint(1, 6)
+        n = rng.randint(1, 12)
+        ctx = FieldContext(p, M)
+        exps = [rng.randint(0, 3) for _ in range(n)]
+        D = linalg.identity(ctx, n)
+        for i, e in enumerate(exps):
+            D[i][i] = ctx.pi_power(e)
+        A = linalg.mat_mul(unimodular(ctx, n), D)
+        assert sum(linalg.smith(A)[1]) == linalg.det_valuation(A) == Fraction(sum(exps), M)
+        checked += 1

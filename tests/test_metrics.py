@@ -13,7 +13,6 @@ from berkvol.metrics import (
     energy,
     envelope,
     equilibrium_metric,
-    integrate_against,
     is_psh,
     ma_measure,
     trivial_metric,
@@ -116,7 +115,7 @@ def test_metric_is_frozen_and_computes_its_measure_once(monkeypatch):
     other = ma_measure(slope_metric(2, 1, Fraction(-1)))
     assert mu.add(other).masses != want and mu.scale(3).masses != want
     assert is_psh(phi) and energy(phi, phi) == 0 and envelope(phi) is phi
-    assert integrate_against(phi, phi.g) == Fraction(-1, 4)
+    assert ma_measure(phi).integrate(phi.g) == Fraction(-1, 4)
     assert ma_measure(phi) is mu and mu.masses == want
     assert len(calls) == 2 and calls[0] is phi.g  # phi's measure, then other's
 
@@ -197,6 +196,22 @@ def test_envelope_degree_zero_is_constant_min():
     assert all(v == -1 for v in env2.g.values.values())
 
 
+def test_envelope_degree_zero_is_min_on_random_metrics():
+    # psh metrics on O(0) are the constants: the general recursion, with
+    # no mass at the root, lands on min g for every non-constant draw
+    rng = random.Random(17)
+    drawn = 0
+    while drawn < 600:
+        phi = random_pl_metric(rng.choice([2, 3, 5]), 0, rng)
+        low = phi.g.min_value()
+        if all(v == low for v in phi.g.values.values()):
+            continue
+        drawn += 1
+        env = envelope(phi)
+        assert env.tree is phi.tree
+        assert all(v == low for v in env.g.values.values())
+
+
 def test_equilibrium_metric_is_dirac():
     p = 2
     x = TreePoint(p, Fraction(0), Fraction(1))
@@ -210,7 +225,7 @@ def test_equilibrium_metric_is_dirac():
 def test_integrate_against():
     phi = slope_metric(2, 1, Fraction(-1, 2))
     f = phi.g
-    assert integrate_against(phi, f) == Fraction(-1, 4)
+    assert ma_measure(phi).integrate(f) == Fraction(-1, 4)
 
 
 def per_vertex_maxima(tree, d, obstacle, base):

@@ -67,6 +67,31 @@ def test_lp_is_oracle_only():
     assert callers == []
 
 
+KM_NAMES = {"FieldContext", "FieldElement", "Lattice"}
+
+
+def test_km_oracle_is_test_only():
+    # lattices over K_M are the tests' oracle for unit_ball_valuations;
+    # sections.sup_norm_lattice builds them, and cli.py uses FieldContext
+    # only to check that p is prime.  No other module names the field,
+    # its elements or lattices, or imports linalg.
+    users = [
+        path.name
+        for path in MODULES
+        if path.name not in ("field.py", "linalg.py", "lattices.py", "sections.py", "cli.py")
+        and (
+            any("linalg" in name.split(".") for name in imported_modules(path))
+            or any(
+                isinstance(node, ast.Name) and node.id in KM_NAMES
+                or isinstance(node, ast.Attribute) and node.attr in KM_NAMES
+                or isinstance(node, ast.alias) and node.name in KM_NAMES
+                for node in parse(path)
+            )
+        )
+    ]
+    assert users == []
+
+
 def callers_of(name):
     """(module, top-level function or None) of every call to name, by a
     bare name or as an attribute."""
