@@ -294,20 +294,28 @@ def parse_point(obj: Any, p: int, where: str) -> TreePoint:
 # Fractions, assertions, csv rows)
 
 
-def _series_rows(samples, normalize, t: str = "") -> List[Dict[str, Any]]:
+def _series_rows(samples, k: int, t: str = "") -> List[Dict[str, Any]]:
+    """CSV rows of a level series [(m, v)]: v exactly, and v / m^k as a display
+    decimal.  The decimal divides v's own integers, which rounds once, as
+    float(v / m**k) does, and overflows where it does."""
     rows = []
     for m, v in samples:
         where = f"series m={m}" + (f" t={t}" if t else "")
         num, den = exact_terms(v, f"{where} value")
-        rows.append(
-            {
-                "m": m,
-                "t": t,
-                "value_num": num,
-                "value_den": den,
-                "normalized": fmt_rational(normalize(m, v), f"{where} normalized")["decimal"],
-            }
-        )
+        try:
+            rows.append(
+                {
+                    "m": m,
+                    "t": t,
+                    "value_num": num,
+                    "value_den": den,
+                    "normalized": v.numerator / (v.denominator * m**k),
+                }
+            )
+        except OverflowError:
+            raise ConfigError(
+                f"{where} normalized: the value is too large for a display decimal"
+            ) from None
     return rows
 
 
@@ -351,7 +359,7 @@ def run_diff(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
     rows = []
     for leg in rep.legs:
         t = f"{leg.t.numerator}/{leg.t.denominator}"
-        rows += _series_rows(leg.samples, lambda m, v: v / (m * m), t)
+        rows += _series_rows(leg.samples, 2, t)
     results = fmt_results({
         "target": rep.target,
         "right_derivative": rep.right_derivative,
@@ -380,7 +388,7 @@ def run_vol_energy(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]
     ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max)
     check_section_degree(ms[-1], max(phi.d, psi.d), "m_range")
     rep = vo.check_vol_equals_energy(phi, psi, ms)
-    rows = _series_rows(rep.samples, lambda m, v: v / (m * m))
+    rows = _series_rows(rep.samples, 2)
     results = fmt_results({"limit": rep.limit, "energy": rep.energy, "gap": rep.gap})
     assertions = [("vol_equals_energy", rep.gap == 0, f"gap = {rep.gap}")]
     return results, assertions, rows
@@ -392,7 +400,7 @@ def run_rr(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
     ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max)
     check_section_degree(ms[-1], phi_A.d, "m_range")
     rep = vo.rr_slope_experiment(phi_D, phi_A, ms)
-    rows = _series_rows(rep.samples, lambda m, v: v / m)
+    rows = _series_rows(rep.samples, 1)
     results = fmt_results({"slope": rep.slope, "target": rep.target})
     assertions = [("slope_matches_pairing", rep.slope == rep.target, f"slope = {rep.slope}")]
     return results, assertions, rows

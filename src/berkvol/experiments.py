@@ -19,7 +19,7 @@ from typing import Iterable, List, Sequence, Tuple
 from .errors import BerkvolError
 from .field import padic_valuation
 from .metrics import Metric, envelope, equilibrium_metric, is_psh, ma_measure
-from .sections import unit_ball_valuations, vandermonde_value
+from .sections import _level_sums, _valuation_gaps, vandermonde_value
 from .tree import DiscreteMeasure, PLFunction, TreePoint, digit_order, refine
 from .volumes import right_derivative, vol_limit
 
@@ -63,12 +63,12 @@ def diff_experiment(
     right = right_derivative(phi_r, f_r)
     left = -right_derivative(phi_r, f_r.scale(Fraction(-1)))
     ms = sorted(set(m_range))
-    base = unit_ball_valuations(phi, ms)
+    base = _level_sums(phi, ms)
     legs: List[DiffLeg] = []
     for t in sorted({abs(Fraction(t)) for t in t_grid if t != 0}):
         for s in (t, -t):
-            series = unit_ball_valuations(_add_direction(phi, f, s), ms)
-            legs.append(DiffLeg(s, [(m, b - v) for m, b, v in zip(ms, base, series)]))
+            series = _level_sums(_add_direction(phi, f, s), ms)
+            legs.append(DiffLeg(s, list(zip(ms, _valuation_gaps(series, base)))))
     return DiffReport(ma_measure(phi).integrate(f), right, left, legs)
 
 

@@ -24,9 +24,9 @@ ramification index, a residue field or a slice of Z_p: the value is the
 same over every complete field whose value group holds the weights.
 
 The level m enters only as the factor of g in the vertex lines
-j -> j q(x) + m g(x) + extra(x), so unit_ball_valuations scales the
-vertex data of a metric to integers once, by one common denominator,
-and that one scaling serves every level of a series.
+j -> j q(x) + m g(x) + extra(x), so _level_sums scales the vertex data
+of a metric to integers once, by one common denominator, and that one
+scaling serves every level of a series.
 """
 
 from __future__ import annotations
@@ -172,22 +172,34 @@ def sup_norm_lattice(
 def _envelope_sum(lines: List[Tuple[int, int]], n: int) -> int:
     """sum_{i=0}^{n-1} min over (a, b) in lines of a i + b, in integers.
 
-    Walks the lower envelope from i = 0.  Each run [lo, hi) takes the
-    line least at lo, ties going to the smaller slope, which stays least
-    after lo.  The run ends at the first integer where a line of smaller
-    slope is at most it: the ceiling of their crossing.  Slopes fall
-    from run to run, so there are at most V = len(lines) runs and
-    O(V^2) integer operations; (lo + hi - 1)(hi - lo) is even.
+    One sort by falling slope builds the lower envelope over the integers
+    i >= 0 as a monotone hull of (start, a, b): each line is least from
+    its start to the next start, and the first starts at 0.  A new line
+    of smaller slope is at most the top from the ceiling of their
+    crossing on, so it pops every top whose start that ceiling reaches;
+    if it pops them all, it starts at 0, and if its start is n or more,
+    it never wins.  An equal slope comes with a smaller or equal
+    intercept, and pops the top.  Then one arithmetic series per hull
+    piece [lo, hi); (lo + hi - 1)(hi - lo) is even.  Any line order and
+    n = 0 are allowed.
     """
-    total, lo = 0, 0
-    while lo < n:
-        a, b = min(lines, key=lambda line: (line[0] * lo + line[1], line[0]))
-        hi = n
-        for a2, b2 in lines:
-            if a2 < a:
-                hi = min(hi, -((b - b2) // (a - a2)))
+    hull: List[Tuple[int, int, int]] = []
+    for a, b in sorted(lines, reverse=True):
+        while hull:
+            s0, a0, b0 = hull[-1]
+            if a0 != a:
+                start = -((b0 - b) // (a0 - a))
+                if start > s0:
+                    if start < n:
+                        hull.append((start, a, b))
+                    break
+            hull.pop()
+        else:
+            hull.append((0, a, b))
+    total, hi = 0, n
+    for lo, a, b in reversed(hull):
         total += a * (lo + hi - 1) * (hi - lo) // 2 + b * (hi - lo)
-        lo = hi
+        hi = lo
     return total
 
 
@@ -238,10 +250,10 @@ def _root_count_norms(
     return h[tree.vertices[0]]
 
 
-def unit_ball_valuations(
+def _level_sums(
     phi: Metric, ms: Iterable[int], extra: Optional[PLFunction] = None
-) -> List[Fraction]:
-    """[v(det U_m) for m in ms]: the unit balls U_m of the level-m sup norms of phi.
+) -> Tuple[int, List[int]]:
+    """(D, [S_m for m in ms]) with v(det U_m) = -S_m / D, in integers.
 
     v(det U_m) = -sum_{j=0}^{md} F_j, with F_j the best monic degree-j
     norm over root counts on the tree (module docstring).  It involves
@@ -249,11 +261,11 @@ def unit_ball_valuations(
     ramification index is chosen.  q_x, g(x) and extra(x) are read once
     and scaled to integers Q_x, G_x, E_x by the lcm D of all their
     denominators; level m runs on the integer lines j -> j Q_x + m G_x
-    + E_x and builds one Fraction.  Both kernels are homogeneous under a
-    common positive scaling, so every level is exact.  On a chain of
-    discs the max-min is the lower envelope of the lines, summed by
-    _envelope_sum in O(V^2) per level; on any other tree
-    _root_count_norms runs the tree recursion in O(V (md + 1)).
+    + E_x.  Both kernels are homogeneous under a common positive
+    scaling, so every level is exact.  On a chain of discs the max-min
+    is the lower envelope of the lines, summed by _envelope_sum over one
+    sorted hull per level; on any other tree _root_count_norms runs the
+    tree recursion in O(V (md + 1)).
     """
     ms = list(ms)
     if any(m < 1 for m in ms):
@@ -277,11 +289,31 @@ def unit_ball_valuations(
         lines = [(q, m * g + e) for q, g, e in scaled]
         n = m * phi.d + 1
         if chain:
-            total = _envelope_sum(lines, n)
+            out.append(_envelope_sum(lines, n))
         else:
-            total = sum(_root_count_norms(tree, dict(zip(tree.vertices, lines)), n))
-        out.append(Fraction(-total, D))
-    return out
+            out.append(sum(_root_count_norms(tree, dict(zip(tree.vertices, lines)), n)))
+    return D, out
+
+
+def unit_ball_valuations(
+    phi: Metric, ms: Iterable[int], extra: Optional[PLFunction] = None
+) -> List[Fraction]:
+    """[v(det U_m) for m in ms]: the unit balls U_m of the level-m sup norms
+    of phi, one Fraction per level from _level_sums."""
+    D, sums = _level_sums(phi, ms, extra)
+    return [Fraction(-s, D) for s in sums]
+
+
+def _valuation_gaps(
+    low: Tuple[int, List[int]], high: Tuple[int, List[int]]
+) -> List[Fraction]:
+    """[u_m(high) - u_m(low)] for two results (D, [S_m]) of _level_sums over
+    the same levels: S_m / D - S'_m / D' as one Fraction per level, over
+    the lcm of D and D'."""
+    (d_low, s_low), (d_high, s_high) = low, high
+    den = math.lcm(d_low, d_high)
+    k_low, k_high = den // d_low, den // d_high
+    return [Fraction(a * k_low - b * k_high, den) for a, b in zip(s_low, s_high)]
 
 
 def unit_ball_valuation(

@@ -17,7 +17,7 @@ from typing import Iterable, List, Tuple
 
 from .errors import BerkvolError
 from .metrics import Metric, _leaf_to_root, envelope, energy, is_psh, ma_measure
-from .sections import unit_ball_valuations
+from .sections import _level_sums, _valuation_gaps
 from .tree import PLFunction, refine
 
 
@@ -133,7 +133,7 @@ def check_vol_equals_energy(
     the exact level series vol_m(phi, psi) for m in m_range."""
     limit = vol_limit(phi, psi)
     ms = sorted(set(m_range))
-    vols = [a - b for a, b in zip(unit_ball_valuations(psi, ms), unit_ball_valuations(phi, ms))]
+    vols = _valuation_gaps(_level_sums(phi, ms), _level_sums(psi, ms))
     e = energy(envelope(phi), envelope(psi))
     return VolEnergyReport(list(zip(ms, vols)), limit, e, limit - e)
 
@@ -145,8 +145,8 @@ def rr_content(phi_D: PLFunction, phi_A: Metric, m: int) -> Fraction:
     sup norm of phi_A and U' its sublattice of sections s with pointwise
     valuation of |s| e^{-m phi_A} at least phi_D everywhere.  Over a DVR
     that difference is the content of the quotient U / U'.  Both
-    determinant valuations come from sections.unit_ball_valuations on the
-    common refinement of the two trees.
+    determinant valuations come from the integer sums of
+    sections._level_sums on the common refinement of the two trees.
     """
     return _rr_content_refined(*_rr_refine(phi_D, phi_A), [m])[0]
 
@@ -166,8 +166,8 @@ def _rr_refine(phi_D: PLFunction, phi_A: Metric) -> Tuple[Metric, PLFunction]:
 
 def _rr_content_refined(phi_r: Metric, shrink_r: PLFunction, ms: List[int]) -> List[Fraction]:
     """rr_content at each level of ms, on the common tree of _rr_refine."""
-    shrunk = unit_ball_valuations(phi_r, ms, shrink_r)
-    return [a - b for a, b in zip(shrunk, unit_ball_valuations(phi_r, ms))]
+    shrunk = _level_sums(phi_r, ms, shrink_r)
+    return _valuation_gaps(_level_sums(phi_r, ms), shrunk)
 
 
 @dataclass

@@ -271,6 +271,60 @@ def test_run_diff_series_csv(tmp_path):
     assert got == DIFF_SERIES_CSV.replace("\n", "\r\n").encode()
 
 
+VOL_ENERGY_SERIES_CFG = {
+    "kind": "vol-energy",
+    "field": {"p": 3},
+    "metric": {"d": 2, "tree": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 2, -1, 3], [0, 1, 3, 2, -5, 4]]},
+    "metric2": {"d": 2, "tree": [[0, 1, 0, 1, 1, 5], [0, 1, 2, 3, -2, 7]]},
+    "m_range": [1, 2, 3, 5, 7, 10],
+}
+
+VOL_ENERGY_SERIES_CSV = """\
+m,t,value_num,value_den,normalized
+1,,-191,140,-1.3642857142857143
+2,,-887,210,-1.055952380952381
+3,,-1201,140,-0.9531746031746032
+5,,-603,28,-0.8614285714285714
+7,,-203,5,-0.8285714285714286
+10,,-3373,42,-0.8030952380952381
+"""
+
+# the divisor branches at the Gauss point, so the common tree is no chain
+RR_SERIES_CFG = {
+    "kind": "rr",
+    "field": {"p": 2},
+    "divisor": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, 1, 2], [1, 1, 1, 1, 2, 3]],
+    "ample": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, -1, 3], [0, 1, 5, 2, -2, 3]]},
+    "m_range": [1, 2, 3, 4, 6, 9],
+}
+
+RR_SERIES_CSV = """\
+m,t,value_num,value_den,normalized
+1,,7,6,1.1666666666666667
+2,,4,3,0.6666666666666666
+3,,5,3,0.5555555555555556
+4,,5,3,0.4166666666666667
+6,,13,6,0.3611111111111111
+9,,8,3,0.2962962962962963
+"""
+
+
+@pytest.mark.parametrize(
+    "name, cfg, want",
+    [
+        ("ve", VOL_ENERGY_SERIES_CFG, VOL_ENERGY_SERIES_CSV),
+        ("rr", RR_SERIES_CFG, RR_SERIES_CSV),
+    ],
+)
+def test_run_series_csv_bytes(tmp_path, name, cfg, want):
+    """vol-energy rows are normalized by m^2 (a chain against a two-vertex
+    chain), rr rows by m (on a branching common tree)."""
+    path = write_config(tmp_path, f"{name}.json", cfg)
+    assert main(["run", path, "--out-dir", str(tmp_path)]) == 0
+    got = (tmp_path / f"{name}.series.csv").read_bytes()
+    assert got == want.replace("\n", "\r\n").encode()
+
+
 def test_degree_zero_diff_series_holds_the_volumes(tmp_path):
     """At d = 0 the series holds vol_m = m (min g_phi - min g_psi), as at
     any other degree."""
@@ -690,7 +744,29 @@ def test_value_with_too_many_digits_names_the_field(tmp_path, capsys):
 
 def test_series_value_with_too_many_digits_names_the_level():
     with pytest.raises(ConfigError, match="^series m=3 value: the value has too many digits"):
-        _series_rows([(3, Fraction(10**5000))], lambda m, v: v / m)
+        _series_rows([(3, Fraction(10**5000))], 1)
+
+
+def test_series_decimal_is_the_float_of_the_normalized_value():
+    """The row's decimal, v's numerator over its denominator times m^k, is
+    float(v / m**k) bit for bit, and overflows exactly where it does."""
+    rng = random.Random(31)
+    overflowed = 0
+    for _ in range(20000):
+        scale = rng.choice([1, 10**rng.randint(1, 40), 2 ** rng.randint(1000, 1030)])
+        v = Fraction(rng.randint(-(10**12), 10**12) * scale, rng.randint(1, 10**9))
+        m, k = rng.randint(1, 200), rng.choice([1, 2])
+        try:
+            want = float(v / m**k)
+        except OverflowError:
+            overflowed += 1
+            message = f"^series m={m} normalized: the value is too large for a display decimal"
+            with pytest.raises(ConfigError, match=message):
+                _series_rows([(m, v)], k)
+            continue
+        [row] = _series_rows([(m, v)], k)
+        assert row["normalized"] == want and str(row["normalized"]) == str(want), (v, m, k)
+    assert overflowed > 500
 
 
 def test_huge_value_with_a_small_result_runs(tmp_path):

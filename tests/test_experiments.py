@@ -61,7 +61,7 @@ def test_diff_computes_each_unit_ball_once(monkeypatch):
     from berkvol import sections, volumes
 
     calls = []
-    original = sections.unit_ball_valuations
+    original = sections._level_sums
 
     def counted(phi, ms, extra=None):
         ms = list(ms)
@@ -69,7 +69,7 @@ def test_diff_computes_each_unit_ball_once(monkeypatch):
         return original(phi, ms, extra)
 
     for module in (sections, volumes, experiments):
-        monkeypatch.setattr(module, "unit_ball_valuations", counted)
+        monkeypatch.setattr(module, "_level_sums", counted)
     rng = random.Random(12)
     for p in (2, 3):
         phi = random_psh_metric(p, 1, rng)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -173,14 +174,15 @@ def nonpositive_extra(phi, rng):
 
 def test_unit_ball_valuation_matches_km_oracle():
     """The root-count recursion, the Z_p slices (slice_oracle) and the K_M
-    lattice at M0 and at 2 M0 all agree.
+    lattice at M0 and at 2 M0 all agree, and at 3 M0 too when M0 <= 8.
 
-    Agreement at both ramification indices is the base-change invariance
-    that vol_m(M=M0) == vol_m(M=2 M0) checked while vol_m ran over K_M.
+    Agreement at every ramification index is the base-change invariance
+    that vol_m(M=M0) == vol_m(M=2 M0) checked while vol_m ran over K_M: the
+    value does not depend on the field.
     """
     rng = random.Random(3)
     seen = set()
-    checked = 0
+    checked = thrice = 0
     while checked < 30:
         p, d = rng.choice([2, 3, 5]), rng.choice([1, 2])
         phi = rng.choice([random_pl_metric, random_psh_metric])(p, d, rng)
@@ -191,12 +193,14 @@ def test_unit_ball_valuation_matches_km_oracle():
             continue
         got = unit_ball_valuation(phi, m, extra)
         assert _slice_integral(phi, m, extra) == got
-        for M in (M0, 2 * M0):
+        for M in (M0, 2 * M0, 3 * M0) if M0 <= 8 else (M0, 2 * M0):
             lattice = sup_norm_lattice(phi, m, FieldContext(p, M), extra)
             assert got == lattice.det_valuation(), (p, d, m, M)
         seen.add((p, d, extra is None))
         checked += 1
+        thrice += M0 <= 8
     assert len(seen) == 12  # every p, d, with and without extra
+    assert thrice >= 10
 
 
 def test_unit_ball_valuation_is_diagonal_on_chains():
@@ -277,19 +281,40 @@ def brute_envelope_sum(lines, n):
         ([(2, 0), (0, 5)], 5, 0 + 2 + 4 + 5 + 5),
         ([(1, 7)], 1, 7),
         ([(1, 7)], 0, 0),
+        ([(2, 0), (0, 4)], 0, 0),
+        # equal slopes: the least intercept wins, in either order
+        ([(1, 3), (1, 1), (0, 9)], 4, 1 + 2 + 3 + 4),
+        ([(1, 1), (1, 3), (0, 9)], 4, 1 + 2 + 3 + 4),
+        ([(0, 2), (0, 2), (0, 5)], 3, 6),
+        # a middle line that never wins: (1, 3) is above min(2i, 4) everywhere
+        ([(2, 0), (1, 3), (0, 4)], 5, 0 + 2 + 4 + 4 + 4),
+        # a line whose crossing lies past md wins nowhere: (0, 9) at n = 5
+        ([(2, 0), (0, 9)], 5, 0 + 2 + 4 + 6 + 8),
+        # the last line pops the pieces of (3, 8) and (4, 5) at once
+        ([(6, 1), (4, 5), (3, 8), (0, 7)], 8, 1 + 7 * 7),
+        # a line least at i = 0 pops every line of larger slope
+        ([(5, 2), (4, 3), (1, 0)], 3, 0 + 1 + 2),
     ],
 )
 def test_envelope_sum_tie_rule(lines, n, want):
     assert brute_envelope_sum(lines, n) == want
-    assert _envelope_sum(lines, n) == want
+    for order in itertools.permutations(lines):
+        assert _envelope_sum(list(order), n) == want, order
 
 
 def test_envelope_sum_matches_brute_force():
+    """Random line sets, parallel lines and lines that never win included,
+    in random order and sorted by rising and by falling slope."""
     rng = random.Random(8)
     for _ in range(2000):
         lines = [(rng.randint(0, 6), rng.randint(-20, 20)) for _ in range(rng.randint(1, 6))]
         n = rng.randint(0, 30)
-        assert _envelope_sum(lines, n) == brute_envelope_sum(lines, n)
+        want = brute_envelope_sum(lines, n)
+        assert _envelope_sum(lines, n) == want
+        assert _envelope_sum(sorted(lines), n) == want
+        assert _envelope_sum(sorted(lines, reverse=True), n) == want
+        rng.shuffle(lines)
+        assert _envelope_sum(lines, n) == want
 
 
 def test_chain_envelope_ties_at_level_ends():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from berkvol import sections, volumes
+from berkvol import experiments, sections, volumes
 from berkvol.errors import BerkvolError
 from berkvol.experiments import diff_experiment
 from berkvol.metrics import Metric, energy, envelope, is_psh, ma_measure, trivial_metric
@@ -16,7 +16,7 @@ from berkvol.volumes import (
     vol_limit,
 )
 
-from conftest import random_pl_metric, random_psh_metric
+from conftest import random_pl_metric, random_psh_chain_metric, random_psh_metric, random_tree
 
 
 def slope_metric(p, d, slope, depth=1):
@@ -188,17 +188,18 @@ def test_vol_limit_rejects_levels_below_one_in_degree_zero(ms):
 
 
 def count_series(monkeypatch):
-    """Record (metric, levels, extra) of every unit_ball_valuations call."""
+    """Record (metric, levels, extra) of every call of the integer series
+    kernel sections._level_sums, which every level series goes through."""
     calls = []
-    original = sections.unit_ball_valuations
+    original = sections._level_sums
 
     def counted(phi, ms, extra=None):
         ms = list(ms)
         calls.append((phi, ms, extra))
         return original(phi, ms, extra)
 
-    monkeypatch.setattr(sections, "unit_ball_valuations", counted)
-    monkeypatch.setattr(volumes, "unit_ball_valuations", counted)
+    monkeypatch.setattr(sections, "_level_sums", counted)
+    monkeypatch.setattr(volumes, "_level_sums", counted)
     return calls
 
 
@@ -212,8 +213,8 @@ def test_vol_energy_computes_two_series(monkeypatch):
     assert calls == []
     rep = check_vol_equals_energy(phi, psi, ms)
     assert [(metric is psi, metric is phi, levels, extra) for metric, levels, extra in calls] == [
-        (True, False, sorted(set(ms)), None),
         (False, True, sorted(set(ms)), None),
+        (True, False, sorted(set(ms)), None),
     ]
     assert rep.samples == [(m, sections.vol_m(phi, psi, m)) for m in sorted(set(ms))]
 
@@ -230,6 +231,51 @@ def test_rr_slope_computes_two_series(monkeypatch):
     assert phi_1 is phi_2 and levels_1 == levels_2 == sorted(ms)
     assert extra_1 is not None and extra_2 is None
     assert rep.samples == [(m, rr_content(phiD, phiA, m)) for m in sorted(ms)]
+
+
+def test_one_fraction_series_match_level_by_level():
+    """Every reported level is one Fraction from the integer sums of
+    sections._level_sums.  It equals the difference of two per-level
+    unit_ball_valuation Fractions: sections.vol_m for vol-energy and diff,
+    rr_content's definition for rr.  Chains and branching trees, d in
+    {0, 1, 2}, with and without extra."""
+    rng = random.Random(42)
+    seen = set()
+    for i in range(120):
+        p, d = rng.choice([2, 3, 5]), rng.choice([0, 1, 2])
+        if i % 2:
+            phi = random_psh_chain_metric(p, d, rng, center=rng.choice([0, 1]))
+            psi = random_psh_chain_metric(p, d, rng)
+            tree = phi.tree  # a divisor and a direction on it keep the chain
+        else:
+            phi, psi = random_psh_metric(p, d, rng), random_pl_metric(p, d, rng)
+            tree = random_tree(p, rng)
+        ms = sorted(rng.sample(range(1, 15), rng.randint(1, 6)))
+        vols = [sections.vol_m(phi, psi, m) for m in ms]
+        assert sections._valuation_gaps(
+            sections._level_sums(phi, ms), sections._level_sums(psi, ms)
+        ) == vols, i
+        if d >= 1:  # the energy needs d >= 1
+            assert check_vol_equals_energy(phi, psi, ms).samples == list(zip(ms, vols)), i
+
+        phi_D = PLFunction(
+            tree, {v: Fraction(rng.randint(0, 5), rng.choice([1, 2, 3])) for v in tree.vertices}
+        )
+        phi_r, shrink_r = volumes._rr_refine(phi_D, phi)
+        u = sections.unit_ball_valuation
+        contents = [u(phi_r, m, shrink_r) - u(phi_r, m) for m in ms]
+        assert rr_slope_experiment(phi_D, phi, ms).samples == list(zip(ms, contents)), i
+        assert [rr_content(phi_D, phi, m) for m in ms] == contents, i
+
+        f = PLFunction(
+            tree, {v: Fraction(rng.randint(-4, 4), rng.choice([1, 2])) for v in tree.vertices}
+        )
+        t = Fraction(rng.randint(1, 4), rng.choice([2, 3, 8]))
+        for leg in diff_experiment(phi, f, [t], ms).legs:
+            moved = experiments._add_direction(phi, f, leg.t)
+            assert leg.samples == [(m, sections.vol_m(moved, phi, m)) for m in ms], i
+        seen.add((d, sections._is_chain(phi_r.tree)))
+    assert len(seen) == 6  # every d, on chains and on branching trees
 
 
 def series_lead(phi, first=10, max_period=60):
