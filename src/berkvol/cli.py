@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from . import __version__
 from .errors import BerkvolError
-from .field import FieldContext
+from .field import is_prime
 from .metrics import Metric
 from .tree import PLFunction, TreePoint, build_tree
 from . import experiments as ex
@@ -376,6 +376,8 @@ def run_sandwich(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
     phi = parse_metric(cfg.get("metric"), p, "metric")
     psi1 = parse_metric(cfg.get("psi1"), p, "psi1")
     psi2 = parse_metric(cfg.get("psi2"), p, "psi2")
+    if "m_range" in cfg:  # validated, though the exact volume reads no level
+        parse_m_range(cfg["m_range"], "m_range", None)
     rep = ex.sandwich_check(phi, psi1, psi2)
     results = fmt_results({"lower": rep.lower, "middle": rep.middle, "upper": rep.upper})
     assertions = [("sandwich_holds", rep.holds(), f"{rep.lower} <= {rep.middle} <= {rep.upper}")]
@@ -490,7 +492,10 @@ def cmd_run(args) -> int:
         if not isinstance(fld, dict) or "p" not in fld:
             raise ConfigError("field: expected an object with a prime 'p'")
         p = parse_int(fld["p"], "field.p")
-        FieldContext(p)  # raises FieldError unless p is a prime below 2^64
+        if p >= 2**64:  # is_prime is exact below 2^64
+            raise ConfigError(f"p = {p} is too large: need p < 2^64")
+        if not is_prime(p):
+            raise ConfigError(f"p = {p} is not prime")
         for key in ("name", "out_dir"):
             if not isinstance(cfg.get(key, ""), str):
                 raise ConfigError(f"{key}: expected a string, got {cfg[key]!r}")

@@ -11,10 +11,9 @@ equality or inequality; a level series, where kept, is data only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import BerkvolError
 from .field import padic_valuation
@@ -32,14 +31,12 @@ def _add_direction(phi: Metric, f: PLFunction, t: Fraction) -> Metric:
     return Metric(phi.d, phi.g + f.scale(t))
 
 
-@dataclass
-class DiffLeg:
+class DiffLeg(NamedTuple):
     t: Fraction
     samples: List[Tuple[int, Fraction]]
 
 
-@dataclass
-class DiffReport:
+class DiffReport(NamedTuple):
     target: Fraction
     right_derivative: Fraction
     left_derivative: Fraction
@@ -72,8 +69,7 @@ def diff_experiment(
     return DiffReport(ma_measure(phi).integrate(f), right, left, legs)
 
 
-@dataclass
-class SandwichReport:
+class SandwichReport(NamedTuple):
     lower: Fraction
     middle: Fraction
     upper: Fraction
@@ -108,8 +104,7 @@ def orthogonality_experiment(phi: Metric) -> Fraction:
     return mu.integrate(phi.g) - mu.integrate(env.g)
 
 
-@dataclass
-class DiracReport:
+class DiracReport(NamedTuple):
     point: TreePoint
     metric: Metric
     measure: DiscreteMeasure
@@ -124,8 +119,7 @@ def dirac_experiment(x: TreePoint, phi: Metric) -> DiracReport:
     return DiracReport(x, eq, ma_measure(eq))
 
 
-@dataclass
-class FeketeReport:
+class FeketeReport(NamedTuple):
     m: int
     n_points: int
     best_config: Tuple[Fraction, ...]

@@ -8,11 +8,10 @@ denominator dividing M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import BerkvolError
+from .errors import BerkvolError, Frozen
 
 #: Valuation of zero.
 INF = float("inf")
@@ -82,20 +81,23 @@ def padic_valuation(r: Rational, p: int):
     return Fraction(int_valuation(r.numerator, p) - int_valuation(r.denominator, p))
 
 
-@dataclass(frozen=True)
-class FieldContext:
+class FieldContext(Frozen):
     """The extension K_M of Q_p generated by an M-th root pi of p."""
 
-    p: int
-    M: int = 1
+    def __init__(self, p: int, M: int = 1):
+        if p >= 2**64:
+            raise FieldError(f"p = {p} is too large: need p < 2^64")
+        if not is_prime(p):
+            raise FieldError(f"p = {p} is not prime")
+        if M < 1:
+            raise FieldError(f"ramification index M = {M} must be >= 1")
+        self.__dict__.update(p=p, M=M)
 
-    def __post_init__(self):
-        if self.p >= 2**64:
-            raise FieldError(f"p = {self.p} is too large: need p < 2^64")
-        if not is_prime(self.p):
-            raise FieldError(f"p = {self.p} is not prime")
-        if self.M < 1:
-            raise FieldError(f"ramification index M = {self.M} must be >= 1")
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FieldContext) and (self.p, self.M) == (other.p, other.M)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.M))
 
     def element(self, coeffs: Sequence[Rational]) -> "FieldElement":
         if len(coeffs) != self.M:
@@ -120,10 +122,15 @@ class FieldContext:
         return FieldElement(self, tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    ctx: FieldContext
-    coeffs: tuple
+class FieldElement(Frozen):
+    def __init__(self, ctx: FieldContext, coeffs: tuple):
+        self.__dict__.update(ctx=ctx, coeffs=coeffs)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FieldElement) and (self.ctx, self.coeffs) == (other.ctx, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.ctx, self.coeffs))
 
     def _check(self, other: "FieldElement") -> None:
         if self.ctx != other.ctx:

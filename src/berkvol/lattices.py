@@ -11,7 +11,6 @@ vector v is -log_p ||v||, an element of (1/M)Z or INF.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List
 
@@ -25,12 +24,15 @@ class LatticeError(BerkvolError):
     pass
 
 
-@dataclass
 class Lattice:
-    ctx: FieldContext
-    basis: Matrix  # columns span the lattice
+    def __init__(self, ctx: FieldContext, basis: Matrix):
+        self.ctx = ctx
+        self.basis = basis  # columns span the lattice
+        self.__post_init__()
 
     def __post_init__(self):
+        """The checks on the basis, kept apart from __init__ as a span of
+        the benchmark's tracer."""
         n = len(self.basis)
         if any(len(row) != n for row in self.basis):
             raise LatticeError("basis matrix must be square")

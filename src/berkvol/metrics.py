@@ -13,12 +13,11 @@ over the tree; the envelope of a psh metric is the metric itself.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Any, Dict, List, Tuple
 
-from .errors import BerkvolError
+from .errors import BerkvolError, Frozen
 from .tree import (
     DiscreteMeasure,
     PLFunction,
@@ -36,14 +35,11 @@ class MetricError(BerkvolError):
     pass
 
 
-@dataclass(frozen=True)
-class Metric:
-    d: int
-    g: PLFunction
-
-    def __post_init__(self):
-        if self.d < 0:
+class Metric(Frozen):
+    def __init__(self, d: int, g: PLFunction):
+        if d < 0:
             raise MetricError("degree must be nonnegative")
+        self.__dict__.update(d=d, g=g)
 
     @cached_property
     def _measure(self) -> DiscreteMeasure:

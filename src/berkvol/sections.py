@@ -32,7 +32,6 @@ scaling serves every level of a series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cmp_to_key
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -48,12 +47,9 @@ class SectionError(BerkvolError):
     pass
 
 
-@dataclass
 class Section:
-    coeffs: Tuple[Fraction, ...]
-
-    def __post_init__(self):
-        self.coeffs = tuple(Fraction(c) for c in self.coeffs)
+    def __init__(self, coeffs: Tuple[Fraction, ...]):
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
 
     @property
     def degree(self) -> int:

@@ -20,12 +20,11 @@ onto a tree, by one descent from the root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .errors import BerkvolError
+from .errors import BerkvolError, Frozen
 from .field import INF, int_valuation
 
 
@@ -43,33 +42,24 @@ def _digits(a: Fraction, k: int, p: int) -> int:
     return a.numerator * pow(a.denominator, -1, mod) % mod
 
 
-@dataclass(frozen=True)
-class TreePoint:
-    p: int
-    center: Fraction
-    q: Fraction
-
-    def __post_init__(self):
-        center, q, p = self.center, self.q, self.p
+class TreePoint(Frozen):
+    def __init__(self, p: int, center: Fraction, q: Fraction):
         if not isinstance(center, Fraction):
             center = Fraction(center)
-            object.__setattr__(self, "center", center)
         if not isinstance(q, Fraction):
             q = Fraction(q)
-            object.__setattr__(self, "q", q)
         if q.numerator < 0:
             raise TreeError(f"radius exponent {q} must be >= 0")
         if center.denominator % p == 0:
             raise TreeError(f"center {center} lies outside the closed unit disc")
         k = -(-q.numerator // q.denominator)
         digits = _digits(center, k, p)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "digits", digits)
         # The disc, not the chosen center, identifies the point; every dict
         # lookup compares keys, so the canonical key and its hash are fixed here.
         key = (p, q, digits)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        self.__dict__.update(
+            p=p, center=center, q=q, k=k, digits=digits, key=key, _hash=hash(key)
+        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TreePoint) and self.key == other.key
@@ -134,14 +124,21 @@ def digit_order(x: Fraction, y: Fraction, p: int) -> int:
     return _digit_cmp(_digits(x, v + 1, p), _digits(y, v + 1, p), v, p)
 
 
-@dataclass
 class SkeletonTree:
-    p: int
-    vertices: List[TreePoint]
-    parent: Dict[TreePoint, Optional[TreePoint]] = field(repr=False)
-    children: Dict[TreePoint, List[TreePoint]] = field(repr=False)
-    #: The largest k of a vertex: digits modulo p^depth decide every place.
-    depth: int = field(repr=False)
+    def __init__(
+        self,
+        p: int,
+        vertices: List[TreePoint],
+        parent: Dict[TreePoint, Optional[TreePoint]],
+        children: Dict[TreePoint, List[TreePoint]],
+        depth: int,
+    ):
+        self.p = p
+        self.vertices = vertices
+        self.parent = parent
+        self.children = children
+        #: The largest k of a vertex: digits modulo p^depth decide every place.
+        self.depth = depth
 
     @property
     def root(self) -> TreePoint:
@@ -281,15 +278,12 @@ def _exact(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass
 class PLFunction:
     """Piecewise-affine function on a skeleton, constant off the tree."""
 
-    tree: SkeletonTree
-    values: Dict[TreePoint, Fraction]
-
-    def __post_init__(self):
-        self.values = {v: _exact(self.values[v]) for v in self.tree.vertices}
+    def __init__(self, tree: SkeletonTree, values: Dict[TreePoint, Fraction]):
+        self.tree = tree
+        self.values = {v: _exact(values[v]) for v in tree.vertices}
 
     def evaluate(self, x: TreePoint) -> Fraction:
         value = self.values.get(x)
@@ -345,12 +339,9 @@ def constant_function(tree: SkeletonTree, c: Fraction) -> PLFunction:
     return PLFunction(tree, {v: Fraction(c) for v in tree.vertices})
 
 
-@dataclass
 class DiscreteMeasure:
-    masses: Dict[TreePoint, Fraction]
-
-    def __post_init__(self):
-        self.masses = {k: _exact(v) for k, v in self.masses.items() if v != 0}
+    def __init__(self, masses: Dict[TreePoint, Fraction]):
+        self.masses = {k: _exact(v) for k, v in masses.items() if v != 0}
 
     def total_mass(self) -> Fraction:
         return sum(self.masses.values(), Fraction(0))

@@ -11,9 +11,8 @@ at 0 as the eps-part.  Level series are kept as data only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 from .errors import BerkvolError
 from .metrics import Metric, _leaf_to_root, envelope, energy, is_psh, ma_measure
@@ -118,8 +117,7 @@ def vol_limit(phi: Metric, psi: Metric) -> Fraction:
     return _integral(phi, phi.g.values, Fraction(0)) - _integral(psi, psi.g.values, Fraction(0))
 
 
-@dataclass
-class VolEnergyReport:
+class VolEnergyReport(NamedTuple):
     samples: List[Tuple[int, Fraction]]
     limit: Fraction
     energy: Fraction
@@ -170,8 +168,7 @@ def _rr_content_refined(phi_r: Metric, shrink_r: PLFunction, ms: List[int]) -> L
     return _valuation_gaps(_level_sums(phi_r, ms), shrunk)
 
 
-@dataclass
-class RRReport:
+class RRReport(NamedTuple):
     samples: List[Tuple[int, Fraction]]
     slope: Fraction
     target: Fraction

@@ -557,6 +557,27 @@ def test_huge_prime_is_rejected_quickly(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "2^64" in err
 
 
+@pytest.mark.parametrize("p", [-3, 0, 1, 4])
+def test_non_prime_p_is_validation_error(tmp_path, capsys, p):
+    cfg = write_config(tmp_path, "p.json", dict(VOL_ENERGY_CFG, field={"p": p}))
+    assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == f"validation error: p = {p} is not prime\n"
+
+
+def test_sandwich_validates_a_present_m_range(tmp_path, capsys):
+    # the exact sandwich reads no level, but a malformed m_range is still an error
+    from test_bench_reference import corpus  # bench/ read without writing bytecode
+
+    cfg = corpus.make_config("lattice-ramified", 1)
+    assert cfg["kind"] == "sandwich" and "m_range" in cfg
+    bad = write_config(tmp_path, "junk.json", dict(cfg, m_range="junk"))
+    assert main(["run", bad, "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "validation error: m_range: expected a list of ints or start/stop/step\n"
+    del cfg["m_range"]
+    assert main(["run", write_config(tmp_path, "absent.json", cfg), "--out-dir", str(tmp_path)]) == 0
+
+
 CHAIN_AT_CAP_CFG = {
     "kind": "vol-energy",
     "field": {"p": 2},

@@ -55,6 +55,28 @@ def test_field_context_rejects_large_p():
     assert FieldContext(2**64 - 59).p == 2**64 - 59  # the largest prime below 2^64
 
 
+def test_field_context_and_elements_are_frozen_values():
+    ctx = FieldContext(2, 3)
+    x = ctx.element([1, 2, 3])
+    for obj, fields in ((ctx, ("p", "M")), (x, ("ctx", "coeffs"))):
+        before = {name: getattr(obj, name) for name in fields}
+        for name in fields:
+            cls = type(obj).__name__
+            with pytest.raises(AttributeError, match=f"'{name}' of a frozen {cls}"):
+                setattr(obj, name, 5)
+            with pytest.raises(AttributeError, match=f"'{name}' of a frozen {cls}"):
+                delattr(obj, name)
+        assert {name: getattr(obj, name) for name in fields} == before
+    # contexts and elements compare, and hash, by their fields
+    assert FieldContext(2) == FieldContext(2, 1) and hash(FieldContext(2)) == hash(FieldContext(2, 1))
+    assert FieldContext(2) != FieldContext(2, 2) and FieldContext(2) != FieldContext(3)
+    y = FieldContext(2, 3).element([1, 2, 3])
+    assert x == y and hash(x) == hash(y) and x is not y
+    assert x != ctx.element([1, 2, 4]) and ctx.one() != FieldContext(2, 1).one()
+    with pytest.raises(FieldError, match="mixed field contexts"):
+        x + FieldContext(3, 3).one()
+
+
 def test_padic_valuation_basics():
     assert padic_valuation(Fraction(12), 2) == 2
     assert padic_valuation(Fraction(1, 8), 2) == -3

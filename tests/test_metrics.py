@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -106,10 +105,16 @@ def test_metric_is_frozen_and_computes_its_measure_once(monkeypatch):
     lap = metrics.laplacian
     monkeypatch.setattr(metrics, "laplacian", lambda g: calls.append(g) or lap(g))
     phi = slope_metric(2, 1, Fraction(-1, 2))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    g = phi.g
+    with pytest.raises(AttributeError, match="'d' of a frozen Metric"):
         phi.d = 2
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="'g' of a frozen Metric"):
         phi.g = phi.g.shift(1)
+    with pytest.raises(AttributeError, match="'d' of a frozen Metric"):
+        del phi.d
+    with pytest.raises(AttributeError, match="'g' of a frozen Metric"):
+        del phi.g
+    assert phi.d == 1 and phi.g is g
     mu = ma_measure(phi)
     want = dict(mu.masses)
     other = ma_measure(slope_metric(2, 1, Fraction(-1)))

@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,27 @@ def imported_modules(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_concurrent_futures(path):
     assert "concurrent.futures" not in imported_modules(path), f"{path.name} imports concurrent.futures"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    # importing dataclasses loads inspect, ast, dis and tokenize, about half
+    # of the package's start-up; its values are plain classes and NamedTuples
+    assert "dataclasses" not in imported_modules(path), f"{path.name} imports dataclasses"
+
+
+def modules_loaded(code):
+    """Names in sys.modules after running code in a fresh isolated interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = f"import sys; sys.path.insert(0, {str(src)!r}); {code}; print(*sorted(sys.modules))"
+    out = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+def test_cli_import_loads_no_introspection_modules():
+    added = modules_loaded("import berkvol.cli") - modules_loaded("pass")
+    assert "berkvol.cli" in added
+    assert added & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -72,13 +95,12 @@ KM_NAMES = {"FieldContext", "FieldElement", "Lattice"}
 
 def test_km_oracle_is_test_only():
     # lattices over K_M are the tests' oracle for unit_ball_valuations;
-    # sections.sup_norm_lattice builds them, and cli.py uses FieldContext
-    # only to check that p is prime.  No other module names the field,
-    # its elements or lattices, or imports linalg.
+    # sections.sup_norm_lattice builds them.  No other module names the
+    # field, its elements or lattices, or imports linalg.
     users = [
         path.name
         for path in MODULES
-        if path.name not in ("field.py", "linalg.py", "lattices.py", "sections.py", "cli.py")
+        if path.name not in ("field.py", "linalg.py", "lattices.py", "sections.py")
         and (
             any("linalg" in name.split(".") for name in imported_modules(path))
             or any(

@@ -41,6 +41,18 @@ def test_point_equality_is_disc_equality():
     )
 
 
+def test_point_is_frozen():
+    x = TreePoint(3, Fraction(7), Fraction(2))
+    before = (x.center, x.q, x.key, hash(x))
+    for name in ("center", "q", "key"):
+        with pytest.raises(AttributeError, match=f"'{name}' of a frozen TreePoint"):
+            setattr(x, name, Fraction(1))
+        with pytest.raises(AttributeError, match=f"'{name}' of a frozen TreePoint"):
+            delattr(x, name)
+    assert (x.center, x.q, x.key, hash(x)) == before
+    assert x == TreePoint(3, Fraction(7), Fraction(2))
+
+
 def test_point_key_ignores_the_representative():
     """Centers differing by p^ceil(q) k name one disc: equal points, equal
     hashes, one dict slot, one stored key."""
