@@ -66,8 +66,9 @@ KINDS: Dict[str, str] = {
     "diff": (
         "Differentiability of relative volumes: the one-sided derivative of "
         "t -> vol(L, phi + t f, phi) at t = 0 equals the pairing of f with "
-        "the Monge-Ampere measure of phi.  Both exact one-sided derivatives "
-        "are checked for equality with the exact pairing."
+        "MA(P(phi)), the Monge-Ampere measure of the psh envelope of phi, for "
+        "any continuous phi (P(phi) = phi when phi is psh).  Both exact "
+        "one-sided derivatives are checked for equality with the exact pairing."
     ),
     "sandwich": (
         "Siu-type sandwich bound: for f = psi1 - psi2 a difference of psh "

@@ -51,10 +51,9 @@ def diff_experiment(
 ) -> DiffReport:
     """The exact one-sided derivatives of t -> vol(L, phi + t f, phi) at 0
     (the left one from the direction -f, on the same common tree), against
-    the pairing of f with MA(phi).  As data, each leg t of t_grid records
+    the pairing of f with MA(P(phi)), P(phi) the psh envelope: phi itself
+    when phi is psh.  As data, each leg t of t_grid records
     vol_m(phi + t f, phi) = u_m(phi) - u_m(phi + t f); u_m(phi) is shared."""
-    if not is_psh(phi):
-        raise ExperimentError("base metric must be psh")
     tree = refine(phi.tree, f.tree.vertices)
     phi_r, f_r = phi.on_tree(tree), f.on_tree(tree)
     right = right_derivative(phi_r, f_r)
@@ -66,7 +65,7 @@ def diff_experiment(
         for s in (t, -t):
             series = _level_sums(_add_direction(phi, f, s), ms)
             legs.append(DiffLeg(s, list(zip(ms, _valuation_gaps(series, base)))))
-    return DiffReport(ma_measure(phi).integrate(f), right, left, legs)
+    return DiffReport(ma_measure(envelope(phi)).integrate(f), right, left, legs)
 
 
 class SandwichReport(NamedTuple):

@@ -7,7 +7,9 @@ A Metric is immutable and computes that measure at most once: ma_measure,
 is_psh, energy, envelope and equilibrium_metric all read the same one.
 Envelopes and equilibrium metrics are greatest psh minorants of an
 obstacle, found exactly by one leaf-to-root and one root-to-leaf pass
-over the tree; the envelope of a psh metric is the metric itself.
+over the tree; the envelope of a psh metric is the metric itself.  The
+Gauss point is a vertex of that pass like any other: its knot list is the
+G whose integral over [0, d] is the exact volume limit (volumes module).
 """
 
 from __future__ import annotations
@@ -106,7 +108,8 @@ def energy(phi: Metric, psi: Metric) -> Fraction:
 
 #: A concave, nondecreasing PL function W of one variable, as the lists
 #: (zs, ws, slopes): its knots (zs[i], ws[i]) in increasing order and the
-#: slope right of each knot.  Left of the first knot W is the identity.
+#: slope right of each knot.  Left of the first knot W is the identity
+#: (the root's W is read only from its first knot, t = 0, on).
 _Knots = Tuple[List[Fraction], List[Fraction], List[Fraction]]
 
 
@@ -116,22 +119,23 @@ def _eval(W: _Knots, z: Fraction) -> Fraction:
     return z if i < 0 else ws[i] + slopes[i] * (z - zs[i])
 
 
-def _leaf_to_root(tree: SkeletonTree, obstacle: Dict[TreePoint, Any], zero):
-    """W_c for every non-root vertex c, and the root's (xs, fs, tail).
+def _leaf_to_root(
+    tree: SkeletonTree, obstacle: Dict[TreePoint, Any], zero
+) -> Dict[TreePoint, _Knots]:
+    """W_v for every vertex v, the root included.
 
-    With s_c = (h(parent) - h(c)) / L_c the slope into c, psh means
-    s_v >= sum_{children c} s_c at each non-root vertex v and
-    sum_{children of the root} s_c <= d.  W_c(z) is the greatest value
-    at c when its parent has value z: W_c(z) = min(g(c), T_c^{-1}(z)) with
-    T_c(w) = w + L_c sum_{c'} (w - W_{c'}(w)) / L_{c'} over the children
-    c' of c.  At a vertex, xs holds the children's knots below its
-    obstacle g, then g; fs the deficit sum_c (x - W_c(x)) / L_c at each x,
-    nondecreasing from 0; tail its slope past the last child knot.  Only
-    field operations and comparisons run, from zero, a Fraction or a dual.
+    With s_c = (h(parent) - h(c)) / L_c the slope into c and
+    F_v(w) = sum_{children c} (w - W_c(w)) / L_c the deficit at v, psh means
+    s_v >= F_v(h(v)) at each non-root vertex v and F_root(h(root)) <= d.
+    So W_v(z) = min(g(v), T_v^{-1}(z)) is the greatest value at v when its
+    parent has value z, with T_v(w) = w + L_v F_v(w); at the root T is F
+    itself, and W_root(d) is the root's value.  The knots of W_v sit at the
+    children's knots below the obstacle g(v), then at g(v), where W_v turns
+    flat.  Only field operations and comparisons run, from zero, a Fraction
+    or a dual.
     """
     W: Dict[TreePoint, _Knots] = {}
-
-    def knots_and_deficits(v: TreePoint):
+    for v in reversed(tree.vertices):
         cap = obstacle.get(v)
         kids = [(W[c], tree.edge_length(c)) for c in tree.children[v]]
         xs = sorted({z for Wc, _ in kids for z in Wc[0] if cap is None or z < cap})
@@ -140,41 +144,44 @@ def _leaf_to_root(tree: SkeletonTree, obstacle: Dict[TreePoint, Any], zero):
         # W_c is the identity up to its first knot, where c adds no deficit
         fs = [sum(((x - _eval(Wc, x)) / L for Wc, L in kids if Wc[0] and Wc[0][0] < x), zero)
               for x in xs]
-        tail = sum(((1 - Wc[2][-1]) / L for Wc, L in kids), zero)
-        return xs, fs, tail
-
-    for c in reversed(tree.vertices[1:]):
-        L = tree.edge_length(c)
-        xs, fs, tail = knots_and_deficits(c)
-        zs = [x + L * f for x, f in zip(xs, fs)]
+        root = v == tree.root
+        Lv = None if root else tree.edge_length(v)
+        zs = fs if root else [x + Lv * f for x, f in zip(xs, fs)]
         slopes = [(x1 - x0) / (z1 - z0) for x0, x1, z0, z1 in zip(xs, xs[1:], zs, zs[1:])]
-        slopes.append(zero if c in obstacle else 1 / (1 + L * tail))
-        W[c] = (zs, xs, slopes)
-    return W, knots_and_deficits(tree.root)
+        if cap is not None:
+            slopes.append(zero)
+        else:
+            # past the last knot T_v has slope tail: F_v's, or 1 + L_v times it
+            tail = sum(((1 - Wc[2][-1]) / L for Wc, L in kids), zero)
+            if not root:
+                tail = 1 + Lv * tail
+            if tail == zero:
+                raise MetricError("no obstacle bounds the psh minorant")
+            slopes.append(1 / tail)
+        W[v] = (zs, xs, slopes)
+    return W
 
 
 def _componentwise_max(
     tree: SkeletonTree, d: int, obstacle: Dict[TreePoint, Fraction]
 ) -> Dict[TreePoint, Fraction]:
-    """Componentwise maximum of {h psh-feasible, h <= obstacle where given}.
-
-    The root takes the largest z with deficit at most d, capped by its
-    obstacle; root to leaf, h(c) = W_c(h(parent)).
-    """
-    W, (xs, fs, tail) = _leaf_to_root(tree, obstacle, Fraction(0))
-    k = bisect_right(fs, d) - 1  # no knot: k = -1, tail = 0, and no z
-    if k + 1 < len(xs):
-        z = xs[k] + (d - fs[k]) * (xs[k + 1] - xs[k]) / (fs[k + 1] - fs[k])
-    elif tree.root in obstacle:  # the root's obstacle, the last knot, binds
-        z = xs[k]
-    elif tail > 0:
-        z = xs[k] + (d - fs[k]) / tail
-    else:
-        raise MetricError("no obstacle bounds the psh minorant")
-    h = {tree.root: z}
+    """Componentwise maximum of {h psh-feasible, h <= obstacle where given}:
+    root to leaf, h(root) = W_root(d) and h(c) = W_c(h(parent))."""
+    W = _leaf_to_root(tree, obstacle, Fraction(0))
+    h = {tree.root: _eval(W[tree.root], d)}
     for c in tree.vertices[1:]:
         h[c] = _eval(W[c], h[tree.parent[c]])
     return h
+
+
+def _minorant(tree: SkeletonTree, d: int, obstacle: dict, what: str) -> Metric:
+    """The greatest psh metric on tree lying below obstacle where it is given,
+    checked to be psh and below the obstacle."""
+    h = _componentwise_max(tree, d, obstacle)
+    out = Metric(d, PLFunction(tree, h))
+    if not is_psh(out) or any(h[v] > b for v, b in obstacle.items()):
+        raise MetricError(f"{what} solve returned an infeasible point")
+    return out
 
 
 def envelope(phi: Metric) -> Metric:
@@ -186,12 +193,7 @@ def envelope(phi: Metric) -> Metric:
     """
     if is_psh(phi):
         return phi
-    g = phi.g
-    hvals = _componentwise_max(phi.tree, phi.d, g.values)
-    env = Metric(phi.d, PLFunction(phi.tree, hvals))
-    if not is_psh(env) or any(env.g.values[v] > g.values[v] for v in phi.tree.vertices):
-        raise MetricError("envelope solve returned an infeasible point")
-    return env
+    return _minorant(phi.tree, phi.d, phi.g.values, "envelope")
 
 
 def equilibrium_metric(x: TreePoint, phi: Metric) -> Metric:
@@ -199,9 +201,4 @@ def equilibrium_metric(x: TreePoint, phi: Metric) -> Metric:
     if phi.d < 1:
         raise MetricError("equilibrium metric needs d >= 1")
     tree = refine(phi.tree, [x])
-    g = phi.g.on_tree(tree)
-    hvals = _componentwise_max(tree, phi.d, {x: g.values[x]})
-    eq = Metric(phi.d, PLFunction(tree, hvals))
-    if not is_psh(eq) or eq.g.values[x] > g.values[x]:
-        raise MetricError("equilibrium solve returned an infeasible point")
-    return eq
+    return _minorant(tree, phi.d, {x: phi.g.on_tree(tree).values[x]}, "equilibrium")

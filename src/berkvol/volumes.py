@@ -3,10 +3,11 @@ Riemann-Roch slope experiment.
 
 With u_m(phi) = v(det U_m(phi)) (sections.unit_ball_valuations), -u_m / m^2
 tends to the integral over [0, d] of G(t) = min(g(root), max{z : F(z) <= t}),
-F the root deficit of metrics._leaf_to_root with obstacle g at every vertex:
-vol_limit is exact, and nothing is fitted.  Over dual numbers a + b eps,
-obstacle g + eps f gives the right derivative of t -> vol(L, phi + t f, phi)
-at 0 as the eps-part.  Level series are kept as data only.
+F the root deficit: G is the root's knot list in the envelope's pass
+metrics._leaf_to_root, with obstacle g at every vertex.  vol_limit is
+exact, and nothing is fitted.  Over dual numbers a + b eps, obstacle
+g + eps f gives the right derivative of t -> vol(L, phi + t f, phi) at 0
+as the eps-part.  Level series are kept as data only.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Tuple
 
 from .errors import BerkvolError
-from .metrics import Metric, _leaf_to_root, envelope, energy, is_psh, ma_measure
+from .metrics import Metric, _eval, _leaf_to_root, envelope, energy, is_psh, ma_measure
 from .sections import _level_sums, _valuation_gaps
 from .tree import PLFunction, refine
 
@@ -88,20 +89,13 @@ class _Dual(tuple):
 
 
 def _integral(phi: Metric, obstacle: dict, zero):
-    """The integral of G over [0, d] for an obstacle at every vertex of phi.tree.
-
-    G runs along the root's pieces of F inverted, one trapezoid each, and
-    stays at the cap for t >= F(cap).  Where d cuts a piece, the position
-    along it is a ratio of widths: a dual piece may be infinitesimal."""
-    _, (zs, ts, _) = _leaf_to_root(phi.tree, obstacle, zero)
-    twice, d = zero, zero + phi.d
-    for z0, z1, t0, t1 in zip(zs, zs[1:], ts, ts[1:]):
-        if d <= t0:
-            break
-        if d < t1:
-            z1, t1 = z0 + (z1 - z0) * ((d - t0) / (t1 - t0)), d
-        twice += (t1 - t0) * (z0 + z1)
-    return (twice + 2 * zs[-1] * max(d - ts[-1], zero)) / 2
+    """The integral of G = W_root over [0, d], for an obstacle at every vertex
+    of phi.tree: one trapezoid per knot piece, between the knots below d and
+    the point (d, G(d))."""
+    W = _leaf_to_root(phi.tree, obstacle, zero)[phi.tree.root]
+    d = zero + phi.d
+    knots = [(t, g) for t, g in zip(W[0], W[1]) if t < d] + [(d, _eval(W, d))]
+    return sum(((t1 - t0) * (g0 + g1) for (t0, g0), (t1, g1) in zip(knots, knots[1:])), zero) / 2
 
 
 def right_derivative(phi: Metric, f: PLFunction) -> Fraction:

@@ -397,14 +397,15 @@ FEKETE_CFG = {
     "pool": ["0", "1", "2"],
 }
 
+NON_PSH_DIFF_CFG = {
+    "kind": "diff",
+    "field": {"p": 2},
+    "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, 1, 1]]},
+    "direction": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, 1, 1]],
+    "m_range": {"start": 4, "stop": 10, "step": 2},
+}
+
 DOMAIN_ERROR_CFGS = {
-    "diff-non-psh-base": {
-        "kind": "diff",
-        "field": {"p": 2},
-        "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, 1, 1]]},
-        "direction": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, 1, 1]],
-        "m_range": {"start": 4, "stop": 10, "step": 2},
-    },
     "rr-negative-divisor": {
         "kind": "rr",
         "field": {"p": 2},
@@ -686,6 +687,17 @@ def test_domain_error_is_validation_status(tmp_path, capsys, name):
     assert err.startswith("validation error: ")
     assert "Traceback" not in err
     assert not (tmp_path / f"{name}.report.json").exists()
+
+
+def test_diff_on_a_non_psh_base_pairs_with_the_envelope(tmp_path):
+    # phi rises by 1 from the Gauss point: P(phi) is 0, MA(P(phi)) the Dirac
+    # mass at the Gauss point where f is 0, so both derivatives are 0
+    cfg = write_config(tmp_path, "np.json", NON_PSH_DIFF_CFG)
+    with redirect_stdout(io.StringIO()):
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 0
+    results = json.loads((tmp_path / "np.report.json").read_text())["results"]
+    assert results["target"]["exact"] == "0/1"
+    assert results["right_derivative"]["exact"] == results["left_derivative"]["exact"] == "0/1"
 
 
 def test_rational_strings_are_integers_or_num_den():

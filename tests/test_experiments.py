@@ -47,11 +47,15 @@ def test_diff_symmetric_quotient_exact():
     assert rep.right_derivative == rep.left_derivative == Fraction(1, 2)
 
 
-def test_diff_requires_psh_base():
+def test_diff_accepts_a_non_psh_base():
+    """Past a base that is not psh, both derivatives are the pairing of f
+    with MA(P(phi)), P the psh envelope: 0 here, where MA(phi) pairs to -1."""
     p = 2
-    bad = slope_metric(p, 1, Fraction(1))
-    with pytest.raises(Exception):
-        diff_experiment(bad, tent_direction(p), [Fraction(1, 8)], range(16, 81, 16))
+    bad, f = slope_metric(p, 1, Fraction(1)), tent_direction(p)
+    rep = diff_experiment(bad, f, [Fraction(1, 8)], range(16, 81, 16))
+    assert rep.target == ma_measure(envelope(bad)).integrate(f) == 0
+    assert rep.right_derivative == rep.left_derivative == 0
+    assert ma_measure(bad).integrate(f) == -1
 
 
 def test_diff_computes_each_unit_ball_once(monkeypatch):

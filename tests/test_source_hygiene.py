@@ -136,6 +136,17 @@ def test_one_fit_routine():
     assert callers_of("affine_fit") == []
 
 
+def test_one_minorant_solve():
+    # the Gauss point is a vertex of the leaf-to-root pass like any other:
+    # its knot list serves envelopes, equilibrium metrics, limits and
+    # derivatives, and only the knot-list evaluation searches a list
+    assert callers_of("bisect_right") == [("metrics.py", "_eval")]
+    assert sorted(callers_of("_leaf_to_root")) == [
+        ("metrics.py", "_componentwise_max"),
+        ("volumes.py", "_integral"),
+    ]
+
+
 def display_only_nodes(path, tree):
     """Nodes where a float may appear: the value of field.INF, and in cli.py
     the display columns (fmt_rational and the "normalized" series field)."""

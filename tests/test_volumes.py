@@ -319,11 +319,22 @@ def test_limit_is_the_lead_of_the_level_series():
     assert branching >= 10 and not_psh >= 10
 
 
-def test_one_sided_derivatives_are_the_pairing_with_the_envelope(monkeypatch):
-    """For any phi, psh or not, both one-sided derivatives of
-    t -> vol(L, phi + t f, phi) at 0 equal int f dMA(env phi), exactly.
-    On the second draw the dual pass divides an infinitesimal by an
-    infinitesimal, so the rule for that division is exercised."""
+def derivative_draws(count=120):
+    """(i, phi, f) on one common tree, from seed 11: odd draws psh, even
+    draws mostly not, many on branching trees.  Draw 1 makes the dual pass
+    divide an infinitesimal by an infinitesimal."""
+    rng = random.Random(11)
+    for i in range(count):
+        p, d = rng.choice([2, 3]), rng.choice([1, 2, 3])
+        phi = random_psh_metric(p, d, rng) if i % 2 else random_pl_metric(p, d, rng)
+        f = random_pl_metric(p, d, rng).g
+        tree = refine(phi.tree, f.tree.vertices)
+        yield i, phi.on_tree(tree), f.on_tree(tree)
+
+
+def counting_tiny_divisions(monkeypatch):
+    """A list that records, for each _Dual division, whether the divisor
+    is infinitesimal."""
     divide, tiny = volumes._Dual.__truediv__, []
 
     def counted(a, b):
@@ -331,19 +342,54 @@ def test_one_sided_derivatives_are_the_pairing_with_the_envelope(monkeypatch):
         return divide(a, b)
 
     monkeypatch.setattr(volumes._Dual, "__truediv__", counted)
-    rng = random.Random(11)
-    for i in range(120):
-        p, d = rng.choice([2, 3]), rng.choice([1, 2, 3])
-        phi = random_psh_metric(p, d, rng) if i % 2 else random_pl_metric(p, d, rng)
-        f = random_pl_metric(p, d, rng).g
+    return tiny
+
+
+def test_one_sided_derivatives_are_the_pairing_with_the_envelope(monkeypatch):
+    """For any phi, psh or not, both one-sided derivatives of
+    t -> vol(L, phi + t f, phi) at 0 equal int f dMA(env phi), exactly.
+    On the second draw the dual pass divides an infinitesimal by an
+    infinitesimal, so the rule for that division is exercised."""
+    tiny = counting_tiny_divisions(monkeypatch)
+    for i, phi, f in derivative_draws():
         tiny.clear()
-        tree = refine(phi.tree, f.tree.vertices)
-        phi_r, f_r = phi.on_tree(tree), f.on_tree(tree)
-        right = volumes.right_derivative(phi_r, f_r)
-        left = -volumes.right_derivative(phi_r, f_r.scale(Fraction(-1)))
+        right = volumes.right_derivative(phi, f)
+        left = -volumes.right_derivative(phi, f.scale(Fraction(-1)))
         assert right == left == ma_measure(envelope(phi)).integrate(f), i
         if i == 1:
             assert any(tiny)
+
+
+def test_right_derivative_is_the_linear_coefficient_of_the_exact_volume(monkeypatch):
+    """A check of the dual arithmetic that runs no dual: on its first piece
+    t -> V(t) = vol_limit(phi + t f, phi) is a t + b t^2, so
+    (4 V(t/2) - V(t)) / t is a there.  Halving t from 1 until two successive
+    estimates agree, at most 20 times, a equals right_derivative on every
+    draw of derivative_draws, the one with the infinitesimal division
+    included."""
+    tiny = counting_tiny_divisions(monkeypatch)
+    branching = not_psh = 0
+    for i, phi, f in derivative_draws():
+        branching += any(len(c) >= 2 for c in phi.tree.children.values())
+        not_psh += not is_psh(phi)
+
+        def V(t):
+            return vol_limit(Metric(phi.d, phi.g + f.scale(t)), phi)
+
+        t, v, a = Fraction(1), V(Fraction(1)), None
+        for _ in range(20):
+            half = V(t / 2)
+            a, last = (4 * half - v) / t, a
+            if a == last:
+                break
+            t, v = t / 2, half
+        else:
+            pytest.fail(f"draw {i}: no two successive estimates agree")
+        tiny.clear()
+        assert a == volumes.right_derivative(phi, f), i
+        if i == 1:
+            assert any(tiny)
+    assert branching >= 60 and not_psh >= 40
 
 
 def test_dual_division():
