@@ -6,10 +6,12 @@ plus the tree Laplacian of g; psh means that measure is nonnegative.
 A Metric is immutable and computes that measure at most once: ma_measure,
 is_psh, energy, envelope and equilibrium_metric all read the same one.
 Envelopes and equilibrium metrics are greatest psh minorants of an
-obstacle, found exactly by one leaf-to-root and one root-to-leaf pass
-over the tree; the envelope of a psh metric is the metric itself.  The
-Gauss point is a vertex of that pass like any other: its knot list is the
-G whose integral over [0, d] is the exact volume limit (volumes module).
+obstacle given at every vertex, found exactly by one leaf-to-root and one
+root-to-leaf pass over the tree; the envelope of a psh metric is the
+metric itself.  An equilibrium metric caps every vertex but its point by a
+bound that every psh competitor already obeys.  The Gauss point is a vertex of that
+pass like any other: its knot list is the G whose integral over [0, d] is
+the exact volume limit (volumes module).
 """
 
 from __future__ import annotations
@@ -109,7 +111,8 @@ def energy(phi: Metric, psi: Metric) -> Fraction:
 #: A concave, nondecreasing PL function W of one variable, as the lists
 #: (zs, ws, slopes): its knots (zs[i], ws[i]) in increasing order and the
 #: slope right of each knot.  Left of the first knot W is the identity
-#: (the root's W is read only from its first knot, t = 0, on).
+#: (the root's W is read only from its first knot, t = 0, on); the last
+#: knot's value is the vertex's obstacle, and its slope is 0.
 _Knots = Tuple[List[Fraction], List[Fraction], List[Fraction]]
 
 
@@ -129,43 +132,32 @@ def _leaf_to_root(
     s_v >= F_v(h(v)) at each non-root vertex v and F_root(h(root)) <= d.
     So W_v(z) = min(g(v), T_v^{-1}(z)) is the greatest value at v when its
     parent has value z, with T_v(w) = w + L_v F_v(w); at the root T is F
-    itself, and W_root(d) is the root's value.  The knots of W_v sit at the
-    children's knots below the obstacle g(v), then at g(v), where W_v turns
-    flat.  Only field operations and comparisons run, from zero, a Fraction
-    or a dual.
+    itself, and W_root(d) is the root's value.  Every vertex has an
+    obstacle g(v): the knots of W_v sit at the children's knots below it,
+    then at g(v), where W_v turns flat.  Only field operations and
+    comparisons run, from zero, a Fraction or a dual.
     """
     W: Dict[TreePoint, _Knots] = {}
     for v in reversed(tree.vertices):
-        cap = obstacle.get(v)
+        cap = obstacle[v]
         kids = [(W[c], tree.edge_length(c)) for c in tree.children[v]]
-        xs = sorted({z for Wc, _ in kids for z in Wc[0] if cap is None or z < cap})
-        if cap is not None:
-            xs.append(cap)
+        xs = sorted({z for Wc, _ in kids for z in Wc[0] if z < cap}) + [cap]
         # W_c is the identity up to its first knot, where c adds no deficit
-        fs = [sum(((x - _eval(Wc, x)) / L for Wc, L in kids if Wc[0] and Wc[0][0] < x), zero)
-              for x in xs]
-        root = v == tree.root
-        Lv = None if root else tree.edge_length(v)
-        zs = fs if root else [x + Lv * f for x, f in zip(xs, fs)]
-        slopes = [(x1 - x0) / (z1 - z0) for x0, x1, z0, z1 in zip(xs, xs[1:], zs, zs[1:])]
-        if cap is not None:
-            slopes.append(zero)
+        fs = [sum(((x - _eval(Wc, x)) / L for Wc, L in kids if Wc[0][0] < x), zero) for x in xs]
+        if v == tree.root:
+            zs = fs
         else:
-            # past the last knot T_v has slope tail: F_v's, or 1 + L_v times it
-            tail = sum(((1 - Wc[2][-1]) / L for Wc, L in kids), zero)
-            if not root:
-                tail = 1 + Lv * tail
-            if tail == zero:
-                raise MetricError("no obstacle bounds the psh minorant")
-            slopes.append(1 / tail)
-        W[v] = (zs, xs, slopes)
+            Lv = tree.edge_length(v)
+            zs = [x + Lv * f for x, f in zip(xs, fs)]
+        slopes = [(x1 - x0) / (z1 - z0) for x0, x1, z0, z1 in zip(xs, xs[1:], zs, zs[1:])]
+        W[v] = (zs, xs, slopes + [zero])
     return W
 
 
 def _componentwise_max(
     tree: SkeletonTree, d: int, obstacle: Dict[TreePoint, Fraction]
 ) -> Dict[TreePoint, Fraction]:
-    """Componentwise maximum of {h psh-feasible, h <= obstacle where given}:
+    """Componentwise maximum of {h psh-feasible, h <= obstacle at every vertex}:
     root to leaf, h(root) = W_root(d) and h(c) = W_c(h(parent))."""
     W = _leaf_to_root(tree, obstacle, Fraction(0))
     h = {tree.root: _eval(W[tree.root], d)}
@@ -175,7 +167,7 @@ def _componentwise_max(
 
 
 def _minorant(tree: SkeletonTree, d: int, obstacle: dict, what: str) -> Metric:
-    """The greatest psh metric on tree lying below obstacle where it is given,
+    """The greatest psh metric on tree lying below obstacle at every vertex,
     checked to be psh and below the obstacle."""
     h = _componentwise_max(tree, d, obstacle)
     out = Metric(d, PLFunction(tree, h))
@@ -197,8 +189,16 @@ def envelope(phi: Metric) -> Metric:
 
 
 def equilibrium_metric(x: TreePoint, phi: Metric) -> Metric:
-    """Greatest psh metric whose value at x is at most phi(x)."""
+    """Greatest psh metric whose value at x is at most phi(x).
+
+    Every other vertex gets the cap phi(x) + d q_x, which binds nothing: a
+    psh h falls along every path out of the root, with slope at most d, so
+    h(v) <= h(root) <= h(x) + d q_x.
+    """
     if phi.d < 1:
         raise MetricError("equilibrium metric needs d >= 1")
     tree = refine(phi.tree, [x])
-    return _minorant(tree, phi.d, {x: phi.g.on_tree(tree).values[x]}, "equilibrium")
+    gx = phi.g.on_tree(tree).values[x]
+    obstacle = dict.fromkeys(tree.vertices, gx + phi.d * x.q)
+    obstacle[x] = gx
+    return _minorant(tree, phi.d, obstacle, "equilibrium")

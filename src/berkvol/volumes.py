@@ -45,21 +45,16 @@ def affine_fit(xs: List[Fraction], ys: List[Fraction]) -> Tuple[Fraction, Fracti
 class _Dual(tuple):
     """a + b eps as the pair (a, b), for an infinitesimal eps > 0: eps^2 is
     dropped and the tuple order is the lexicographic one.  Arithmetic also
-    takes a rational operand; comparisons take _Duals only."""
+    takes a rational right operand, and a rational times a _Dual is defined;
+    comparisons take _Duals only."""
 
     def __add__(self, o):
         a, b = self
         return _Dual((a + o[0], b + o[1]) if type(o) is _Dual else (a + o, b))
 
-    __radd__ = __add__
-
     def __sub__(self, o):
         a, b = self
         return _Dual((a - o[0], b - o[1]) if type(o) is _Dual else (a - o, b))
-
-    def __rsub__(self, o):
-        a, b = self
-        return _Dual((o - a, -b))
 
     def __mul__(self, o):
         a, b = self
@@ -81,11 +76,6 @@ class _Dual(tuple):
             return _Dual((b / e, Fraction(0)))
         q = a / c
         return _Dual((q, (b - q * e) / c))
-
-    def __rtruediv__(self, o):
-        a, b = self
-        q = o / a
-        return _Dual((q, -q * b / a))
 
 
 def _integral(phi: Metric, obstacle: dict, zero):

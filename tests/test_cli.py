@@ -192,6 +192,34 @@ def test_assertion_failure_status(tmp_path):
     assert not all(a["passed"] for a in report["assertions"])
 
 
+def test_fekete_plain_integers_and_tv_max(tmp_path):
+    """Plain JSON integers read as their "num/den" spelling; tv_max bounds
+    tv_distance = 1/6 from above, inclusively."""
+    cfg = {
+        "kind": "fekete",
+        "field": {"p": 2},
+        "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, -1, 2]]},
+        "m": 2,
+        "pool": list(range(8)),
+        "tv_max": 1,
+        "expected_valuation": -1,
+    }
+    spelled = dict(cfg, pool=[f"{x}/1" for x in range(8)], tv_max="1/1", expected_valuation="-1/1")
+
+    def run(name, cfg):
+        path = write_config(tmp_path, f"{name}.json", cfg)
+        with redirect_stdout(io.StringIO()):
+            status = main(["run", path, "--out-dir", str(tmp_path)])
+        return status, json.loads((tmp_path / f"{name}.report.json").read_text())
+
+    (a, plain), (b, text) = run("plain", cfg), run("text", spelled)
+    assert a == b == 0 and plain["results"] == text["results"]
+    assert plain["results"]["tv_distance"]["exact"] == "1/6"
+    assert plain["assertions"] == text["assertions"] and len(plain["assertions"]) == 2
+    for tv_max, status in [("1/6", 0), ("1/7", 1), (0, 1)]:
+        assert run("tv", dict(cfg, tv_max=tv_max))[0] == status, tv_max
+
+
 def test_run_orth_and_dirac_kinds(tmp_path):
     orth = {
         "kind": "orth",
@@ -396,11 +424,27 @@ FEKETE_CFG = {
     "m": 1,
     "pool": ["0", "1", "2"],
 }
+DIRAC_CFG = {
+    "kind": "dirac",
+    "field": {"p": 2},
+    "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]},
+    "point": [0, 1, 1, 1],
+}
+SANDWICH_CFG = {
+    "kind": "sandwich",
+    "field": {"p": 2},
+    "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]},
+    "psi1": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1], [1, 1, 1, 1, -1, 1]]},
+    "psi2": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]},
+}
+# rises by 1 from the Gauss point: negative mass at zeta(0, 1)
+NON_PSH_METRIC = {"d": 1, "tree": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, 1, 1]]}
+DEGREE_ZERO_METRIC = {"d": 0, "tree": [[0, 1, 0, 1, 0, 1]]}
 
 NON_PSH_DIFF_CFG = {
     "kind": "diff",
     "field": {"p": 2},
-    "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, 1, 1]]},
+    "metric": NON_PSH_METRIC,
     "direction": [[0, 1, 0, 1, 0, 1], [0, 1, 1, 1, 1, 1]],
     "m_range": {"start": 4, "stop": 10, "step": 2},
 }
@@ -513,6 +557,28 @@ DOMAIN_ERROR_CFGS = {
         "metric2": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]},
         "m_range": [1, 2],
     },
+    # each of the rest meets its own check, and prints DOMAIN_ERROR_MESSAGES[name]
+    "tree-empty": dict(ORTH_CFG, metric={"d": 1, "tree": []}),
+    "metric-d-negative": dict(ORTH_CFG, metric={"d": -1, "tree": [[0, 1, 0, 1, 0, 1]]}),
+    "tree-row-off-disc": dict(ORTH_CFG, metric={"d": 1, "tree": [[0, 1, 0, 1, 0, 1], [1, 2, 1, 1, 0, 1]]}),
+    "dirac-point-off-disc": dict(DIRAC_CFG, point=[1, 2, 1, 1]),
+    "m-range-step-zero": dict(DIFF_CFG, m_range={"start": 1, "stop": 4, "step": 0}),
+    "m-range-start-past-stop": dict(DIFF_CFG, m_range={"start": 4, "stop": 1}),
+    "dirac-point-wrong-shape": dict(DIRAC_CFG, point=[0, 1, 1]),
+    "rational-as-object": dict(DIFF_CFG, t_grid=[{"a": 1}]),
+    "diff-t-grid-not-a-list": dict(DIFF_CFG, t_grid="1/8"),
+    "fekete-m-zero": dict(FEKETE_CFG, m=0),
+    "fekete-pool-not-a-list": dict(FEKETE_CFG, pool="0"),
+    "fekete-pool-repeated": dict(FEKETE_CFG, pool=["0", "1", "2/2"]),
+    "fekete-pool-too-small": dict(FEKETE_CFG, pool=["0"]),
+    "sandwich-two-bundles": dict(SANDWICH_CFG, psi2={"d": 2, "tree": [[0, 1, 0, 1, 0, 1]]}),
+    "vol-energy-two-bundles": dict(VOL_ENERGY_CFG, metric2={"d": 2, "tree": [[0, 1, 0, 1, 0, 1]]}),
+    "sandwich-not-psh": dict(SANDWICH_CFG, metric=NON_PSH_METRIC),
+    "vol-energy-degree-zero": dict(VOL_ENERGY_CFG, metric=DEGREE_ZERO_METRIC, metric2=DEGREE_ZERO_METRIC),
+    "dirac-degree-zero": dict(DIRAC_CFG, metric=DEGREE_ZERO_METRIC),
+    "rr-ample-not-psh": dict(RR_SERIES_CFG, ample=NON_PSH_METRIC),
+    "top-level-list": [ORTH_CFG],
+    "field-without-p": dict(ORTH_CFG, field={"q": 2}),
 }
 
 
@@ -676,6 +742,32 @@ def test_seed_is_a_usage_error(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+# the one line that each of the last entries of DOMAIN_ERROR_CFGS prints
+DOMAIN_ERROR_MESSAGES = {
+    "tree-empty": "metric.tree: expected a nonempty list of vertex rows",
+    "metric-d-negative": "metric.d: expected a nonnegative integer",
+    "tree-row-off-disc": "metric.tree[1]: center 1/2 lies outside the closed unit disc",
+    "dirac-point-off-disc": "point: center 1/2 lies outside the closed unit disc",
+    "m-range-step-zero": "m_range: step must be >= 1",
+    "m-range-start-past-stop": "m_range: empty or invalid m range",
+    "dirac-point-wrong-shape": "point: expected [c_num, c_den, q_num, q_den]",
+    "rational-as-object": "t_grid: expected 'num/den', int, or [num, den], got {'a': 1}",
+    "diff-t-grid-not-a-list": "t_grid: expected a list of rationals",
+    "fekete-m-zero": "m: expected a positive integer",
+    "fekete-pool-not-a-list": "pool: expected a list of rationals",
+    "fekete-pool-repeated": "pool contains repeated points",
+    "fekete-pool-too-small": "pool of 1 points cannot host 2-tuples",
+    "sandwich-two-bundles": "auxiliary metrics live on different bundles",
+    "vol-energy-two-bundles": "metrics live on different line bundles",
+    "sandwich-not-psh": "all inputs must be psh",
+    "vol-energy-degree-zero": "energy needs d >= 1",
+    "dirac-degree-zero": "equilibrium metric needs d >= 1",
+    "rr-ample-not-psh": "ample-side metric must be psh",
+    "top-level-list": "top-level config must be an object",
+    "field-without-p": "field: expected an object with a prime 'p'",
+}
+
+
 @pytest.mark.parametrize("name", sorted(DOMAIN_ERROR_CFGS))
 def test_domain_error_is_validation_status(tmp_path, capsys, name):
     cfg = write_config(tmp_path, f"{name}.json", DOMAIN_ERROR_CFGS[name])
@@ -686,6 +778,8 @@ def test_domain_error_is_validation_status(tmp_path, capsys, name):
     assert len(err.splitlines()) == 1
     assert err.startswith("validation error: ")
     assert "Traceback" not in err
+    if name in DOMAIN_ERROR_MESSAGES:
+        assert err == f"validation error: {DOMAIN_ERROR_MESSAGES[name]}\n"
     assert not (tmp_path / f"{name}.report.json").exists()
 
 

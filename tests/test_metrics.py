@@ -7,7 +7,6 @@ import berkvol.metrics as metrics
 from berkvol import simplex
 from berkvol.metrics import (
     Metric,
-    MetricError,
     _componentwise_max,
     energy,
     envelope,
@@ -16,7 +15,7 @@ from berkvol.metrics import (
     ma_measure,
     trivial_metric,
 )
-from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point, refine
+from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point, meet, refine
 
 from conftest import random_pl_metric, random_psh_metric, random_tree
 from envelope_oracle import _psh_rows, one_lp_max
@@ -266,7 +265,9 @@ def test_one_lp_matches_per_vertex_lps():
         x = TreePoint(p, Fraction(rng.randint(0, p * p - 1)), Fraction(rng.randint(0, 8), 2))
         tree = refine(phi.tree, [x])
         gx = g.on_tree(tree).values[x]
-        assert equilibrium_metric(x, phi).g.values == per_vertex_maxima(tree, d, {x: gx}, gx)
+        eq = equilibrium_metric(x, phi).g.values
+        assert eq == per_vertex_maxima(tree, d, {x: gx}, gx)
+        assert eq == {v: gx + d * (x.q - meet(x, v).q) for v in tree.vertices}
 
 
 def _point_of_kind(kind, tree, rng):
@@ -309,14 +310,21 @@ def test_envelope_recursion_matches_lp_oracle():
         assert (x in tree.vertices, tree.retract(x.center, x.q) == x) == kinds[kind]
         refined = refine(tree, [x])
         gx = g.on_tree(refined).values[x]
-        assert equilibrium_metric(x, phi).g.values == one_lp_max(refined, d, {x: gx}, gx)
+        eq = equilibrium_metric(x, phi).g.values
+        assert eq == one_lp_max(refined, d, {x: gx}, gx)
+        # the point's Green function, whose value at the root is the cap
+        assert eq == {v: gx + d * (x.q - meet(x, v).q) for v in refined.vertices}
 
         if i % 2:
             continue
-        # an obstacle on a random subset of the vertices
+        # an obstacle on a random subset of the vertices, completed by the
+        # cap min_s (b_s + d q_s) that every psh h <= b on the subset obeys;
+        # the LP sees only the subset, so it proves the cap binds nothing
         some = {v: g.values[v] for v in tree.vertices if rng.random() < 0.4}
         some = some or {tree.vertices[-1]: g.values[tree.vertices[-1]]}
-        assert _componentwise_max(tree, d, some) == one_lp_max(tree, d, some, min(some.values()))
+        cap = min(b + d * s.q for s, b in some.items())
+        full = {**dict.fromkeys(tree.vertices, cap), **some}
+        assert _componentwise_max(tree, d, full) == one_lp_max(tree, d, some, min(some.values()))
     assert big >= 10
 
 
@@ -355,9 +363,3 @@ def test_equilibrium_obstacle_only_at_a_leaf():
     eq = equilibrium_metric(l1, phi)
     assert eq.g.values == {root: Fraction(3, 2), c: Fraction(1, 2), l1: Fraction(-1, 2), l2: Fraction(1, 2)}
     assert ma_measure(eq).masses == {l1: 1}
-
-
-def test_componentwise_max_needs_a_bounding_obstacle():
-    tree, _ = _cherry()
-    with pytest.raises(MetricError, match="no obstacle"):
-        _componentwise_max(tree, 1, {})
