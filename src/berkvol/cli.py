@@ -17,8 +17,6 @@ experiment, or a report that cannot be written).
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import json
 import os
 import re
@@ -26,6 +24,16 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
+
+# The interpreter's own SHA-256, as random.py takes its sha512: hashlib would
+# load OpenSSL's libcrypto, a few milliseconds of start-up, to hash one config.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .errors import BerkvolError
@@ -292,27 +300,20 @@ def parse_point(obj: Any, p: int, where: str) -> TreePoint:
 
 # ---------------------------------------------------------------------------
 # Experiment runners: (config, prime p, options) -> (results with exact
-# Fractions, assertions, csv rows)
+# Fractions, assertions, series rows)
 
 
-def _series_rows(samples, k: int, t: str = "") -> List[Dict[str, Any]]:
-    """CSV rows of a level series [(m, v)]: v exactly, and v / m^k as a display
-    decimal.  The decimal divides v's own integers, which rounds once, as
-    float(v / m**k) does, and overflows where it does."""
+def _series_rows(samples, k: int, t: str = "") -> List[Tuple[int, str, str, str, float]]:
+    """Rows (m, t, value_num, value_den, normalized) of a level series
+    [(m, v)]: v exactly, and v / m^k as a display decimal.  The decimal
+    divides v's own integers, which rounds once, as float(v / m**k) does, and
+    overflows where it does."""
     rows = []
     for m, v in samples:
         where = f"series m={m}" + (f" t={t}" if t else "")
         num, den = exact_terms(v, f"{where} value")
         try:
-            rows.append(
-                {
-                    "m": m,
-                    "t": t,
-                    "value_num": num,
-                    "value_den": den,
-                    "normalized": v.numerator / (v.denominator * m**k),
-                }
-            )
+            rows.append((m, t, num, den, v.numerator / (v.denominator * m**k)))
         except OverflowError:
             raise ConfigError(
                 f"{where} normalized: the value is too large for a display decimal"
@@ -475,6 +476,14 @@ def cmd_describe(args) -> int:
 
 
 def cmd_run(args) -> int:
+    """Run one config and write <name>.report.json, and <name>.series.csv
+    for a kind with a level series, into the output directory.
+
+    The series file is a header and one row per level, five comma-separated
+    columns with CRLF line ends and no quoting (no field can hold a comma, a
+    quote or a line end): the bytes an excel-dialect csv writer gives.  It
+    is written before the report, so a report on disk always has its series.
+    """
     path = Path(args.config)
     try:
         raw = path.read_text()
@@ -511,7 +520,7 @@ def cmd_run(args) -> int:
         args.out_dir or cfg.get("out_dir") or os.environ.get(OUT_DIR_ENV) or "."
     )
     stem = cfg.get("name") or path.stem
-    config_hash = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+    config_hash = sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
 
     report = {
         "config_hash": config_hash,
@@ -525,18 +534,17 @@ def cmd_run(args) -> int:
     report_path = out_dir / f"{stem}.report.json"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        if rows:
+            series_path = out_dir / f"{stem}.series.csv"
+            tmp = series_path.with_suffix(".tmp")
+            lines = ["m,t,value_num,value_den,normalized\r\n"]
+            lines += [f"{m},{t},{num},{den},{normalized!r}\r\n" for m, t, num, den, normalized in rows]
+            tmp.write_text("".join(lines), newline="")
+            tmp.replace(series_path)
+
         tmp = report_path.with_suffix(".tmp")
         tmp.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         tmp.replace(report_path)
-
-        if rows:
-            csv_path = out_dir / f"{stem}.series.csv"
-            tmp = csv_path.with_suffix(".tmp")
-            with open(tmp, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=["m", "t", "value_num", "value_den", "normalized"])
-                writer.writeheader()
-                writer.writerows(rows)
-            Path(tmp).replace(csv_path)
     except (OSError, ValueError) as e:  # ValueError: a NUL byte in a path
         print(f"validation error: cannot write the report: {e}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -109,17 +109,23 @@ def energy(phi: Metric, psi: Metric) -> Fraction:
 
 
 #: A concave, nondecreasing PL function W of one variable, as the lists
-#: (zs, ws, slopes): its knots (zs[i], ws[i]) in increasing order and the
-#: slope right of each knot.  Left of the first knot W is the identity
-#: (the root's W is read only from its first knot, t = 0, on); the last
-#: knot's value is the vertex's obstacle, and its slope is 0.
-_Knots = Tuple[List[Fraction], List[Fraction], List[Fraction]]
+#: (zs, ws): its knots (zs[i], ws[i]) in increasing order, linear between
+#: them.  Left of the first knot W is the identity (the root's W is read
+#: only from its first knot, t = 0, on); the last knot's value is the
+#: vertex's obstacle, and W is flat right of it.  No slope is stored:
+#: _eval divides only between two knots, on the piece it reads, and the
+#: root-to-leaf walk and volumes._integral read each W at one point.
+_Knots = Tuple[List[Fraction], List[Fraction]]
 
 
 def _eval(W: _Knots, z: Fraction) -> Fraction:
-    zs, ws, slopes = W
+    zs, ws = W
     i = bisect_right(zs, z) - 1
-    return z if i < 0 else ws[i] + slopes[i] * (z - zs[i])
+    if i < 0:
+        return z
+    if i == len(zs) - 1 or z == zs[i]:
+        return ws[i]
+    return ws[i] + (ws[i + 1] - ws[i]) / (zs[i + 1] - zs[i]) * (z - zs[i])
 
 
 def _leaf_to_root(
@@ -149,8 +155,7 @@ def _leaf_to_root(
         else:
             Lv = tree.edge_length(v)
             zs = [x + Lv * f for x, f in zip(xs, fs)]
-        slopes = [(x1 - x0) / (z1 - z0) for x0, x1, z0, z1 in zip(xs, xs[1:], zs, zs[1:])]
-        W[v] = (zs, xs, slopes + [zero])
+        W[v] = (zs, xs)
     return W
 
 

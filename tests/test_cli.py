@@ -1,5 +1,7 @@
+import argparse
 import copy
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -19,6 +21,7 @@ from berkvol.cli import (
     MAX_POOL_POINTS,
     MAX_RADIUS_EXPONENT,
     MAX_SECTION_DEGREE,
+    RUNNERS,
     ConfigError,
     _series_rows,
     main,
@@ -408,6 +411,25 @@ def test_config_hash_covers_every_key(tmp_path):
     assert len(set(hashes)) == 3
 
 
+def test_failed_series_write_leaves_no_new_report(tmp_path, capsys):
+    """The series is written before the report, so a run that cannot write
+    its series leaves no report behind, and an older report unchanged."""
+    out = tmp_path / "out"
+    (out / "ve.series.tmp").mkdir(parents=True)  # blocks the series' temporary file
+    cfg = write_config(tmp_path, "ve.json", VOL_ENERGY_CFG)
+    assert main(["run", cfg, "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("validation error: cannot write the report: ")
+    assert not (out / "ve.report.json").exists()
+
+    (out / "ve.series.tmp").rmdir()
+    assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    old = (out / "ve.report.json").read_bytes()
+    (out / "ve.series.tmp").mkdir()
+    cfg = write_config(tmp_path, "ve.json", dict(VOL_ENERGY_CFG, m_range=[2, 3]))
+    assert main(["run", cfg, "--out-dir", str(out)]) == 3
+    assert (out / "ve.report.json").read_bytes() == old
+
+
 ORTH_CFG = {"kind": "orth", "field": {"p": 2}, "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]}}
 DIFF_CFG = {
     "kind": "diff",
@@ -794,6 +816,44 @@ def test_diff_on_a_non_psh_base_pairs_with_the_envelope(tmp_path):
     assert results["right_derivative"]["exact"] == results["left_derivative"]["exact"] == "0/1"
 
 
+ONE_CFG_PER_KIND = {
+    "orth": ORTH_CFG,
+    "dirac": DIRAC_CFG,
+    "diff": DIFF_CFG,
+    "sandwich": SANDWICH_CFG,
+    "vol-energy": VOL_ENERGY_CFG,
+    "rr": RR_SERIES_CFG,
+    "fekete": FEKETE_CFG,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_CFG_PER_KIND))
+def test_config_hash_is_the_sha256_of_the_sorted_config(tmp_path, kind):
+    cfg = ONE_CFG_PER_KIND[kind]
+    assert cfg["kind"] == kind
+    assert main(["run", write_config(tmp_path, "c.json", cfg), "--out-dir", str(tmp_path)]) == 0
+    got = json.loads((tmp_path / "c.report.json").read_text())["config_hash"]
+    assert got == hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "cfg", [DIFF_SERIES_CFG, VOL_ENERGY_SERIES_CFG, RR_SERIES_CFG], ids=lambda cfg: cfg["kind"]
+)
+def test_series_file_parses_back_to_the_rows(tmp_path, cfg):
+    """csv.reader reads each series file back to the header and the fields
+    of _series_rows, so the unquoted columns need no quoting.  The diff file
+    has a negative t and negative numerators."""
+    assert main(["run", write_config(tmp_path, "s.json", cfg), "--out-dir", str(tmp_path)]) == 0
+    _, _, rows = RUNNERS[cfg["kind"]](cfg, cfg["field"]["p"], argparse.Namespace(m_max=None))
+    with open(tmp_path / "s.series.csv", newline="") as fh:
+        got = list(csv.reader(fh))
+    assert got[0] == ["m", "t", "value_num", "value_den", "normalized"]
+    assert got[1:] == [[str(m), t, num, den, repr(x)] for m, t, num, den, x in rows]
+    assert [float(row[4]) for row in got[1:]] == [row[4] for row in rows]
+    if cfg["kind"] == "diff":
+        assert any(row[1].startswith("-") and row[2].startswith("-") for row in got[1:])
+
+
 def test_rational_strings_are_integers_or_num_den():
     for text, want in [("3", 3), ("-3", -3), ("+3/4", Fraction(3, 4)), ("-6/4", Fraction(-3, 2))]:
         assert parse_rational(text, "x") == want
@@ -891,8 +951,8 @@ def test_series_decimal_is_the_float_of_the_normalized_value():
             with pytest.raises(ConfigError, match=message):
                 _series_rows([(m, v)], k)
             continue
-        [row] = _series_rows([(m, v)], k)
-        assert row["normalized"] == want and str(row["normalized"]) == str(want), (v, m, k)
+        [(_, _, _, _, normalized)] = _series_rows([(m, v)], k)
+        assert normalized == want and repr(normalized) == repr(want), (v, m, k)
     assert overflowed > 500
 
 

@@ -1,6 +1,7 @@
 """Source rules for every module of the package, checked on its syntax tree."""
 
 import ast
+import hashlib
 import importlib
 import subprocess
 import sys
@@ -57,6 +58,25 @@ def test_cli_import_loads_no_introspection_modules():
     added = modules_loaded("import berkvol.cli") - modules_loaded("pass")
     assert "berkvol.cli" in added
     assert added & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+    # hashlib's _hashlib loads OpenSSL's libcrypto, a few milliseconds of
+    # start-up: the config hash takes the interpreter's built-in SHA-256,
+    # and the series file is written without the csv module
+    assert added & {"hashlib", "_hashlib", "csv", "_csv"} == set()
+
+
+def test_cli_hash_falls_back_to_hashlib():
+    """With neither built-in SHA-256 module, the import takes hashlib's and
+    gives the same digest."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    payload = b'{"kind": "orth"}'
+    script = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); "
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+        "import berkvol.cli; "
+        f"print('hashlib' in sys.modules, berkvol.cli.sha256({payload!r}).hexdigest())"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True", hashlib.sha256(payload).hexdigest()]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

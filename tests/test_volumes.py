@@ -321,8 +321,9 @@ def test_limit_is_the_lead_of_the_level_series():
 
 def derivative_draws(count=120):
     """(i, phi, f) on one common tree, from seed 11: odd draws psh, even
-    draws mostly not, many on branching trees.  Draw 1 makes the dual pass
-    divide an infinitesimal by an infinitesimal."""
+    draws mostly not, many on branching trees.  Draw 3 is the first on which
+    the dual pass divides an infinitesimal by an infinitesimal, in both
+    directions f and -f."""
     rng = random.Random(11)
     for i in range(count):
         p, d = rng.choice([2, 3]), rng.choice([1, 2, 3])
@@ -348,15 +349,15 @@ def counting_tiny_divisions(monkeypatch):
 def test_one_sided_derivatives_are_the_pairing_with_the_envelope(monkeypatch):
     """For any phi, psh or not, both one-sided derivatives of
     t -> vol(L, phi + t f, phi) at 0 equal int f dMA(env phi), exactly.
-    On the second draw the dual pass divides an infinitesimal by an
-    infinitesimal, so the rule for that division is exercised."""
+    On draw 3 the dual pass divides an infinitesimal by an infinitesimal,
+    so the rule for that division is exercised."""
     tiny = counting_tiny_divisions(monkeypatch)
     for i, phi, f in derivative_draws():
         tiny.clear()
         right = volumes.right_derivative(phi, f)
         left = -volumes.right_derivative(phi, f.scale(Fraction(-1)))
         assert right == left == ma_measure(envelope(phi)).integrate(f), i
-        if i == 1:
+        if i == 3:
             assert any(tiny)
 
 
@@ -387,7 +388,7 @@ def test_right_derivative_is_the_linear_coefficient_of_the_exact_volume(monkeypa
             pytest.fail(f"draw {i}: no two successive estimates agree")
         tiny.clear()
         assert a == volumes.right_derivative(phi, f), i
-        if i == 1:
+        if i == 3:
             assert any(tiny)
     assert branching >= 60 and not_psh >= 40
 
