@@ -2,8 +2,12 @@
 
 Usage:
     berkvol list
-    berkvol describe <kind>
-    berkvol run <config.json> [--out-dir DIR] [--m-max M]
+    berkvol describe KIND
+    berkvol run CONFIG [--out-dir DIR] [--m-max M]
+
+The options of run may come before or after CONFIG, and may also be written
+--out-dir=DIR and --m-max=M.  -h or --help prints this text.  A usage error
+prints the command's usage line and exits with status 2.
 
 Configs are JSON with every rational written exactly: an integer, the
 string "num/den" (or an integer string, with an optional sign), or a
@@ -16,14 +20,14 @@ experiment, or a report that cannot be written).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Any, Dict, List, NoReturn, Optional, Tuple
 
 # The interpreter's own SHA-256, as random.py takes its sha512: hashlib would
 # load OpenSSL's libcrypto, a few milliseconds of start-up, to hash one config.
@@ -482,7 +486,8 @@ def cmd_run(args) -> int:
     The series file is a header and one row per level, five comma-separated
     columns with CRLF line ends and no quoting (no field can hold a comma, a
     quote or a line end): the bytes an excel-dialect csv writer gives.  It
-    is written before the report, so a report on disk always has its series.
+    is written before the report, so a report on disk always has its series;
+    for a kind with no series, an older <name>.series.csv is removed first.
     """
     path = Path(args.config)
     try:
@@ -532,15 +537,17 @@ def cmd_run(args) -> int:
         ],
     }
     report_path = out_dir / f"{stem}.report.json"
+    series_path = out_dir / f"{stem}.series.csv"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         if rows:
-            series_path = out_dir / f"{stem}.series.csv"
             tmp = series_path.with_suffix(".tmp")
             lines = ["m,t,value_num,value_den,normalized\r\n"]
             lines += [f"{m},{t},{num},{den},{normalized!r}\r\n" for m, t, num, den, normalized in rows]
             tmp.write_text("".join(lines), newline="")
             tmp.replace(series_path)
+        else:  # an older run's series would sit beside a report it does not belong to
+            series_path.unlink(missing_ok=True)
 
         tmp = report_path.with_suffix(".tmp")
         tmp.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -557,34 +564,86 @@ def cmd_run(args) -> int:
     return EXIT_ASSERTION if failed else EXIT_OK
 
 
-#: The command-line parser, built by main on first use rather than at import.
-_PARSER: Optional[argparse.ArgumentParser] = None
+COMMANDS = {"list": cmd_list, "describe": cmd_describe, "run": cmd_run}
+
+#: The usage line of the program and of each command.
+USAGE = {
+    None: "usage: berkvol {list,describe,run} ...",
+    "list": "usage: berkvol list",
+    "describe": "usage: berkvol describe KIND",
+    "run": "usage: berkvol run CONFIG [--out-dir DIR] [--m-max M]",
+}
+
+#: The one operand of describe and of run, and the attribute that holds it.
+OPERAND = {"describe": ("KIND", "kind"), "run": ("CONFIG", "config")}
+
+#: The options of run, and the attribute that holds each.
+RUN_OPTIONS = {"--out-dir": "out_dir", "--m-max": "m_max"}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="berkvol", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage_error(command: Optional[str], message: str) -> NoReturn:
+    print(USAGE[command], file=sys.stderr)
+    print(f"berkvol: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_PARSE)
 
-    sub.add_parser("list", help="enumerate experiment kinds").set_defaults(func=cmd_list)
 
-    p_desc = sub.add_parser("describe", help="describe what an experiment kind tests")
-    p_desc.add_argument("kind")
-    p_desc.set_defaults(func=cmd_describe)
+def _is_option(arg: str) -> bool:
+    """A dash word, as argparse reads one: not "-" and not a negative integer."""
+    return arg.startswith("-") and arg != "-" and not arg[1:].isdigit()
 
-    p_run = sub.add_parser("run", help="run an experiment config")
-    p_run.add_argument("config")
-    p_run.add_argument("--out-dir", default=None)
-    p_run.add_argument("--m-max", type=int, default=None, dest="m_max")
-    p_run.set_defaults(func=cmd_run)
-    return parser
+
+def parse_argv(argv: List[str]) -> SimpleNamespace:
+    """The command line: command, kind, config, out_dir and m_max.
+
+    -h or --help prints the module docstring and exits 0; a usage error
+    prints the usage line and the offending argument and exits 2.
+    """
+    if argv and argv[0] in ("-h", "--help"):
+        print(__doc__ or USAGE[None])
+        raise SystemExit(EXIT_OK)
+    if not argv or argv[0] not in COMMANDS:
+        what = f"invalid command {argv[0]!r}" if argv else "a command is required"
+        _usage_error(None, f"{what} (choose from 'list', 'describe', 'run')")
+    command, rest = argv[0], argv[1:]
+    args = SimpleNamespace(command=command, kind=None, config=None, out_dir=None, m_max=None)
+    operands = []
+    i = 0
+    while i < len(rest):
+        arg = rest[i]
+        i += 1
+        if arg in ("-h", "--help"):
+            print(__doc__ or USAGE[command])
+            raise SystemExit(EXIT_OK)
+        if not _is_option(arg):
+            operands.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        if command != "run" or name not in RUN_OPTIONS:
+            _usage_error(command, f"unrecognized option {arg!r}")
+        if not eq:
+            if i == len(rest) or _is_option(rest[i]):
+                _usage_error(command, f"option {name} expects a value")
+            value = rest[i]
+            i += 1
+        if name == "--m-max":
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(command, f"option --m-max: {value!r} is not an integer")
+        setattr(args, RUN_OPTIONS[name], value)
+    if command in OPERAND:
+        metavar, attr = OPERAND[command]
+        if not operands:
+            _usage_error(command, f"{metavar} is required")
+        setattr(args, attr, operands.pop(0))
+    if operands:
+        _usage_error(command, f"unexpected argument {operands[0]!r}")
+    return args
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = _build_parser()
-    args = _PARSER.parse_args(argv)
-    return args.func(args)
+    args = parse_argv(sys.argv[1:] if argv is None else argv)
+    return COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

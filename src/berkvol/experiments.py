@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
-from .errors import BerkvolError
+from .errors import BerkvolError, Frozen
 from .field import padic_valuation
 from .metrics import Metric, envelope, equilibrium_metric, is_psh, ma_measure
 from .sections import _level_sums, _valuation_gaps, vandermonde_value
@@ -31,16 +31,20 @@ def _add_direction(phi: Metric, f: PLFunction, t: Fraction) -> Metric:
     return Metric(phi.d, phi.g + f.scale(t))
 
 
-class DiffLeg(NamedTuple):
-    t: Fraction
-    samples: List[Tuple[int, Fraction]]
+class DiffLeg(Frozen):
+    def __init__(self, t: Fraction, samples: List[Tuple[int, Fraction]]):
+        self.__dict__.update(t=t, samples=samples)
 
 
-class DiffReport(NamedTuple):
-    target: Fraction
-    right_derivative: Fraction
-    left_derivative: Fraction
-    legs: List[DiffLeg]
+class DiffReport(Frozen):
+    def __init__(
+        self, target: Fraction, right_derivative: Fraction, left_derivative: Fraction,
+        legs: List[DiffLeg],
+    ):
+        self.__dict__.update(
+            target=target, right_derivative=right_derivative,
+            left_derivative=left_derivative, legs=legs,
+        )
 
 
 def diff_experiment(
@@ -68,10 +72,9 @@ def diff_experiment(
     return DiffReport(ma_measure(envelope(phi)).integrate(f), right, left, legs)
 
 
-class SandwichReport(NamedTuple):
-    lower: Fraction
-    middle: Fraction
-    upper: Fraction
+class SandwichReport(Frozen):
+    def __init__(self, lower: Fraction, middle: Fraction, upper: Fraction):
+        self.__dict__.update(lower=lower, middle=middle, upper=upper)
 
     def holds(self) -> bool:
         return self.lower <= self.middle <= self.upper
@@ -103,10 +106,9 @@ def orthogonality_experiment(phi: Metric) -> Fraction:
     return mu.integrate(phi.g) - mu.integrate(env.g)
 
 
-class DiracReport(NamedTuple):
-    point: TreePoint
-    metric: Metric
-    measure: DiscreteMeasure
+class DiracReport(Frozen):
+    def __init__(self, point: TreePoint, metric: Metric, measure: DiscreteMeasure):
+        self.__dict__.update(point=point, metric=metric, measure=measure)
 
     def is_dirac(self) -> bool:
         return self.measure.masses == {self.point: Fraction(self.metric.d)}
@@ -118,15 +120,17 @@ def dirac_experiment(x: TreePoint, phi: Metric) -> DiracReport:
     return DiracReport(x, eq, ma_measure(eq))
 
 
-class FeketeReport(NamedTuple):
-    m: int
-    n_points: int
-    best_config: Tuple[Fraction, ...]
-    n_optima: int
-    best_valuation: Fraction
-    empirical: DiscreteMeasure
-    target: DiscreteMeasure
-    tv_distance: Fraction
+class FeketeReport(Frozen):
+    def __init__(
+        self, m: int, n_points: int, best_config: Tuple[Fraction, ...], n_optima: int,
+        best_valuation: Fraction, empirical: DiscreteMeasure, target: DiscreteMeasure,
+        tv_distance: Fraction,
+    ):
+        self.__dict__.update(
+            m=m, n_points=n_points, best_config=best_config, n_optima=n_optima,
+            best_valuation=best_valuation, empirical=empirical, target=target,
+            tv_distance=tv_distance,
+        )
 
 
 def _merge(a: List[Tuple[int, int, int]], b: List[Tuple[int, int, int]], N: int):

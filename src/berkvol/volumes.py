@@ -13,9 +13,9 @@ as the eps-part.  Level series are kept as data only.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, NamedTuple, Tuple
+from typing import Iterable, List, Tuple
 
-from .errors import BerkvolError
+from .errors import BerkvolError, Frozen
 from .metrics import Metric, _eval, _leaf_to_root, envelope, energy, is_psh, ma_measure
 from .sections import _level_sums, _valuation_gaps
 from .tree import PLFunction, refine
@@ -101,11 +101,12 @@ def vol_limit(phi: Metric, psi: Metric) -> Fraction:
     return _integral(phi, phi.g.values, Fraction(0)) - _integral(psi, psi.g.values, Fraction(0))
 
 
-class VolEnergyReport(NamedTuple):
-    samples: List[Tuple[int, Fraction]]
-    limit: Fraction
-    energy: Fraction
-    gap: Fraction
+class VolEnergyReport(Frozen):
+    def __init__(
+        self, samples: List[Tuple[int, Fraction]], limit: Fraction, energy: Fraction,
+        gap: Fraction,
+    ):
+        self.__dict__.update(samples=samples, limit=limit, energy=energy, gap=gap)
 
 
 def check_vol_equals_energy(
@@ -152,10 +153,9 @@ def _rr_content_refined(phi_r: Metric, shrink_r: PLFunction, ms: List[int]) -> L
     return _valuation_gaps(_level_sums(phi_r, ms), shrunk)
 
 
-class RRReport(NamedTuple):
-    samples: List[Tuple[int, Fraction]]
-    slope: Fraction
-    target: Fraction
+class RRReport(Frozen):
+    def __init__(self, samples: List[Tuple[int, Fraction]], slope: Fraction, target: Fraction):
+        self.__dict__.update(samples=samples, slope=slope, target=target)
 
 
 def rr_slope_experiment(

@@ -5,8 +5,11 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,6 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import berkvol.cli as cli_module
 from berkvol.cli import (
     KINDS,
     MAX_POOL_POINTS,
@@ -430,6 +434,25 @@ def test_failed_series_write_leaves_no_new_report(tmp_path, capsys):
     assert (out / "ve.report.json").read_bytes() == old
 
 
+def test_kind_without_series_removes_an_older_series(tmp_path):
+    """A report never sits beside a series of another run: a kind with no
+    series removes an older <name>.series.csv."""
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, "x.json", VOL_ENERGY_CFG), "--out-dir", str(out)]) == 0
+    assert (out / "x.series.csv").exists()
+    assert main(["run", write_config(tmp_path, "x.json", ORTH_CFG), "--out-dir", str(out)]) == 0
+    assert json.loads((out / "x.report.json").read_text())["kind"] == "orth"
+    assert not (out / "x.series.csv").exists()
+
+
+def test_series_that_cannot_be_removed_leaves_no_report(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "x.series.csv").mkdir(parents=True)  # unlink fails on a directory
+    assert main(["run", write_config(tmp_path, "x.json", ORTH_CFG), "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("validation error: cannot write the report: ")
+    assert not (out / "x.report.json").exists()
+
+
 ORTH_CFG = {"kind": "orth", "field": {"p": 2}, "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]}}
 DIFF_CFG = {
     "kind": "diff",
@@ -762,6 +785,89 @@ def test_seed_is_a_usage_error(tmp_path, capsys):
         main(["run", cfg, "--out-dir", str(tmp_path), "--seed", "1"])
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+CANONICAL_RUN = ["run", "CFG", "--out-dir", "OUT", "--m-max", "16"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "CFG", "--out-dir=OUT", "--m-max", "16"],
+        ["run", "--out-dir", "OUT", "CFG", "--m-max", "16"],
+        ["run", "--m-max", "16", "--out-dir=OUT", "CFG"],
+        ["run", "CFG", "--out-dir", "OUT", "--m-max=16"],
+    ],
+    ids=" ".join,
+)
+def test_run_spellings_give_the_canonical_bytes(tmp_path, argv):
+    cfg = write_config(tmp_path, "ve.json", VOL_ENERGY_CFG)
+    outputs = []
+    for name, form in (("canonical", CANONICAL_RUN), ("spelled", argv)):
+        out = tmp_path / name
+        assert main([cfg if a == "CFG" else a.replace("OUT", str(out)) for a in form]) == 0
+        outputs.append([(out / f"ve.{suffix}").read_bytes() for suffix in ("report.json", "series.csv")])
+    assert outputs[0] == outputs[1]
+    assert b"\r\n16," in outputs[0][1] and b"\r\n18," not in outputs[0][1]
+
+
+USAGE_ERRORS = [  # argv, and what the error line names
+    ([], "a command is required"),
+    (["frobnicate"], "'frobnicate'"),
+    (["--out-dir", "x", "run", "c.json"], "'--out-dir'"),
+    (["run", "c.json", "--seed", "1"], "'--seed'"),
+    (["run", "c.json", "--out", "x"], "'--out'"),  # no prefix abbreviations
+    (["list", "--m-max", "3"], "'--m-max'"),
+    (["run"], "CONFIG"),
+    (["describe"], "KIND"),
+    (["run", "c.json", "--out-dir"], "--out-dir"),
+    (["run", "c.json", "--m-max", "--out-dir", "x"], "--m-max"),
+    (["run", "c.json", "extra.json"], "'extra.json'"),
+    (["list", "extra"], "'extra'"),
+    (["describe", "orth", "dirac"], "'dirac'"),
+    (["run", "c.json", "--m-max", "three"], "'three'"),
+    (["run", "c.json", "--m-max=1.5"], "'1.5'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, named", USAGE_ERRORS, ids=[" ".join(argv) or "no-command" for argv, _ in USAGE_ERRORS]
+)
+def test_usage_error_exits_2_and_names_the_argument(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    usage, error = err.splitlines()
+    assert out == ""
+    assert usage.startswith("usage: berkvol")
+    assert error.startswith("berkvol: error: ") and named in error
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], ["run", "-h"], ["run", "c.json", "--help"]], ids=" ".join
+)
+def test_help_prints_the_module_docstring(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (cli_module.__doc__ + "\n", "")
+
+
+def test_python_m_berkvol_reads_sys_argv():
+    src = str(Path(cli_module.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def berkvol(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "berkvol", *argv], capture_output=True, text=True, env=env
+        )
+
+    listed = berkvol("list")
+    assert (listed.returncode, sorted(listed.stdout.split())) == (0, sorted(KINDS))
+    bare = berkvol()
+    assert bare.returncode == 2
+    assert bare.stderr.startswith("usage: berkvol")
 
 
 # the one line that each of the last entries of DOMAIN_ERROR_CFGS prints

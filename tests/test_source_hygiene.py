@@ -42,8 +42,17 @@ def test_no_concurrent_futures(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dataclasses(path):
     # importing dataclasses loads inspect, ast, dis and tokenize, about half
-    # of the package's start-up; its values are plain classes and NamedTuples
+    # of the package's start-up; its values and reports are plain classes,
+    # the immutable ones errors.Frozen
     assert "dataclasses" not in imported_modules(path), f"{path.name} imports dataclasses"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_named_tuples(path):
+    # each NamedTuple class takes about 0.15 ms to create at import; reports
+    # are errors.Frozen classes, as Metric and TreePoint are
+    names = {name.split(".")[-1] for name in imported_modules(path)}
+    assert names & {"NamedTuple", "namedtuple"} == set(), f"{path.name} imports a named tuple"
 
 
 def modules_loaded(code):
@@ -62,6 +71,9 @@ def test_cli_import_loads_no_introspection_modules():
     # start-up: the config hash takes the interpreter's built-in SHA-256,
     # and the series file is written without the csv module
     assert added & {"hashlib", "_hashlib", "csv", "_csv"} == set()
+    # argparse, and the gettext it loads, cost about 1.8 ms: the command
+    # line is parsed by hand
+    assert added & {"argparse", "gettext"} == set()
 
 
 def test_cli_hash_falls_back_to_hashlib():
