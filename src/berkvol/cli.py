@@ -485,9 +485,11 @@ def cmd_run(args) -> int:
 
     The series file is a header and one row per level, five comma-separated
     columns with CRLF line ends and no quoting (no field can hold a comma, a
-    quote or a line end): the bytes an excel-dialect csv writer gives.  It
-    is written before the report, so a report on disk always has its series;
-    for a kind with no series, an older <name>.series.csv is removed first.
+    quote or a line end): the bytes an excel-dialect csv writer gives.  Both
+    files are written in full to temporary files before either replaces its
+    target, the series first, so a report on disk always sits beside its own
+    series; for a kind with no series, an older <name>.series.csv is removed
+    before the report is replaced.
     """
     path = Path(args.config)
     try:
@@ -540,18 +542,18 @@ def cmd_run(args) -> int:
     series_path = out_dir / f"{stem}.series.csv"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        files = []  # (target, text, newline), the series first
         if rows:
-            tmp = series_path.with_suffix(".tmp")
             lines = ["m,t,value_num,value_den,normalized\r\n"]
             lines += [f"{m},{t},{num},{den},{normalized!r}\r\n" for m, t, num, den, normalized in rows]
-            tmp.write_text("".join(lines), newline="")
-            tmp.replace(series_path)
-        else:  # an older run's series would sit beside a report it does not belong to
+            files.append((series_path, "".join(lines), ""))
+        files.append((report_path, json.dumps(report, indent=2, sort_keys=True) + "\n", None))
+        for target, text, newline in files:
+            target.with_suffix(".tmp").write_text(text, newline=newline)
+        if not rows:  # an older run's series would sit beside a report it does not belong to
             series_path.unlink(missing_ok=True)
-
-        tmp = report_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        tmp.replace(report_path)
+        for target, _, _ in files:
+            target.with_suffix(".tmp").replace(target)
     except (OSError, ValueError) as e:  # ValueError: a NUL byte in a path
         print(f"validation error: cannot write the report: {e}", file=sys.stderr)
         return EXIT_VALIDATION

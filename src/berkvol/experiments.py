@@ -32,19 +32,11 @@ def _add_direction(phi: Metric, f: PLFunction, t: Fraction) -> Metric:
 
 
 class DiffLeg(Frozen):
-    def __init__(self, t: Fraction, samples: List[Tuple[int, Fraction]]):
-        self.__dict__.update(t=t, samples=samples)
+    """t, and samples: the (m, vol_m(phi + t f, phi)) pairs."""
 
 
 class DiffReport(Frozen):
-    def __init__(
-        self, target: Fraction, right_derivative: Fraction, left_derivative: Fraction,
-        legs: List[DiffLeg],
-    ):
-        self.__dict__.update(
-            target=target, right_derivative=right_derivative,
-            left_derivative=left_derivative, legs=legs,
-        )
+    """target, right_derivative, left_derivative, and legs: the DiffLegs."""
 
 
 def diff_experiment(
@@ -68,13 +60,15 @@ def diff_experiment(
     for t in sorted({abs(Fraction(t)) for t in t_grid if t != 0}):
         for s in (t, -t):
             series = _level_sums(_add_direction(phi, f, s), ms)
-            legs.append(DiffLeg(s, list(zip(ms, _valuation_gaps(series, base)))))
-    return DiffReport(ma_measure(envelope(phi)).integrate(f), right, left, legs)
+            legs.append(DiffLeg(t=s, samples=list(zip(ms, _valuation_gaps(series, base)))))
+    return DiffReport(
+        target=ma_measure(envelope(phi)).integrate(f), right_derivative=right,
+        left_derivative=left, legs=legs,
+    )
 
 
 class SandwichReport(Frozen):
-    def __init__(self, lower: Fraction, middle: Fraction, upper: Fraction):
-        self.__dict__.update(lower=lower, middle=middle, upper=upper)
+    """lower, middle and upper, the three terms of the bound."""
 
     def holds(self) -> bool:
         return self.lower <= self.middle <= self.upper
@@ -92,7 +86,7 @@ def sandwich_check(phi: Metric, psi1: Metric, psi2: Metric) -> SandwichReport:
     f = psi1.g - psi2.g
     mixed = ma_measure(phi).add(ma_measure(psi1))
     middle = mixed.integrate(f) - vol_limit(_add_direction(phi, f, Fraction(1)), phi)
-    return SandwichReport(e * f.min_value(), middle, e * f.max_value())
+    return SandwichReport(lower=e * f.min_value(), middle=middle, upper=e * f.max_value())
 
 
 def orthogonality_experiment(phi: Metric) -> Fraction:
@@ -107,8 +101,7 @@ def orthogonality_experiment(phi: Metric) -> Fraction:
 
 
 class DiracReport(Frozen):
-    def __init__(self, point: TreePoint, metric: Metric, measure: DiscreteMeasure):
-        self.__dict__.update(point=point, metric=metric, measure=measure)
+    """point, its equilibrium metric, and that metric's MA measure."""
 
     def is_dirac(self) -> bool:
         return self.measure.masses == {self.point: Fraction(self.metric.d)}
@@ -117,20 +110,12 @@ class DiracReport(Frozen):
 def dirac_experiment(x: TreePoint, phi: Metric) -> DiracReport:
     """Monge-Ampere measure of the equilibrium metric of a point."""
     eq = equilibrium_metric(x, phi)
-    return DiracReport(x, eq, ma_measure(eq))
+    return DiracReport(point=x, metric=eq, measure=ma_measure(eq))
 
 
 class FeketeReport(Frozen):
-    def __init__(
-        self, m: int, n_points: int, best_config: Tuple[Fraction, ...], n_optima: int,
-        best_valuation: Fraction, empirical: DiscreteMeasure, target: DiscreteMeasure,
-        tv_distance: Fraction,
-    ):
-        self.__dict__.update(
-            m=m, n_points=n_points, best_config=best_config, n_optima=n_optima,
-            best_valuation=best_valuation, empirical=empirical, target=target,
-            tv_distance=tv_distance,
-        )
+    """m, n_points, best_config, n_optima, best_valuation, empirical, target
+    and tv_distance."""
 
 
 def _merge(a: List[Tuple[int, int, int]], b: List[Tuple[int, int, int]], N: int):
@@ -212,5 +197,6 @@ def fekete_experiment(phi: Metric, m: int, pool: Sequence[Fraction]) -> FeketeRe
     empirical = DiscreteMeasure(emp)
     target = ma_measure(phi).scale(Fraction(1, phi.d))
     return FeketeReport(
-        m, N, winner, n_optima, best_val, empirical, target, empirical.tv_distance(target)
+        m=m, n_points=N, best_config=winner, n_optima=n_optima, best_valuation=best_val,
+        empirical=empirical, target=target, tv_distance=empirical.tv_distance(target),
     )

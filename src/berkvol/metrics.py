@@ -203,7 +203,7 @@ def equilibrium_metric(x: TreePoint, phi: Metric) -> Metric:
     if phi.d < 1:
         raise MetricError("equilibrium metric needs d >= 1")
     tree = refine(phi.tree, [x])
-    gx = phi.g.on_tree(tree).values[x]
+    gx = phi.g.evaluate(x)
     obstacle = dict.fromkeys(tree.vertices, gx + phi.d * x.q)
     obstacle[x] = gx
     return _minorant(tree, phi.d, obstacle, "equilibrium")

@@ -124,21 +124,10 @@ def digit_order(x: Fraction, y: Fraction, p: int) -> int:
     return _digit_cmp(_digits(x, v + 1, p), _digits(y, v + 1, p), v, p)
 
 
-class SkeletonTree:
-    def __init__(
-        self,
-        p: int,
-        vertices: List[TreePoint],
-        parent: Dict[TreePoint, Optional[TreePoint]],
-        children: Dict[TreePoint, List[TreePoint]],
-        depth: int,
-    ):
-        self.p = p
-        self.vertices = vertices
-        self.parent = parent
-        self.children = children
-        #: The largest k of a vertex: digits modulo p^depth decide every place.
-        self.depth = depth
+class SkeletonTree(Frozen):
+    """p; vertices, sorted by q; the parent and children of each vertex;
+    depth, the largest k of a vertex: digits modulo p^depth decide every
+    place."""
 
     @property
     def root(self) -> TreePoint:
@@ -238,7 +227,8 @@ def build_tree(p: int, points: Iterable[TreePoint]) -> SkeletonTree:
     for v in vertices[1:]:
         children[parent[v]].append(v)
     return SkeletonTree(
-        p, vertices, {v: parent[v] for v in vertices}, children, max(v.k for v in vertices)
+        p=p, vertices=vertices, parent={v: parent[v] for v in vertices}, children=children,
+        depth=max(v.k for v in vertices),
     )
 
 

@@ -102,11 +102,7 @@ def vol_limit(phi: Metric, psi: Metric) -> Fraction:
 
 
 class VolEnergyReport(Frozen):
-    def __init__(
-        self, samples: List[Tuple[int, Fraction]], limit: Fraction, energy: Fraction,
-        gap: Fraction,
-    ):
-        self.__dict__.update(samples=samples, limit=limit, energy=energy, gap=gap)
+    """samples: the (m, vol_m) pairs; limit, energy, and gap = limit - energy."""
 
 
 def check_vol_equals_energy(
@@ -118,7 +114,7 @@ def check_vol_equals_energy(
     ms = sorted(set(m_range))
     vols = _valuation_gaps(_level_sums(phi, ms), _level_sums(psi, ms))
     e = energy(envelope(phi), envelope(psi))
-    return VolEnergyReport(list(zip(ms, vols)), limit, e, limit - e)
+    return VolEnergyReport(samples=list(zip(ms, vols)), limit=limit, energy=e, gap=limit - e)
 
 
 def rr_content(phi_D: PLFunction, phi_A: Metric, m: int) -> Fraction:
@@ -154,8 +150,7 @@ def _rr_content_refined(phi_r: Metric, shrink_r: PLFunction, ms: List[int]) -> L
 
 
 class RRReport(Frozen):
-    def __init__(self, samples: List[Tuple[int, Fraction]], slope: Fraction, target: Fraction):
-        self.__dict__.update(samples=samples, slope=slope, target=target)
+    """samples: the (m, rr_content) pairs; slope, and its target."""
 
 
 def rr_slope_experiment(
@@ -169,4 +164,4 @@ def rr_slope_experiment(
     ms = sorted(set(m_range))
     samples = list(zip(ms, _rr_content_refined(phi_r, shrink_r, ms)))
     slope = -right_derivative(phi_r, shrink_r)
-    return RRReport(samples, slope, ma_measure(phi_A).integrate(phi_D))
+    return RRReport(samples=samples, slope=slope, target=ma_measure(phi_A).integrate(phi_D))

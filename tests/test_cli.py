@@ -434,6 +434,20 @@ def test_failed_series_write_leaves_no_new_report(tmp_path, capsys):
     assert (out / "ve.report.json").read_bytes() == old
 
 
+def test_failed_report_write_leaves_the_older_series(tmp_path, capsys):
+    """Both temporary files are written before either target is replaced, so
+    a run that cannot write its report leaves the older report and series."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "ve.json", dict(VOL_ENERGY_CFG, m_range=[2, 3]))
+    assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    old = {name: (out / name).read_bytes() for name in ("ve.report.json", "ve.series.csv")}
+    (out / "ve.report.tmp").mkdir()  # blocks the report's temporary file
+    cfg = write_config(tmp_path, "ve.json", dict(VOL_ENERGY_CFG, m_range=[2, 3, 4]))
+    assert main(["run", cfg, "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("validation error: cannot write the report: ")
+    assert {name: (out / name).read_bytes() for name in old} == old
+
+
 def test_kind_without_series_removes_an_older_series(tmp_path):
     """A report never sits beside a series of another run: a kind with no
     series removes an older <name>.series.csv."""
@@ -624,6 +638,8 @@ DOMAIN_ERROR_CFGS = {
     "rr-ample-not-psh": dict(RR_SERIES_CFG, ample=NON_PSH_METRIC),
     "top-level-list": [ORTH_CFG],
     "field-without-p": dict(ORTH_CFG, field={"q": 2}),
+    "m-range-without-stop": dict(DIFF_CFG, m_range={"start": 1}),
+    "fekete-not-psh": dict(FEKETE_CFG, metric=NON_PSH_METRIC),
 }
 
 
@@ -893,6 +909,8 @@ DOMAIN_ERROR_MESSAGES = {
     "rr-ample-not-psh": "ample-side metric must be psh",
     "top-level-list": "top-level config must be an object",
     "field-without-p": "field: expected an object with a prime 'p'",
+    "m-range-without-stop": "m_range: missing 'stop'",
+    "fekete-not-psh": "Fekete experiment needs a psh metric",
 }
 
 

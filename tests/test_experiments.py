@@ -1,13 +1,19 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from berkvol import experiments
 from berkvol.experiments import (
+    DiffLeg,
+    DiffReport,
+    DiracReport,
     ExperimentError,
+    FeketeReport,
+    SandwichReport,
     diff_experiment,
     dirac_experiment,
     fekete_experiment,
@@ -16,7 +22,15 @@ from berkvol.experiments import (
 )
 from berkvol.metrics import Metric, envelope, ma_measure, trivial_metric
 from berkvol.sections import vandermonde_value, vol_m
-from berkvol.tree import DiscreteMeasure, PLFunction, TreePoint, build_tree, gauss_point
+from berkvol.tree import (
+    DiscreteMeasure,
+    PLFunction,
+    SkeletonTree,
+    TreePoint,
+    build_tree,
+    gauss_point,
+)
+from berkvol.volumes import RRReport, VolEnergyReport
 
 from conftest import random_pl_metric, random_psh_chain_metric, random_psh_metric
 from fekete_oracle import tabulated_optima
@@ -292,3 +306,36 @@ def test_fekete_winner_is_rechecked(monkeypatch):
     )
     with pytest.raises(ExperimentError, match="disagrees"):
         fekete_experiment(phi, m, pool)
+
+
+# the fields of each report, and of the tree
+KEYWORD_FIELDS = {
+    DiffLeg: ("t", "samples"),
+    DiffReport: ("target", "right_derivative", "left_derivative", "legs"),
+    SandwichReport: ("lower", "middle", "upper"),
+    DiracReport: ("point", "metric", "measure"),
+    FeketeReport: (
+        "m", "n_points", "best_config", "n_optima", "best_valuation", "empirical", "target",
+        "tv_distance",
+    ),
+    VolEnergyReport: ("samples", "limit", "energy", "gap"),
+    RRReport: ("samples", "slope", "target"),
+    SkeletonTree: ("p", "vertices", "parent", "children", "depth"),
+}
+
+
+@pytest.mark.parametrize("cls", KEYWORD_FIELDS, ids=lambda cls: cls.__name__)
+def test_reports_and_trees_are_built_by_keyword_and_frozen(cls):
+    names = KEYWORD_FIELDS[cls]
+    fields = {name: object() for name in names}
+    obj = cls(**fields)
+    assert vars(obj) == fields
+    with pytest.raises(TypeError):
+        cls(*fields.values())  # swapped positions would pass unnoticed
+    for name in names:
+        frozen = re.escape(f"field {name!r} of a frozen {cls.__name__}")
+        with pytest.raises(AttributeError, match=frozen):
+            setattr(obj, name, 0)
+        with pytest.raises(AttributeError, match=frozen):
+            delattr(obj, name)
+    assert vars(obj) == fields

@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from berkvol.field import INF, FieldContext
-from berkvol.metrics import Metric, trivial_metric
+from berkvol.metrics import Metric, MetricError, energy, trivial_metric
 from berkvol.sections import (
     Section,
     SectionError,
@@ -24,7 +25,7 @@ from berkvol.sections import (
     vandermonde_value,
     vol_m,
 )
-from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point, meet
+from berkvol.tree import PLFunction, TreeError, TreePoint, build_tree, gauss_point, meet
 from berkvol.volumes import _rr_refine
 
 from conftest import (
@@ -526,3 +527,47 @@ def test_diagonal_weights_guard_is_pairwise_nesting():
                 diagonal_weights(phi, 2)
         seen.add(nested)
     assert seen == {True, False}
+
+
+def _rising_metric():
+    """Not psh: it rises by 1 from the Gauss point to zeta(0, 1) over Q_2."""
+    x = TreePoint(2, Fraction(0), Fraction(1))
+    return Metric(1, PLFunction(build_tree(2, [x]), {gauss_point(2): Fraction(0), x: Fraction(1)}))
+
+
+# a call outside the domain of a library routine, with the error it raises
+LIBRARY_DOMAIN_ERRORS = {
+    "energy-two-bundles": (
+        lambda: energy(trivial_metric(2, 1), trivial_metric(2, 2)),
+        MetricError, "metrics live on different line bundles",
+    ),
+    "energy-not-psh": (
+        lambda: energy(_rising_metric(), trivial_metric(2, 1)),
+        MetricError, "energy requires psh inputs",
+    ),
+    "vol-m-two-bundles": (
+        lambda: vol_m(trivial_metric(2, 1), trivial_metric(2, 2), 1),
+        SectionError, "metrics live on different line bundles",
+    ),
+    "vandermonde-point-count": (
+        lambda: vandermonde_value([Fraction(0)], trivial_metric(2, 1), 1),
+        SectionError, "need exactly 2 points, got 1",
+    ),
+    "meet-two-primes": (
+        lambda: meet(gauss_point(2), gauss_point(3)), TreeError, "points over different primes",
+    ),
+    "build-tree-two-primes": (
+        lambda: build_tree(2, [gauss_point(3)]), TreeError, "point over a different prime",
+    ),
+    "gauss-point-edge": (
+        lambda: build_tree(2, []).edge_length(gauss_point(2)),
+        TreeError, "the Gauss point has no parent edge",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_DOMAIN_ERRORS))
+def test_library_domain_error(name):
+    call, error, message = LIBRARY_DOMAIN_ERRORS[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -65,7 +65,7 @@ def all_pairs_build_tree(p: int, points) -> SkeletonTree:
     ordered = sorted(verts, key=lambda v: (v.q, v.key))
     root = ordered[0]
     depth = max(math.ceil(v.q) for v in ordered)
-    tree = SkeletonTree(p, [root], {root: None}, {root: []}, depth)
+    tree = SkeletonTree(p=p, vertices=[root], parent={root: None}, children={root: []}, depth=depth)
     for v in ordered[1:]:
         par = descend(tree, v.center, v.q)[0]
         tree.vertices.append(v)
