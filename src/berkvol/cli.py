@@ -24,10 +24,11 @@ import json
 import os
 import re
 import sys
+from contextlib import suppress
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Dict, List, NoReturn, Optional, Tuple
+from typing import Any, Callable, Dict, List, NoReturn, Optional, Tuple
 
 # The interpreter's own SHA-256, as random.py takes its sha512: hashlib would
 # load OpenSSL's libcrypto, a few milliseconds of start-up, to hash one config.
@@ -72,47 +73,6 @@ MAX_RADIUS_EXPONENT = 1_000
 
 class ConfigError(Exception):
     """Raised for structurally invalid configs (exit status 3)."""
-
-
-KINDS: Dict[str, str] = {
-    "diff": (
-        "Differentiability of relative volumes: the one-sided derivative of "
-        "t -> vol(L, phi + t f, phi) at t = 0 equals the pairing of f with "
-        "MA(P(phi)), the Monge-Ampere measure of the psh envelope of phi, for "
-        "any continuous phi (P(phi) = phi when phi is psh).  Both exact "
-        "one-sided derivatives are checked for equality with the exact pairing."
-    ),
-    "sandwich": (
-        "Siu-type sandwich bound: for f = psi1 - psi2 a difference of psh "
-        "metrics on an auxiliary O(e), the defect between the mixed pairing "
-        "int f d(MA(phi) + MA(psi1)) and vol(L, phi + f, phi) lies between "
-        "e * inf f and e * sup f."
-    ),
-    "orth": (
-        "Orthogonality: the Monge-Ampere measure of the psh envelope is "
-        "supported in the contact locus {env(phi) = phi}, i.e. the residual "
-        "int (phi - env(phi)) d MA(env(phi)) vanishes exactly."
-    ),
-    "dirac": (
-        "Dirac solutions: the equilibrium metric of a nonpluripolar point x "
-        "solves the Monge-Ampere equation MA(phi_x) = d * delta_x exactly."
-    ),
-    "fekete": (
-        "Fekete equidistribution: configurations maximizing the metrized "
-        "Vandermonde determinant equidistribute, after retraction to the "
-        "skeleton, toward the normalized Monge-Ampere measure of the metric."
-    ),
-    "rr": (
-        "Asymptotic Riemann-Roch slope: the content of the level-m "
-        "restriction to a vertical divisor grows like m times the pairing "
-        "of the divisor function with the Monge-Ampere measure of the ample "
-        "metric.  The exact slope is checked for equality with the pairing."
-    ),
-    "vol-energy": (
-        "Volume equals energy: the exact relative volume of two metrics "
-        "equals the relative Monge-Ampere energy of their psh envelopes."
-    ),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -200,29 +160,15 @@ def fmt_measure(mu) -> List[Dict[str, Any]]:
 # Config -> domain objects
 
 
-def parse_radius(obj: Any, where: str) -> Fraction:
-    q = parse_rational(obj, where)
-    if q > MAX_RADIUS_EXPONENT:
-        raise ConfigError(f"{where}: radius exponent {q} exceeds {MAX_RADIUS_EXPONENT}")
-    return q
-
-
 def parse_pl_function(rows: Any, p: int, where: str) -> PLFunction:
     if not isinstance(rows, list) or not rows:
         raise ConfigError(f"{where}: expected a nonempty list of vertex rows")
     values: Dict[TreePoint, Fraction] = {}
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != 6:
-            raise ConfigError(
-                f"{where}[{i}]: expected [c_num, c_den, q_num, q_den, v_num, v_den]"
-            )
-        c = parse_rational(row[0:2], f"{where}[{i}].center")
-        q = parse_radius(row[2:4], f"{where}[{i}].q")
+            raise ConfigError(f"{where}[{i}]: expected [c_num, c_den, q_num, q_den, v_num, v_den]")
+        pt = parse_point(row[:4], p, f"{where}[{i}]")
         v = parse_rational(row[4:6], f"{where}[{i}].value")
-        try:
-            pt = TreePoint(p, c, q)
-        except Exception as e:
-            raise ConfigError(f"{where}[{i}]: {e}") from None
         if pt in values:
             j, first = next((j, x) for j, x in enumerate(values) if x == pt)
             raise ConfigError(f"{where}[{i}]: names the same disc as {where}[{j}], {first}")
@@ -249,10 +195,9 @@ def parse_pl_function(rows: Any, p: int, where: str) -> PLFunction:
 
 def check_section_degree(m: int, d: int, where: str) -> None:
     """Reject levels whose sections exceed degree MAX_SECTION_DEGREE."""
-    if m * max(d, 1) > MAX_SECTION_DEGREE:
-        raise ConfigError(
-            f"{where}: section degree m*d = {m * max(d, 1)} exceeds {MAX_SECTION_DEGREE}"
-        )
+    n = m * max(d, 1)
+    if n > MAX_SECTION_DEGREE:
+        raise ConfigError(f"{where}: section degree m*d = {n} exceeds {MAX_SECTION_DEGREE}")
 
 
 def parse_metric(obj: Any, p: int, where: str) -> Metric:
@@ -265,7 +210,9 @@ def parse_metric(obj: Any, p: int, where: str) -> Metric:
     return Metric(d, parse_pl_function(obj["tree"], p, f"{where}.tree"))
 
 
-def parse_m_range(obj: Any, where: str, m_max: Optional[int]) -> List[int]:
+def parse_m_range(obj: Any, where: str, m_max: Optional[int], d: int) -> List[int]:
+    """The sorted levels of a list or start/stop/step, those above m_max
+    dropped; the top level's sections, of degree m*d, are bounded as well."""
     if isinstance(obj, list):
         ms = sorted({parse_int(x, where) for x in obj})
         check_section_degree(max(ms, default=1), 1, where)
@@ -288,6 +235,7 @@ def parse_m_range(obj: Any, where: str, m_max: Optional[int]) -> List[int]:
         ms = [m for m in ms if m <= m_max]
     if not ms or ms[0] < 1:
         raise ConfigError(f"{where}: empty or invalid m range")
+    check_section_degree(ms[-1], d, where)
     return ms
 
 
@@ -295,7 +243,9 @@ def parse_point(obj: Any, p: int, where: str) -> TreePoint:
     if not isinstance(obj, list) or len(obj) != 4:
         raise ConfigError(f"{where}: expected [c_num, c_den, q_num, q_den]")
     c = parse_rational(obj[0:2], f"{where}.center")
-    q = parse_radius(obj[2:4], f"{where}.q")
+    q = parse_rational(obj[2:4], f"{where}.q")
+    if q > MAX_RADIUS_EXPONENT:
+        raise ConfigError(f"{where}.q: radius exponent {q} exceeds {MAX_RADIUS_EXPONENT}")
     try:
         return TreePoint(p, c, q)
     except Exception as e:
@@ -359,8 +309,7 @@ def run_diff(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
     t_grid = [parse_rational(t, "t_grid") for t in t_raw]
     if not any(t_grid):
         raise ConfigError("t_grid: needs at least one nonzero t")
-    ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max)
-    check_section_degree(ms[-1], phi.d, "m_range")
+    ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max, phi.d)
     rep = ex.diff_experiment(phi, f, t_grid, ms)
     rows = []
     for leg in rep.legs:
@@ -383,7 +332,7 @@ def run_sandwich(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
     psi1 = parse_metric(cfg.get("psi1"), p, "psi1")
     psi2 = parse_metric(cfg.get("psi2"), p, "psi2")
     if "m_range" in cfg:  # validated, though the exact volume reads no level
-        parse_m_range(cfg["m_range"], "m_range", None)
+        parse_m_range(cfg["m_range"], "m_range", None, 1)
     rep = ex.sandwich_check(phi, psi1, psi2)
     results = fmt_results({"lower": rep.lower, "middle": rep.middle, "upper": rep.upper})
     assertions = [("sandwich_holds", rep.holds(), f"{rep.lower} <= {rep.middle} <= {rep.upper}")]
@@ -393,8 +342,7 @@ def run_sandwich(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
 def run_vol_energy(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
     phi = parse_metric(cfg.get("metric"), p, "metric")
     psi = parse_metric(cfg.get("metric2"), p, "metric2")
-    ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max)
-    check_section_degree(ms[-1], max(phi.d, psi.d), "m_range")
+    ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max, max(phi.d, psi.d))
     rep = vo.check_vol_equals_energy(phi, psi, ms)
     rows = _series_rows(rep.samples, 2)
     results = fmt_results({"limit": rep.limit, "energy": rep.energy, "gap": rep.gap})
@@ -405,8 +353,7 @@ def run_vol_energy(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]
 def run_rr(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
     phi_D = parse_pl_function(cfg.get("divisor"), p, "divisor")
     phi_A = parse_metric(cfg.get("ample"), p, "ample")
-    ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max)
-    check_section_degree(ms[-1], phi_A.d, "m_range")
+    ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max, phi_A.d)
     rep = vo.rr_slope_experiment(phi_D, phi_A, ms)
     rows = _series_rows(rep.samples, 1)
     results = fmt_results({"slope": rep.slope, "target": rep.target})
@@ -449,14 +396,45 @@ def run_fekete(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
     return results, assertions, []
 
 
-RUNNERS = {
-    "orth": run_orth,
-    "dirac": run_dirac,
-    "diff": run_diff,
-    "sandwich": run_sandwich,
-    "vol-energy": run_vol_energy,
-    "rr": run_rr,
-    "fekete": run_fekete,
+#: Each kind's runner, and the text describe prints: a literal, which -OO keeps.
+KINDS: Dict[str, Tuple[Callable, str]] = {
+    "diff": (run_diff, (
+        "Differentiability of relative volumes: the one-sided derivative of "
+        "t -> vol(L, phi + t f, phi) at t = 0 equals the pairing of f with "
+        "MA(P(phi)), the Monge-Ampere measure of the psh envelope of phi, for "
+        "any continuous phi (P(phi) = phi when phi is psh).  Both exact "
+        "one-sided derivatives are checked for equality with the exact pairing."
+    )),
+    "sandwich": (run_sandwich, (
+        "Siu-type sandwich bound: for f = psi1 - psi2 a difference of psh "
+        "metrics on an auxiliary O(e), the defect between the mixed pairing "
+        "int f d(MA(phi) + MA(psi1)) and vol(L, phi + f, phi) lies between "
+        "e * inf f and e * sup f."
+    )),
+    "orth": (run_orth, (
+        "Orthogonality: the Monge-Ampere measure of the psh envelope is "
+        "supported in the contact locus {env(phi) = phi}, i.e. the residual "
+        "int (phi - env(phi)) d MA(env(phi)) vanishes exactly."
+    )),
+    "dirac": (run_dirac, (
+        "Dirac solutions: the equilibrium metric of a nonpluripolar point x "
+        "solves the Monge-Ampere equation MA(phi_x) = d * delta_x exactly."
+    )),
+    "fekete": (run_fekete, (
+        "Fekete equidistribution: configurations maximizing the metrized "
+        "Vandermonde determinant equidistribute, after retraction to the "
+        "skeleton, toward the normalized Monge-Ampere measure of the metric."
+    )),
+    "rr": (run_rr, (
+        "Asymptotic Riemann-Roch slope: the content of the level-m "
+        "restriction to a vertical divisor grows like m times the pairing "
+        "of the divisor function with the Monge-Ampere measure of the ample "
+        "metric.  The exact slope is checked for equality with the pairing."
+    )),
+    "vol-energy": (run_vol_energy, (
+        "Volume equals energy: the exact relative volume of two metrics "
+        "equals the relative Monge-Ampere energy of their psh envelopes."
+    )),
 }
 
 
@@ -475,7 +453,7 @@ def cmd_describe(args) -> int:
     if kind not in KINDS:
         print(f"unknown experiment kind: {kind!r}", file=sys.stderr)
         return EXIT_VALIDATION
-    print(f"{kind}: {KINDS[kind]}")
+    print(f"{kind}: {KINDS[kind][1]}")
     return EXIT_OK
 
 
@@ -489,7 +467,8 @@ def cmd_run(args) -> int:
     files are written in full to temporary files before either replaces its
     target, the series first, so a report on disk always sits beside its own
     series; for a kind with no series, an older <name>.series.csv is removed
-    before the report is replaced.
+    before the report is replaced.  A run whose write fails removes the
+    temporary files it wrote, and no other path.
     """
     path = Path(args.config)
     try:
@@ -503,7 +482,7 @@ def cmd_run(args) -> int:
         if not isinstance(cfg, dict):
             raise ConfigError("top-level config must be an object")
         kind = cfg.get("kind")
-        if not isinstance(kind, str) or kind not in RUNNERS:
+        if not isinstance(kind, str) or kind not in KINDS:
             raise ConfigError(f"unknown experiment kind: {kind!r}")
         fld = cfg.get("field")
         if not isinstance(fld, dict) or "p" not in fld:
@@ -518,7 +497,7 @@ def cmd_run(args) -> int:
                 raise ConfigError(f"{key}: expected a string, got {cfg[key]!r}")
         if any(sep in cfg.get("name", "") for sep in ("/", os.sep)):
             raise ConfigError(f"name: {cfg['name']!r} contains a path separator")
-        results, assertions, rows = RUNNERS[kind](cfg, p, args)
+        results, assertions, rows = KINDS[kind][0](cfg, p, args)
     except (ConfigError, BerkvolError) as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -540,6 +519,7 @@ def cmd_run(args) -> int:
     }
     report_path = out_dir / f"{stem}.report.json"
     series_path = out_dir / f"{stem}.series.csv"
+    written = []  # (temporary file, target) of each file this run wrote
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         files = []  # (target, text, newline), the series first
@@ -549,12 +529,17 @@ def cmd_run(args) -> int:
             files.append((series_path, "".join(lines), ""))
         files.append((report_path, json.dumps(report, indent=2, sort_keys=True) + "\n", None))
         for target, text, newline in files:
-            target.with_suffix(".tmp").write_text(text, newline=newline)
+            tmp = target.with_suffix(".tmp")
+            tmp.write_text(text, newline=newline)
+            written.append((tmp, target))
         if not rows:  # an older run's series would sit beside a report it does not belong to
             series_path.unlink(missing_ok=True)
-        for target, _, _ in files:
-            target.with_suffix(".tmp").replace(target)
+        for tmp, target in written:
+            tmp.replace(target)
     except (OSError, ValueError) as e:  # ValueError: a NUL byte in a path
+        for tmp, _ in written:  # each one this run wrote, never a path that blocked it
+            with suppress(OSError):
+                tmp.unlink(missing_ok=True)
         print(f"validation error: cannot write the report: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

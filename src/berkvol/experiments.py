@@ -59,7 +59,7 @@ def diff_experiment(
     legs: List[DiffLeg] = []
     for t in sorted({abs(Fraction(t)) for t in t_grid if t != 0}):
         for s in (t, -t):
-            series = _level_sums(_add_direction(phi, f, s), ms)
+            series = _level_sums(_add_direction(phi_r, f_r, s), ms)
             legs.append(DiffLeg(t=s, samples=list(zip(ms, _valuation_gaps(series, base)))))
     return DiffReport(
         target=ma_measure(envelope(phi)).integrate(f), right_derivative=right,

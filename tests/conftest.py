@@ -39,17 +39,14 @@ def random_psh_metric(p: int, d: int, rng: random.Random, tree=None) -> Metric:
         weights[0] = Fraction(1)
         total = Fraction(1)
     masses = {v: d * w / total for v, w in zip(verts, weights)}
-
-    def subtree_mass(v):
-        return masses[v] + sum(subtree_mass(c) for c in tree.children[v])
+    # vertices are sorted by q, so one pass from the leaves up sums each subtree
+    subtree_mass = dict(masses)
+    for v in reversed(verts[1:]):
+        subtree_mass[tree.parent[v]] += subtree_mass[v]
 
     values = {tree.root: Fraction(0)}
-    order = sorted(verts, key=lambda v: v.q)
-    for v in order:
-        if v == tree.root:
-            continue
-        u = tree.parent[v]
-        values[v] = values[u] - subtree_mass(v) * tree.edge_length(v)
+    for v in verts[1:]:
+        values[v] = values[tree.parent[v]] - subtree_mass[v] * tree.edge_length(v)
     phi = Metric(d, PLFunction(tree, values))
     assert is_psh(phi)
     return phi

@@ -25,7 +25,6 @@ from berkvol.cli import (
     MAX_POOL_POINTS,
     MAX_RADIUS_EXPONENT,
     MAX_SECTION_DEGREE,
-    RUNNERS,
     ConfigError,
     _series_rows,
     main,
@@ -448,6 +447,38 @@ def test_failed_report_write_leaves_the_older_series(tmp_path, capsys):
     assert {name: (out / name).read_bytes() for name in old} == old
 
 
+def test_failed_report_write_removes_the_new_series_temporary_file(tmp_path, capsys):
+    """A run whose report cannot be written removes the series' temporary
+    file it wrote, and leaves the directory that blocked the write."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "ve.json", dict(VOL_ENERGY_CFG, m_range=[2, 3]))
+    assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    old = {name: (out / name).read_bytes() for name in ("ve.report.json", "ve.series.csv")}
+    (out / "ve.report.tmp").mkdir()  # blocks the report's temporary file
+    cfg = write_config(tmp_path, "ve.json", dict(VOL_ENERGY_CFG, m_range=[2, 3, 4]))
+    assert main(["run", cfg, "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("validation error: cannot write the report: ")
+    assert sorted(path.name for path in out.iterdir()) == sorted([*old, "ve.report.tmp"])
+    assert (out / "ve.report.tmp").is_dir()
+    assert {name: (out / name).read_bytes() for name in old} == old
+
+
+def test_series_that_cannot_be_removed_removes_the_report_temporary_file(tmp_path, capsys):
+    """A kind with no series that cannot remove an older <name>.series.csv
+    removes the report's temporary file it wrote, and leaves the older report
+    and the directory in the series' place."""
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, "x.json", ORTH_CFG), "--out-dir", str(out)]) == 0
+    old = (out / "x.report.json").read_bytes()
+    (out / "x.series.csv").mkdir()  # unlink fails on a directory
+    cfg = write_config(tmp_path, "x.json", dict(ORTH_CFG, metric=NON_PSH_METRIC))
+    assert main(["run", cfg, "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("validation error: cannot write the report: ")
+    assert sorted(path.name for path in out.iterdir()) == ["x.report.json", "x.series.csv"]
+    assert (out / "x.series.csv").is_dir()
+    assert (out / "x.report.json").read_bytes() == old
+
+
 def test_kind_without_series_removes_an_older_series(tmp_path):
     """A report never sits beside a series of another run: a kind with no
     series removes an older <name>.series.csv."""
@@ -640,6 +671,7 @@ DOMAIN_ERROR_CFGS = {
     "field-without-p": dict(ORTH_CFG, field={"q": 2}),
     "m-range-without-stop": dict(DIFF_CFG, m_range={"start": 1}),
     "fekete-not-psh": dict(FEKETE_CFG, metric=NON_PSH_METRIC),
+    "tree-row-zero-denominator": dict(ORTH_CFG, metric={"d": 1, "tree": [[0, 1, 0, 1, 1, 0]]}),
 }
 
 
@@ -911,6 +943,7 @@ DOMAIN_ERROR_MESSAGES = {
     "field-without-p": "field: expected an object with a prime 'p'",
     "m-range-without-stop": "m_range: missing 'stop'",
     "fekete-not-psh": "Fekete experiment needs a psh metric",
+    "tree-row-zero-denominator": "metric.tree[0].value: zero denominator",
 }
 
 
@@ -968,7 +1001,7 @@ def test_series_file_parses_back_to_the_rows(tmp_path, cfg):
     of _series_rows, so the unquoted columns need no quoting.  The diff file
     has a negative t and negative numerators."""
     assert main(["run", write_config(tmp_path, "s.json", cfg), "--out-dir", str(tmp_path)]) == 0
-    _, _, rows = RUNNERS[cfg["kind"]](cfg, cfg["field"]["p"], argparse.Namespace(m_max=None))
+    _, _, rows = KINDS[cfg["kind"]][0](cfg, cfg["field"]["p"], argparse.Namespace(m_max=None))
     with open(tmp_path / "s.series.csv", newline="") as fh:
         got = list(csv.reader(fh))
     assert got[0] == ["m", "t", "value_num", "value_den", "normalized"]

@@ -56,6 +56,15 @@ def test_total_mass_equals_degree_randomized():
         assert ma_measure(phi2).total_mass() == d
 
 
+def test_random_psh_metric_on_a_deep_chain():
+    """The generator sums each subtree in one pass from the leaves up, so it
+    draws a psh metric on a 2000-vertex chain without a recursion per level."""
+    chain = build_tree(2, [TreePoint(2, Fraction(0), Fraction(k)) for k in range(2000)])
+    phi = random_psh_metric(2, 3, random.Random(7), tree=chain)
+    assert len(phi.tree.vertices) == 2000
+    assert ma_measure(phi).total_mass() == 3
+
+
 def test_is_psh_detects_negative_mass():
     bad = slope_metric(2, 1, Fraction(1, 2))
     assert not is_psh(bad)

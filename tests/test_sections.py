@@ -563,6 +563,9 @@ LIBRARY_DOMAIN_ERRORS = {
         lambda: build_tree(2, []).edge_length(gauss_point(2)),
         TreeError, "the Gauss point has no parent edge",
     ),
+    "metric-negative-degree": (
+        lambda: Metric(-1, trivial_metric(2, 1).g), MetricError, "degree must be nonnegative",
+    ),
 }
 
 
