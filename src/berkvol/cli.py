@@ -71,7 +71,7 @@ MAX_POOL_POINTS = 1_000
 MAX_RADIUS_EXPONENT = 1_000
 
 
-class ConfigError(Exception):
+class ConfigError(BerkvolError):
     """Raised for structurally invalid configs (exit status 3)."""
 
 
@@ -248,13 +248,13 @@ def parse_point(obj: Any, p: int, where: str) -> TreePoint:
         raise ConfigError(f"{where}.q: radius exponent {q} exceeds {MAX_RADIUS_EXPONENT}")
     try:
         return TreePoint(p, c, q)
-    except Exception as e:
+    except BerkvolError as e:
         raise ConfigError(f"{where}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners: (config, prime p, options) -> (results with exact
-# Fractions, assertions, series rows)
+# Experiment runners: (config, prime p, --m-max or None) -> (results with
+# exact Fractions, assertions, series rows)
 
 
 def _series_rows(samples, k: int, t: str = "") -> List[Tuple[int, str, str, str, float]]:
@@ -275,7 +275,7 @@ def _series_rows(samples, k: int, t: str = "") -> List[Tuple[int, str, str, str,
     return rows
 
 
-def run_orth(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
+def run_orth(cfg: Dict[str, Any], p: int, m_max: Optional[int]) -> Tuple[Dict, List, List]:
     phi = parse_metric(cfg.get("metric"), p, "metric")
     residual = ex.orthogonality_experiment(phi)
     results = fmt_results({"residual": residual})
@@ -283,7 +283,7 @@ def run_orth(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
     return results, assertions, []
 
 
-def run_dirac(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
+def run_dirac(cfg: Dict[str, Any], p: int, m_max: Optional[int]) -> Tuple[Dict, List, List]:
     phi = parse_metric(cfg.get("metric"), p, "metric")
     x = parse_point(cfg.get("point"), p, "point")
     rep = ex.dirac_experiment(x, phi)
@@ -300,7 +300,7 @@ def run_dirac(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
     return results, assertions, []
 
 
-def run_diff(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
+def run_diff(cfg: Dict[str, Any], p: int, m_max: Optional[int]) -> Tuple[Dict, List, List]:
     phi = parse_metric(cfg.get("metric"), p, "metric")
     f = parse_pl_function(cfg.get("direction"), p, "direction")
     t_raw = cfg.get("t_grid", ["1/8", "1/16"])
@@ -309,7 +309,7 @@ def run_diff(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
     t_grid = [parse_rational(t, "t_grid") for t in t_raw]
     if not any(t_grid):
         raise ConfigError("t_grid: needs at least one nonzero t")
-    ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max, phi.d)
+    ms = parse_m_range(cfg.get("m_range"), "m_range", m_max, phi.d)
     rep = ex.diff_experiment(phi, f, t_grid, ms)
     rows = []
     for leg in rep.legs:
@@ -327,7 +327,7 @@ def run_diff(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
     return results, assertions, rows
 
 
-def run_sandwich(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
+def run_sandwich(cfg: Dict[str, Any], p: int, m_max: Optional[int]) -> Tuple[Dict, List, List]:
     phi = parse_metric(cfg.get("metric"), p, "metric")
     psi1 = parse_metric(cfg.get("psi1"), p, "psi1")
     psi2 = parse_metric(cfg.get("psi2"), p, "psi2")
@@ -339,10 +339,10 @@ def run_sandwich(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
     return results, assertions, []
 
 
-def run_vol_energy(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
+def run_vol_energy(cfg: Dict[str, Any], p: int, m_max: Optional[int]) -> Tuple[Dict, List, List]:
     phi = parse_metric(cfg.get("metric"), p, "metric")
     psi = parse_metric(cfg.get("metric2"), p, "metric2")
-    ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max, max(phi.d, psi.d))
+    ms = parse_m_range(cfg.get("m_range"), "m_range", m_max, max(phi.d, psi.d))
     rep = vo.check_vol_equals_energy(phi, psi, ms)
     rows = _series_rows(rep.samples, 2)
     results = fmt_results({"limit": rep.limit, "energy": rep.energy, "gap": rep.gap})
@@ -350,10 +350,10 @@ def run_vol_energy(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]
     return results, assertions, rows
 
 
-def run_rr(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
+def run_rr(cfg: Dict[str, Any], p: int, m_max: Optional[int]) -> Tuple[Dict, List, List]:
     phi_D = parse_pl_function(cfg.get("divisor"), p, "divisor")
     phi_A = parse_metric(cfg.get("ample"), p, "ample")
-    ms = parse_m_range(cfg.get("m_range"), "m_range", opts.m_max, phi_A.d)
+    ms = parse_m_range(cfg.get("m_range"), "m_range", m_max, phi_A.d)
     rep = vo.rr_slope_experiment(phi_D, phi_A, ms)
     rows = _series_rows(rep.samples, 1)
     results = fmt_results({"slope": rep.slope, "target": rep.target})
@@ -361,7 +361,7 @@ def run_rr(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
     return results, assertions, rows
 
 
-def run_fekete(cfg: Dict[str, Any], p: int, opts) -> Tuple[Dict, List, List]:
+def run_fekete(cfg: Dict[str, Any], p: int, m_max: Optional[int]) -> Tuple[Dict, List, List]:
     phi = parse_metric(cfg.get("metric"), p, "metric")
     m = parse_int(cfg.get("m"), "m")
     if m < 1:
@@ -497,8 +497,8 @@ def cmd_run(args) -> int:
                 raise ConfigError(f"{key}: expected a string, got {cfg[key]!r}")
         if any(sep in cfg.get("name", "") for sep in ("/", os.sep)):
             raise ConfigError(f"name: {cfg['name']!r} contains a path separator")
-        results, assertions, rows = KINDS[kind][0](cfg, p, args)
-    except (ConfigError, BerkvolError) as e:
+        results, assertions, rows = KINDS[kind][0](cfg, p, args.m_max)
+    except BerkvolError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 
@@ -551,25 +551,19 @@ def cmd_run(args) -> int:
     return EXIT_ASSERTION if failed else EXIT_OK
 
 
-COMMANDS = {"list": cmd_list, "describe": cmd_describe, "run": cmd_run}
-
-#: The usage line of the program and of each command.
-USAGE = {
-    None: "usage: berkvol {list,describe,run} ...",
-    "list": "usage: berkvol list",
-    "describe": "usage: berkvol describe KIND",
-    "run": "usage: berkvol run CONFIG [--out-dir DIR] [--m-max M]",
+#: Each command's handler, its operand's metavar or None (the attribute that
+#: holds the operand is the metavar in lower case), its options with the
+#: attribute that holds each, and its usage line.
+COMMANDS: Dict[str, Tuple[Callable, Optional[str], Dict[str, str], str]] = {
+    "list": (cmd_list, None, {}, "usage: berkvol list"),
+    "describe": (cmd_describe, "KIND", {}, "usage: berkvol describe KIND"),
+    "run": (cmd_run, "CONFIG", {"--out-dir": "out_dir", "--m-max": "m_max"},
+            "usage: berkvol run CONFIG [--out-dir DIR] [--m-max M]"),
 }
 
-#: The one operand of describe and of run, and the attribute that holds it.
-OPERAND = {"describe": ("KIND", "kind"), "run": ("CONFIG", "config")}
 
-#: The options of run, and the attribute that holds each.
-RUN_OPTIONS = {"--out-dir": "out_dir", "--m-max": "m_max"}
-
-
-def _usage_error(command: Optional[str], message: str) -> NoReturn:
-    print(USAGE[command], file=sys.stderr)
+def _usage_error(usage: str, message: str) -> NoReturn:
+    print(usage, file=sys.stderr)
     print(f"berkvol: error: {message}", file=sys.stderr)
     raise SystemExit(EXIT_PARSE)
 
@@ -580,57 +574,58 @@ def _is_option(arg: str) -> bool:
 
 
 def parse_argv(argv: List[str]) -> SimpleNamespace:
-    """The command line: command, kind, config, out_dir and m_max.
+    """The command line: the command, its operand and its options.
 
     -h or --help prints the module docstring and exits 0; a usage error
     prints the usage line and the offending argument and exits 2.
     """
+    usage = f"usage: berkvol {{{','.join(COMMANDS)}}} ..."
     if argv and argv[0] in ("-h", "--help"):
-        print(__doc__ or USAGE[None])
+        print(__doc__ or usage)
         raise SystemExit(EXIT_OK)
     if not argv or argv[0] not in COMMANDS:
         what = f"invalid command {argv[0]!r}" if argv else "a command is required"
-        _usage_error(None, f"{what} (choose from 'list', 'describe', 'run')")
+        _usage_error(usage, f"{what} (choose from {', '.join(map(repr, COMMANDS))})")
     command, rest = argv[0], argv[1:]
-    args = SimpleNamespace(command=command, kind=None, config=None, out_dir=None, m_max=None)
+    _, metavar, options, usage = COMMANDS[command]
+    args = SimpleNamespace(command=command, **dict.fromkeys(options.values()))
     operands = []
     i = 0
     while i < len(rest):
         arg = rest[i]
         i += 1
         if arg in ("-h", "--help"):
-            print(__doc__ or USAGE[command])
+            print(__doc__ or usage)
             raise SystemExit(EXIT_OK)
         if not _is_option(arg):
             operands.append(arg)
             continue
         name, eq, value = arg.partition("=")
-        if command != "run" or name not in RUN_OPTIONS:
-            _usage_error(command, f"unrecognized option {arg!r}")
+        if name not in options:
+            _usage_error(usage, f"unrecognized option {arg!r}")
         if not eq:
             if i == len(rest) or _is_option(rest[i]):
-                _usage_error(command, f"option {name} expects a value")
+                _usage_error(usage, f"option {name} expects a value")
             value = rest[i]
             i += 1
         if name == "--m-max":
             try:
                 value = int(value)
             except ValueError:
-                _usage_error(command, f"option --m-max: {value!r} is not an integer")
-        setattr(args, RUN_OPTIONS[name], value)
-    if command in OPERAND:
-        metavar, attr = OPERAND[command]
+                _usage_error(usage, f"option --m-max: {value!r} is not an integer")
+        setattr(args, options[name], value)
+    if metavar:
         if not operands:
-            _usage_error(command, f"{metavar} is required")
-        setattr(args, attr, operands.pop(0))
+            _usage_error(usage, f"{metavar} is required")
+        setattr(args, metavar.lower(), operands.pop(0))
     if operands:
-        _usage_error(command, f"unexpected argument {operands[0]!r}")
+        _usage_error(usage, f"unexpected argument {operands[0]!r}")
     return args
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = parse_argv(sys.argv[1:] if argv is None else argv)
-    return COMMANDS[args.command](args)
+    return COMMANDS[args.command][0](args)
 
 
 if __name__ == "__main__":

@@ -261,7 +261,9 @@ def _level_sums(
     scaling, so every level is exact.  On a chain of discs the max-min
     is the lower envelope of the lines, summed by _envelope_sum over one
     sorted hull per level; on any other tree _root_count_norms runs the
-    tree recursion in O(V (md + 1)).
+    tree recursion in O(V (md + 1)).  extra may live on any tree: it is
+    read at phi's vertices by interpolation, so a vertex of its own tree
+    that phi's lacks is not seen (volumes._rr_refine refines phi first).
     """
     ms = list(ms)
     if any(m < 1 for m in ms):
@@ -295,7 +297,8 @@ def unit_ball_valuations(
     phi: Metric, ms: Iterable[int], extra: Optional[PLFunction] = None
 ) -> List[Fraction]:
     """[v(det U_m) for m in ms]: the unit balls U_m of the level-m sup norms
-    of phi, one Fraction per level from _level_sums."""
+    of phi, one Fraction per level from _level_sums, extra read at phi's
+    vertices by interpolation."""
     D, sums = _level_sums(phi, ms, extra)
     return [Fraction(-s, D) for s in sums]
 
@@ -317,7 +320,8 @@ def unit_ball_valuation(
 ) -> Fraction:
     """v(det U) of the unit ball U of the level-m sup norm of phi.
 
-    The one-level case of unit_ball_valuations.
+    The one-level case of unit_ball_valuations, extra read at phi's
+    vertices by interpolation.
     """
     return unit_ball_valuations(phi, [m], extra)[0]
 

@@ -89,8 +89,9 @@ def _integral(phi: Metric, obstacle: dict, zero):
 
 
 def right_derivative(phi: Metric, f: PLFunction) -> Fraction:
-    """d/dt at 0+ of the integral of G for phi + t f, with f on phi's tree."""
-    obstacle = {v: _Dual((phi.g.values[v], f.values[v])) for v in phi.tree.vertices}
+    """d/dt at 0+ of the integral of G for phi + t f, f on any tree: f is
+    read at phi's vertices, which hold every atom of MA(P(phi))."""
+    obstacle = {v: _Dual((phi.g.values[v], f.evaluate(v))) for v in phi.tree.vertices}
     return _integral(phi, obstacle, _Dual((Fraction(0), Fraction(0))))[1]
 
 
@@ -127,7 +128,9 @@ def rr_content(phi_D: PLFunction, phi_A: Metric, m: int) -> Fraction:
     determinant valuations come from the integer sums of
     sections._level_sums on the common refinement of the two trees.
     """
-    return _rr_content_refined(*_rr_refine(phi_D, phi_A), [m])[0]
+    phi_r, shrink_r = _rr_refine(phi_D, phi_A)
+    shrunk = _level_sums(phi_r, [m], shrink_r)
+    return _valuation_gaps(_level_sums(phi_r, [m]), shrunk)[0]
 
 
 def _rr_refine(phi_D: PLFunction, phi_A: Metric) -> Tuple[Metric, PLFunction]:
@@ -143,12 +146,6 @@ def _rr_refine(phi_D: PLFunction, phi_A: Metric) -> Tuple[Metric, PLFunction]:
     return phi_A.on_tree(tree), phi_D.scale(Fraction(-1)).on_tree(tree)
 
 
-def _rr_content_refined(phi_r: Metric, shrink_r: PLFunction, ms: List[int]) -> List[Fraction]:
-    """rr_content at each level of ms, on the common tree of _rr_refine."""
-    shrunk = _level_sums(phi_r, ms, shrink_r)
-    return _valuation_gaps(_level_sums(phi_r, ms), shrunk)
-
-
 class RRReport(Frozen):
     """samples: the (m, rr_content) pairs; slope, and its target."""
 
@@ -162,6 +159,7 @@ def rr_slope_experiment(
     _rr_refine; the level series is recorded as data."""
     phi_r, shrink_r = _rr_refine(phi_D, phi_A)
     ms = sorted(set(m_range))
-    samples = list(zip(ms, _rr_content_refined(phi_r, shrink_r, ms)))
+    shrunk = _level_sums(phi_r, ms, shrink_r)
+    samples = list(zip(ms, _valuation_gaps(_level_sums(phi_r, ms), shrunk)))
     slope = -right_derivative(phi_r, shrink_r)
     return RRReport(samples=samples, slope=slope, target=ma_measure(phi_A).integrate(phi_D))

@@ -1,4 +1,3 @@
-import argparse
 import copy
 import csv
 import hashlib
@@ -918,6 +917,45 @@ def test_python_m_berkvol_reads_sys_argv():
     assert bare.stderr.startswith("usage: berkvol")
 
 
+HASH_SEED_CFGS = {
+    # the point branches off the edge below zeta(0, q=2) at q = 1, where the
+    # refined tree gets a vertex named by the first point below it in the
+    # iteration order of a set
+    "dirac": {
+        "kind": "dirac",
+        "field": {"p": 2},
+        "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1], [0, 1, 2, 1, -1, 1]]},
+        "point": [2, 1, 3, 1],
+    },
+    "fekete": {
+        "kind": "fekete",
+        "field": {"p": 3},
+        "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1], [1, 1, 1, 1, -1, 2]]},
+        "m": 2,
+        "pool": ["0", "1", "2", "4", "7", "10", "5/2"],
+    },
+}
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    """Two runs of python -m berkvol under different PYTHONHASHSEEDs print
+    and write the same bytes, the name of the dirac run's made vertex
+    included."""
+    src = str(Path(cli_module.__file__).resolve().parent.parent)
+    out = tmp_path / "out"
+    runs = []
+    for seed in ("0", "987654"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        for kind, cfg in HASH_SEED_CFGS.items():
+            argv = ["run", write_config(tmp_path, f"{kind}.json", cfg), "--out-dir", str(out)]
+            r = subprocess.run([sys.executable, "-m", "berkvol", *argv], capture_output=True, env=env)
+            report = (out / f"{kind}.report.json").read_bytes()
+            runs.append((r.returncode, r.stdout, r.stderr, report))
+    assert runs[:2] == runs[2:]
+    values = json.loads(runs[0][3])["results"]["equilibrium_values"]
+    assert {"center": "2/1", "q": "1/1"} in [{k: v[k] for k in ("center", "q")} for v in values]
+
+
 # the one line that each of the last entries of DOMAIN_ERROR_CFGS prints
 DOMAIN_ERROR_MESSAGES = {
     "tree-empty": "metric.tree: expected a nonempty list of vertex rows",
@@ -1001,7 +1039,7 @@ def test_series_file_parses_back_to_the_rows(tmp_path, cfg):
     of _series_rows, so the unquoted columns need no quoting.  The diff file
     has a negative t and negative numerators."""
     assert main(["run", write_config(tmp_path, "s.json", cfg), "--out-dir", str(tmp_path)]) == 0
-    _, _, rows = KINDS[cfg["kind"]][0](cfg, cfg["field"]["p"], argparse.Namespace(m_max=None))
+    _, _, rows = KINDS[cfg["kind"]][0](cfg, cfg["field"]["p"], None)
     with open(tmp_path / "s.series.csv", newline="") as fh:
         got = list(csv.reader(fh))
     assert got[0] == ["m", "t", "value_num", "value_den", "normalized"]

@@ -1,0 +1,73 @@
+"""Metamorphic checks: refining the tree, or moving it by an isometry of the
+closed unit disc, changes the input but not the answer.
+
+Each map below fixes the Gauss point and keeps every radius, so it moves the
+vertex zeta(c, q) to zeta(gamma(c), q) and keeps the tree's shape.  The
+volumes, their limit and derivatives, and the envelope's Monge-Ampere
+measure (pushed forward) must come out exactly the same.
+"""
+
+import random
+from fractions import Fraction
+
+from berkvol.metrics import Metric, envelope, ma_measure, trivial_metric
+from berkvol.sections import unit_ball_valuations
+from berkvol.tree import PLFunction, TreePoint, build_tree, refine
+from berkvol.volumes import right_derivative, vol_limit
+
+from conftest import random_pl_metric, random_psh_metric, random_tree
+
+
+def move(x, gamma):
+    """The image of the disc x under gamma, an isometry of the unit disc."""
+    return TreePoint(x.p, gamma(x.center), x.q)
+
+
+def push(phi, gamma):
+    """phi (a Metric or a PLFunction) moved by gamma: each vertex to its
+    image, on the tree build_tree makes of the images, values carried over."""
+    if isinstance(phi, Metric):
+        return Metric(phi.d, push(phi.g, gamma))
+    values = {move(v, gamma): x for v, x in phi.values.items()}
+    tree = build_tree(phi.tree.p, values)
+    assert len(tree.vertices) == len(values)  # an isometry keeps meets
+    return PLFunction(tree, values)
+
+
+def invariants(phi, f, gamma):
+    """What must not change when phi and f are moved by gamma: u_1..u_6,
+    vol(L, phi, triv), both one-sided derivatives along f, and MA(P(phi))
+    as a measure whose atoms are moved by gamma."""
+    mu = ma_measure(envelope(phi)).masses
+    return (
+        unit_ball_valuations(phi, range(1, 7)),
+        vol_limit(phi, trivial_metric(phi.p, phi.d)),
+        right_derivative(phi, f),
+        -right_derivative(phi, f.scale(Fraction(-1))),
+        {move(x, gamma): m for x, m in mu.items()},
+    )
+
+
+def test_refinement_and_isometries_keep_every_invariant():
+    """120 draws, psh and not, p in {2, 3, 5}, d in {1, 2}, each with a
+    direction on the same tree.  Refinement by the vertices of another tree,
+    z -> a + u z and z -> z / (1 + p z) leave every invariant unchanged."""
+    rng = random.Random(3)
+    grown = 0
+    for i in range(120):
+        p, d = rng.choice([2, 3, 5]), rng.choice([1, 2])
+        phi = random_psh_metric(p, d, rng) if i % 2 else random_pl_metric(p, d, rng)
+        f = random_pl_metric(p, d, rng, tree=phi.tree).g
+        same = invariants(phi, f, lambda z: z)
+
+        tree = refine(phi.tree, random_tree(p, rng, digits=3).vertices)
+        refined = (phi.on_tree(tree), f.on_tree(tree))
+        grown += refined[0].tree.vertices != phi.tree.vertices
+        assert invariants(*refined, lambda z: z) == same, i
+
+        a, u = rng.randint(0, p**3), rng.choice([u for u in range(1, 4 * p) if u % p])
+        for gamma in (lambda z: a + u * z, lambda z: z / (1 + p * z)):
+            assert invariants(push(phi, gamma), push(f, gamma), lambda z: z) == (
+                invariants(phi, f, gamma)
+            ), i
+    assert grown >= 100

@@ -361,6 +361,37 @@ def test_one_sided_derivatives_are_the_pairing_with_the_envelope(monkeypatch):
             assert any(tiny)
 
 
+def test_right_derivative_takes_a_direction_on_any_tree():
+    """f need not live on phi's tree: right_derivative reads it at phi's
+    vertices, where MA(P(phi)) has its atoms.  Both one-sided derivatives,
+    the right derivative on the common refinement and the pairing agree
+    for directions on phi's tree, on an unrelated tree and constants on
+    the Gauss tree."""
+    g0, x = gauss_point(3), TreePoint(3, Fraction(0), Fraction(3))
+    phi = Metric(1, PLFunction(build_tree(3, [g0, x]), {g0: Fraction(0), x: Fraction(-1)}))
+    one = PLFunction(build_tree(3, [g0]), {g0: Fraction(1)})
+    assert volumes.right_derivative(phi, one) == 1
+    rng = random.Random(11)
+    on_other_tree = 0
+    for i in range(300):
+        p, d = rng.choice([2, 3, 5]), rng.choice([1, 2, 3])
+        phi = random_psh_metric(p, d, rng) if i % 2 else random_pl_metric(p, d, rng)
+        kind = i % 3
+        if kind == 0:
+            f = random_pl_metric(p, d, rng, tree=phi.tree).g
+        elif kind == 1:
+            f = random_pl_metric(p, d, rng).g
+        else:
+            f = PLFunction(build_tree(p, []), {gauss_point(p): Fraction(rng.randint(-5, 5))})
+        on_other_tree += f.tree.vertices != phi.tree.vertices
+        tree = refine(phi.tree, f.tree.vertices)
+        right = volumes.right_derivative(phi, f)
+        assert right == -volumes.right_derivative(phi, f.scale(Fraction(-1))), i
+        assert right == volumes.right_derivative(phi.on_tree(tree), f.on_tree(tree)), i
+        assert right == ma_measure(envelope(phi)).integrate(f), i
+    assert on_other_tree >= 150
+
+
 def test_right_derivative_is_the_linear_coefficient_of_the_exact_volume(monkeypatch):
     """A check of the dual arithmetic that runs no dual: on its first piece
     t -> V(t) = vol_limit(phi + t f, phi) is a t + b t^2, so
