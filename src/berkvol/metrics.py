@@ -10,8 +10,8 @@ obstacle given at every vertex, found exactly by one leaf-to-root and one
 root-to-leaf pass over the tree; the envelope of a psh metric is the
 metric itself.  An equilibrium metric caps every vertex but its point by a
 bound that every psh competitor already obeys.  The Gauss point is a vertex of that
-pass like any other: its knot list is the G whose integral over [0, d] is
-the exact volume limit (volumes module).
+pass like any other: its knot list is the G whose integral over [0, d]
+(_integral) is the exact volume limit.  Knot lists are read only here.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def energy(phi: Metric, psi: Metric) -> Fraction:
 #: only from its first knot, t = 0, on); the last knot's value is the
 #: vertex's obstacle, and W is flat right of it.  No slope is stored:
 #: _eval divides only between two knots, on the piece it reads, and the
-#: root-to-leaf walk and volumes._integral read each W at one point.
+#: root-to-leaf walk and _integral read each W at one point.
 _Knots = Tuple[List[Fraction], List[Fraction]]
 
 
@@ -157,6 +157,16 @@ def _leaf_to_root(
             zs = [x + Lv * f for x, f in zip(xs, fs)]
         W[v] = (zs, xs)
     return W
+
+
+def _integral(phi: Metric, obstacle: dict, zero):
+    """The integral of G = W_root over [0, d], for an obstacle at every vertex
+    of phi.tree: one trapezoid per knot piece, between the knots below d and
+    the point (d, G(d))."""
+    W = _leaf_to_root(phi.tree, obstacle, zero)[phi.tree.root]
+    d = zero + phi.d
+    knots = [(t, g) for t, g in zip(W[0], W[1]) if t < d] + [(d, _eval(W, d))]
+    return sum(((t1 - t0) * (g0 + g1) for (t0, g0), (t1, g1) in zip(knots, knots[1:])), zero) / 2
 
 
 def _componentwise_max(

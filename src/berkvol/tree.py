@@ -25,7 +25,7 @@ from functools import cmp_to_key
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import BerkvolError, Frozen
-from .field import INF, int_valuation
+from .field import int_valuation
 
 
 class TreeError(BerkvolError):
@@ -42,16 +42,20 @@ def _digits(a: Fraction, k: int, p: int) -> int:
     return a.numerator * pow(a.denominator, -1, mod) % mod
 
 
+def _center(a, p: int) -> Fraction:
+    """a as a Fraction, checked to lie in the closed unit disc."""
+    a = _exact(a)
+    if a.denominator % p == 0:
+        raise TreeError(f"center {a} lies outside the closed unit disc")
+    return a
+
+
 class TreePoint(Frozen):
     def __init__(self, p: int, center: Fraction, q: Fraction):
-        if not isinstance(center, Fraction):
-            center = Fraction(center)
-        if not isinstance(q, Fraction):
-            q = Fraction(q)
+        q = _exact(q)
         if q.numerator < 0:
             raise TreeError(f"radius exponent {q} must be >= 0")
-        if center.denominator % p == 0:
-            raise TreeError(f"center {center} lies outside the closed unit disc")
+        center = _center(center, p)
         k = -(-q.numerator // q.denominator)
         digits = _digits(center, k, p)
         # The disc, not the chosen center, identifies the point; every dict
@@ -117,6 +121,7 @@ def digit_order(x: Fraction, y: Fraction, p: int) -> int:
     """-1, 0 or 1 as x comes before, with or after y in p-adic digit order,
     least significant digit first (both in the closed unit disc).  Every
     residue class mod p^k is a segment of this order."""
+    x, y = _center(x, p), _center(y, p)
     if x == y:
         return 0
     # denominators are p-adic units, so this numerator has v_p(x - y)
@@ -161,20 +166,16 @@ class SkeletonTree(Frozen):
         Descends from the root: at each vertex u at most one child shares
         more than q_u with the point."""
         p = self.p
-        if not isinstance(center, Fraction):
-            center = Fraction(center)
-        if center.denominator % p == 0:
-            raise TreeError(f"center {center} lies outside the closed unit disc")
-        if q is None:
-            q = INF
-        digits = _digits(center, self.depth, p)
+        digits = _digits(_center(center, p), self.depth, p)
         u = self.root
         while True:
             for c in self.children[u]:
                 d = digits - c.digits
-                v = int_valuation(d, p) if d else INF
-                # the point and c share min(q, q_c, v); v < q_c iff v < k_c
-                shared = min(v, q) if v < c.k else min(c.q, q)
+                # the point and c share min(q, q_c, v), v < q_c iff v < k_c; equal digits: v = k_c
+                v = int_valuation(d, p) if d else c.k
+                shared = v if v < c.k else c.q
+                if q is not None and q < shared:
+                    shared = q
                 if shared > u.q:
                     if shared < c.q:
                         return u, c, shared - u.q
@@ -273,7 +274,10 @@ class PLFunction:
 
     def __init__(self, tree: SkeletonTree, values: Dict[TreePoint, Fraction]):
         self.tree = tree
-        self.values = {v: _exact(values[v]) for v in tree.vertices}
+        try:
+            self.values = {v: _exact(values[v]) for v in tree.vertices}
+        except KeyError as e:
+            raise TreeError(f"no value given at vertex {e.args[0]}") from None
 
     def evaluate(self, x: TreePoint) -> Fraction:
         value = self.values.get(x)
@@ -350,12 +354,8 @@ class DiscreteMeasure:
         return sum((m * f.evaluate(x) for x, m in self.masses.items()), Fraction(0))
 
     def tv_distance(self, other: "DiscreteMeasure") -> Fraction:
-        pts = set(self.masses) | set(other.masses)
-        diff = sum(
-            abs(self.masses.get(x, Fraction(0)) - other.masses.get(x, Fraction(0)))
-            for x in pts
-        )
-        return diff / 2
+        diff = self.add(other.scale(-1)).masses.values()
+        return sum(map(abs, diff), Fraction(0)) / 2
 
 
 def laplacian(g: PLFunction) -> DiscreteMeasure:

@@ -3,11 +3,11 @@ Riemann-Roch slope experiment.
 
 With u_m(phi) = v(det U_m(phi)) (sections.unit_ball_valuations), -u_m / m^2
 tends to the integral over [0, d] of G(t) = min(g(root), max{z : F(z) <= t}),
-F the root deficit: G is the root's knot list in the envelope's pass
-metrics._leaf_to_root, with obstacle g at every vertex.  vol_limit is
-exact, and nothing is fitted.  Over dual numbers a + b eps, obstacle
-g + eps f gives the right derivative of t -> vol(L, phi + t f, phi) at 0
-as the eps-part.  Level series are kept as data only.
+F the root deficit: G is the root's knot list in the envelope's pass with
+obstacle g at every vertex, and metrics._integral integrates it, so knot
+lists never leave metrics.  vol_limit is exact; nothing is fitted.  Over dual
+numbers a + b eps, obstacle g + eps f gives the right derivative of
+t -> vol(L, phi + t f, phi) at 0 as the eps-part.  Level series are data only.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, List, Tuple
 
 from .errors import BerkvolError, Frozen
-from .metrics import Metric, _eval, _leaf_to_root, envelope, energy, is_psh, ma_measure
+from .metrics import Metric, _integral, envelope, energy, is_psh, ma_measure
 from .sections import _level_sums, _valuation_gaps
 from .tree import PLFunction, refine
 
@@ -76,16 +76,6 @@ class _Dual(tuple):
             return _Dual((b / e, Fraction(0)))
         q = a / c
         return _Dual((q, (b - q * e) / c))
-
-
-def _integral(phi: Metric, obstacle: dict, zero):
-    """The integral of G = W_root over [0, d], for an obstacle at every vertex
-    of phi.tree: one trapezoid per knot piece, between the knots below d and
-    the point (d, G(d))."""
-    W = _leaf_to_root(phi.tree, obstacle, zero)[phi.tree.root]
-    d = zero + phi.d
-    knots = [(t, g) for t, g in zip(W[0], W[1]) if t < d] + [(d, _eval(W, d))]
-    return sum(((t1 - t0) * (g0 + g1) for (t0, g0), (t1, g1) in zip(knots, knots[1:])), zero) / 2
 
 
 def right_derivative(phi: Metric, f: PLFunction) -> Fraction:

@@ -3,17 +3,19 @@ closed unit disc, changes the input but not the answer.
 
 Each map below fixes the Gauss point and keeps every radius, so it moves the
 vertex zeta(c, q) to zeta(gamma(c), q) and keeps the tree's shape.  The
-volumes, their limit and derivatives, and the envelope's Monge-Ampere
-measure (pushed forward) must come out exactly the same.
+volumes, their limit and derivatives, the envelope's Monge-Ampere measure
+(pushed forward), the energy, the Riemann-Roch slope and the Fekete optimum
+of a pool moved by gamma must come out exactly the same.
 """
 
 import random
 from fractions import Fraction
 
-from berkvol.metrics import Metric, envelope, ma_measure, trivial_metric
+from berkvol.experiments import fekete_experiment
+from berkvol.metrics import Metric, energy, envelope, ma_measure, trivial_metric
 from berkvol.sections import unit_ball_valuations
 from berkvol.tree import PLFunction, TreePoint, build_tree, refine
-from berkvol.volumes import right_derivative, vol_limit
+from berkvol.volumes import right_derivative, rr_slope_experiment, vol_limit
 
 from conftest import random_pl_metric, random_psh_metric, random_tree
 
@@ -71,3 +73,39 @@ def test_refinement_and_isometries_keep_every_invariant():
                 invariants(phi, f, gamma)
             ), i
     assert grown >= 100
+
+
+def pair_invariants(phi, psi, phi_D, pool, m):
+    """energy(phi, psi) of two psh metrics; the slope, target and samples of
+    the rr experiment for the divisor phi_D against phi; the best Vandermonde
+    valuation from pool and the number of tuples reaching it."""
+    rr = rr_slope_experiment(phi_D, phi, range(1, 5))
+    fekete = fekete_experiment(phi, m, pool)
+    return (
+        energy(phi, psi),
+        (rr.slope, rr.target, rr.samples),
+        (fekete.best_valuation, fekete.n_optima),
+    )
+
+
+def test_isometries_keep_energy_rr_slope_and_fekete_optimum():
+    """120 psh draws, p in {2, 3, 5}, d in {1, 2}, each with a second psh
+    metric, a nonnegative divisor function on a third tree and a pool of
+    points of the closed unit disc.  z -> a + u z and z -> z / (1 + p z)
+    move the metrics and the pool and leave every invariant unchanged."""
+    rng = random.Random(3)
+    for i in range(120):
+        p, d, m = rng.choice([2, 3, 5]), rng.choice([1, 2]), rng.choice([1, 2])
+        phi, psi = random_psh_metric(p, d, rng), random_psh_metric(p, d, rng)
+        divisor = random_pl_metric(p, d, rng).g
+        phi_D = PLFunction(divisor.tree, {v: abs(x) for v, x in divisor.values.items()})
+        units = [u for u in range(1, 2 * p) if u % p]
+        pool = set()
+        while len(pool) < m * d + 1 + rng.randint(0, 3):
+            pool.add(Fraction(rng.randint(0, p**3), rng.choice(units)))
+        same = pair_invariants(phi, psi, phi_D, sorted(pool), m)
+
+        a, u = rng.randint(0, p**3), rng.choice([u for u in range(1, 4 * p) if u % p])
+        for gamma in (lambda z: a + u * z, lambda z: z / (1 + p * z)):
+            moved = [push(phi, gamma), push(psi, gamma), push(phi_D, gamma)]
+            assert pair_invariants(*moved, sorted(gamma(x) for x in pool), m) == same, i

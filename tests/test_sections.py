@@ -25,7 +25,7 @@ from berkvol.sections import (
     vandermonde_value,
     vol_m,
 )
-from berkvol.tree import PLFunction, TreeError, TreePoint, build_tree, gauss_point, meet
+from berkvol.tree import PLFunction, TreeError, TreePoint, build_tree, digit_order, gauss_point, meet
 from berkvol.volumes import _rr_refine
 
 from conftest import (
@@ -565,6 +565,16 @@ LIBRARY_DOMAIN_ERRORS = {
     ),
     "metric-negative-degree": (
         lambda: Metric(-1, trivial_metric(2, 1).g), MetricError, "degree must be nonnegative",
+    ),
+    "digit-order-off-disc": (
+        lambda: digit_order(Fraction(1, 2), Fraction(1), 2),
+        TreeError, "center 1/2 lies outside the closed unit disc",
+    ),
+    "pl-function-missing-vertex": (
+        lambda: PLFunction(
+            build_tree(2, [TreePoint(2, Fraction(0), Fraction(1))]), {gauss_point(2): Fraction(0)}
+        ),
+        TreeError, "no value given at vertex zeta(0, q=1)",
     ),
 }
 

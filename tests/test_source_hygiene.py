@@ -175,8 +175,25 @@ def test_one_minorant_solve():
     assert callers_of("bisect_right") == [("metrics.py", "_eval")]
     assert sorted(callers_of("_leaf_to_root")) == [
         ("metrics.py", "_componentwise_max"),
-        ("volumes.py", "_integral"),
+        ("metrics.py", "_integral"),
     ]
+
+
+def test_knot_lists_stay_in_metrics():
+    # W_v is the format of the leaf-to-root pass alone: no other module calls,
+    # imports or names _eval or _leaf_to_root, so a rewrite of the pass
+    # changes metrics.py only
+    for path in MODULES:
+        if path.name != "metrics.py":
+            named = {getattr(node, attr, None) for node in parse(path) for attr in ("id", "attr", "name")}
+            assert named & {"_eval", "_leaf_to_root"} == set(), path.name
+
+
+def test_tree_compares_no_infinity():
+    # placement compares ints and Fractions only; the float INF stays out of tree.py
+    tree_py = next(path for path in MODULES if path.name == "tree.py")
+    assert "field.INF" not in imported_modules(tree_py)
+    assert "INF" not in {getattr(node, "id", None) for node in parse(tree_py)}
 
 
 def display_only_nodes(path, tree):

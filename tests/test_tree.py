@@ -574,6 +574,15 @@ def test_measure_integration_and_tv():
     assert constant_function(tree, Fraction(5)).evaluate(a) == 5
 
 
+def test_tv_distance_is_exact_on_empty_measures():
+    """Two empty measures (the Monge-Ampere measures of two d = 0 metrics)
+    are at distance Fraction(0), not the float 0.0 of an unseeded sum."""
+    empty = DiscreteMeasure({gauss_point(2): Fraction(0)})
+    assert empty.masses == {}
+    dist = empty.tv_distance(DiscreteMeasure({}))
+    assert type(dist) is Fraction and dist == 0
+
+
 def test_fraction_values_are_kept_not_rewrapped():
     """PLFunction and DiscreteMeasure keep the Fraction objects they are
     given, and wrap only what is not a Fraction yet."""
