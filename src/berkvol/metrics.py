@@ -5,13 +5,11 @@ Its Monge-Ampere measure is d times the Dirac mass at the Gauss point
 plus the tree Laplacian of g; psh means that measure is nonnegative.
 A Metric is immutable and computes that measure at most once: ma_measure,
 is_psh, energy, envelope and equilibrium_metric all read the same one.
-Envelopes and equilibrium metrics are greatest psh minorants of an
-obstacle given at every vertex, found exactly by one leaf-to-root and one
-root-to-leaf pass over the tree; the envelope of a psh metric is the
-metric itself.  An equilibrium metric caps every vertex but its point by a
-bound that every psh competitor already obeys.  The Gauss point is a vertex of that
-pass like any other: its knot list is the G whose integral over [0, d]
-(_integral) is the exact volume limit.  Knot lists are read only here.
+Envelopes are found exactly by one leaf-to-root and one root-to-leaf pass
+over the tree; the envelope of a psh metric is the metric itself.  The
+Gauss point is a vertex of that pass like any other: its knot list is the
+G whose integral over [0, d] (_integral) is the exact volume limit.  Knot
+lists are read only here.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from .tree import (
     constant_function,
     gauss_point,
     laplacian,
+    meet,
     refine,
 )
 
@@ -181,16 +180,6 @@ def _componentwise_max(
     return h
 
 
-def _minorant(tree: SkeletonTree, d: int, obstacle: dict, what: str) -> Metric:
-    """The greatest psh metric on tree lying below obstacle at every vertex,
-    checked to be psh and below the obstacle."""
-    h = _componentwise_max(tree, d, obstacle)
-    out = Metric(d, PLFunction(tree, h))
-    if not is_psh(out) or any(h[v] > b for v, b in obstacle.items()):
-        raise MetricError(f"{what} solve returned an infeasible point")
-    return out
-
-
 def envelope(phi: Metric) -> Metric:
     """Greatest psh metric <= phi, as a PL metric on the same tree: phi
     itself when phi is psh.
@@ -200,20 +189,23 @@ def envelope(phi: Metric) -> Metric:
     """
     if is_psh(phi):
         return phi
-    return _minorant(phi.tree, phi.d, phi.g.values, "envelope")
+    h = _componentwise_max(phi.tree, phi.d, phi.g.values)
+    out = Metric(phi.d, PLFunction(phi.tree, h))
+    if not is_psh(out) or any(h[v] > b for v, b in phi.g.values.items()):
+        raise MetricError("envelope solve returned an infeasible point")
+    return out
 
 
 def equilibrium_metric(x: TreePoint, phi: Metric) -> Metric:
-    """Greatest psh metric whose value at x is at most phi(x).
+    """Greatest psh metric h with h(x) <= phi(x): the Green function
+    h(v) = phi(x) + d (q_x - q(v meet x)) of x, on phi's tree refined by x.
 
-    Every other vertex gets the cap phi(x) + d q_x, which binds nothing: a
-    psh h falls along every path out of the root, with slope at most d, so
-    h(v) <= h(root) <= h(x) + d q_x.
-    """
+    A psh h does not increase away from the root, and its slope is at most
+    d, so h(v) <= h(v meet x) <= h(x) + d (q_x - q(v meet x)).  The formula
+    reaches that bound, and its measure is d delta_x."""
     if phi.d < 1:
         raise MetricError("equilibrium metric needs d >= 1")
     tree = refine(phi.tree, [x])
     gx = phi.g.evaluate(x)
-    obstacle = dict.fromkeys(tree.vertices, gx + phi.d * x.q)
-    obstacle[x] = gx
-    return _minorant(tree, phi.d, obstacle, "equilibrium")
+    h = {v: gx + phi.d * (x.q - meet(v, x).q) for v in tree.vertices}
+    return Metric(phi.d, PLFunction(tree, h))

@@ -334,6 +334,8 @@ def vol_m(phi: Metric, psi: Metric, m: int) -> Fraction:
     """
     if phi.d != psi.d:
         raise SectionError("metrics live on different line bundles")
+    if phi.p != psi.p:
+        raise SectionError("metrics over different primes")
     # Larger norms mean smaller balls, hence a larger determinant
     # valuation for the second argument.
     return unit_ball_valuation(psi, m) - unit_ball_valuation(phi, m)

@@ -283,6 +283,8 @@ class PLFunction:
         value = self.values.get(x)
         if value is not None:  # x is a vertex
             return value
+        if x.p != self.tree.p:
+            raise TreeError("point over a different prime")
         return self._at(*self.tree.place(x.center, x.q))
 
     def evaluate_center(self, center: Fraction) -> Fraction:

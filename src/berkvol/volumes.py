@@ -89,6 +89,8 @@ def vol_limit(phi: Metric, psi: Metric) -> Fraction:
     """vol(L, phi, psi), exactly: the difference of the integrals of G."""
     if phi.d != psi.d:
         raise VolumeError("metrics live on different line bundles")
+    if phi.p != psi.p:
+        raise VolumeError("metrics over different primes")
     return _integral(phi, phi.g.values, Fraction(0)) - _integral(psi, psi.g.values, Fraction(0))
 
 

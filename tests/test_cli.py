@@ -1327,8 +1327,9 @@ def test_fuzz_run_never_crashes(cfg):
 def test_each_kind_takes_one_measure_per_metric(tmp_path, monkeypatch):
     """Bench pool configs whose metrics share one vertex set take one
     Laplacian per metric that needs a measure, no envelope solve whose answer
-    is the input, and no tree build past parsing (plus the refinement by a
-    dirac point that is not a vertex)."""
+    is the input, none for an equilibrium metric, which is a closed form, and
+    no tree build past parsing (plus the refinement by a dirac point that is
+    not a vertex)."""
     import berkvol.cli as cli_module
     import berkvol.metrics as metrics
     import berkvol.tree as tree_module
@@ -1353,7 +1354,7 @@ def test_each_kind_takes_one_measure_per_metric(tmp_path, monkeypatch):
         "sandwich": ("lattice-ramified", [1, 4], 3, 0, 3),
         "rr": ("lattice-ramified", [2, 5], 1, 0, 2),
         "diff": ("lattice-wide", [2, 5], 1, 0, 2),
-        "dirac": ("envelope-points", [1, 4, 52], 1, 1, 1),  # the point of 52 is a vertex
+        "dirac": ("envelope-points", [1, 4, 52], 1, 0, 1),  # the point of 52 is a vertex
         "fekete": ("envelope-points", [2, 5], 1, 0, 1),
     }
     for kind, (workload, ks, laplacians, solves, trees) in expected.items():

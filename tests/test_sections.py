@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from berkvol.field import INF, FieldContext
-from berkvol.metrics import Metric, MetricError, energy, trivial_metric
+from berkvol.metrics import Metric, MetricError, energy, ma_measure, trivial_metric
 from berkvol.sections import (
     Section,
     SectionError,
@@ -26,7 +26,13 @@ from berkvol.sections import (
     vol_m,
 )
 from berkvol.tree import PLFunction, TreeError, TreePoint, build_tree, digit_order, gauss_point, meet
-from berkvol.volumes import _rr_refine
+from berkvol.volumes import (
+    VolumeError,
+    _rr_refine,
+    check_vol_equals_energy,
+    right_derivative,
+    vol_limit,
+)
 
 from conftest import (
     is_below,
@@ -535,6 +541,12 @@ def _rising_metric():
     return Metric(1, PLFunction(build_tree(2, [x]), {gauss_point(2): Fraction(0), x: Fraction(1)}))
 
 
+def _falling_metric(p):
+    """Psh: it falls by 1 from the Gauss point to zeta(0, 1), the same rows over any p."""
+    x = TreePoint(p, Fraction(0), Fraction(1))
+    return Metric(1, PLFunction(build_tree(p, [x]), {gauss_point(p): Fraction(0), x: Fraction(-1)}))
+
+
 # a call outside the domain of a library routine, with the error it raises
 LIBRARY_DOMAIN_ERRORS = {
     "energy-two-bundles": (
@@ -569,6 +581,30 @@ LIBRARY_DOMAIN_ERRORS = {
     "digit-order-off-disc": (
         lambda: digit_order(Fraction(1, 2), Fraction(1), 2),
         TreeError, "center 1/2 lies outside the closed unit disc",
+    ),
+    "vol-limit-two-primes": (
+        lambda: vol_limit(_falling_metric(2), _falling_metric(3)),
+        VolumeError, "metrics over different primes",
+    ),
+    "vol-m-two-primes": (
+        lambda: vol_m(_falling_metric(2), _falling_metric(3), 2),
+        SectionError, "metrics over different primes",
+    ),
+    "check-vol-equals-energy-two-primes": (
+        lambda: check_vol_equals_energy(_falling_metric(2), _falling_metric(3), [1, 2]),
+        VolumeError, "metrics over different primes",
+    ),
+    "energy-two-primes": (
+        lambda: energy(_falling_metric(2), _falling_metric(3)),
+        TreeError, "point over a different prime",
+    ),
+    "right-derivative-two-primes": (
+        lambda: right_derivative(_falling_metric(2), _falling_metric(3).g),
+        TreeError, "point over a different prime",
+    ),
+    "integrate-two-primes": (
+        lambda: ma_measure(_falling_metric(2)).integrate(_falling_metric(3).g),
+        TreeError, "point over a different prime",
     ),
     "pl-function-missing-vertex": (
         lambda: PLFunction(

@@ -170,13 +170,15 @@ def test_one_fit_routine():
 
 def test_one_minorant_solve():
     # the Gauss point is a vertex of the leaf-to-root pass like any other:
-    # its knot list serves envelopes, equilibrium metrics, limits and
-    # derivatives, and only the knot-list evaluation searches a list
+    # its knot list serves envelopes, limits and derivatives, and only the
+    # knot-list evaluation searches a list; equilibrium metrics are a closed
+    # form, so envelope alone runs the obstacle solve
     assert callers_of("bisect_right") == [("metrics.py", "_eval")]
     assert sorted(callers_of("_leaf_to_root")) == [
         ("metrics.py", "_componentwise_max"),
         ("metrics.py", "_integral"),
     ]
+    assert callers_of("_componentwise_max") == [("metrics.py", "envelope")]
 
 
 def test_knot_lists_stay_in_metrics():
