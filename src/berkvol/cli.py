@@ -42,7 +42,7 @@ except ImportError:
 
 from . import __version__
 from .errors import BerkvolError
-from .field import is_prime
+from .field import check_prime
 from .metrics import Metric
 from .tree import PLFunction, TreePoint, build_tree
 from . import experiments as ex
@@ -488,10 +488,7 @@ def cmd_run(args) -> int:
         if not isinstance(fld, dict) or "p" not in fld:
             raise ConfigError("field: expected an object with a prime 'p'")
         p = parse_int(fld["p"], "field.p")
-        if p >= 2**64:  # is_prime is exact below 2^64
-            raise ConfigError(f"p = {p} is too large: need p < 2^64")
-        if not is_prime(p):
-            raise ConfigError(f"p = {p} is not prime")
+        check_prime(p)
         for key in ("name", "out_dir"):
             if not isinstance(cfg.get(key, ""), str):
                 raise ConfigError(f"{key}: expected a string, got {cfg[key]!r}")

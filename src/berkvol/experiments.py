@@ -50,6 +50,10 @@ def diff_experiment(
     the pairing of f with MA(P(phi)), P(phi) the psh envelope: phi itself
     when phi is psh.  As data, each leg t of t_grid records
     vol_m(phi + t f, phi) = u_m(phi) - u_m(phi + t f); u_m(phi) is shared."""
+    # The common tree stays: on phi's own tree right_derivative would read f
+    # at phi's vertices only, so it would differentiate along f interpolated
+    # there, and the check would hold only for directions whose kinks lie on
+    # phi's tree.  That the two values agree is the theorem, not the code.
     tree = refine(phi.tree, f.tree.vertices)
     phi_r, f_r = phi.on_tree(tree), f.on_tree(tree)
     right = right_derivative(phi_r, f_r)

@@ -56,6 +56,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_prime(p: int) -> None:
+    """Raise FieldError unless p is a prime below 2^64, where is_prime is exact."""
+    if p >= 2**64:
+        raise FieldError(f"p = {p} is too large: need p < 2^64")
+    if not is_prime(p):
+        raise FieldError(f"p = {p} is not prime")
+
+
 def int_valuation(n: int, p: int) -> int:
     """v_p of a nonzero integer, in O(log v_p(n)) divisions: square p up to
     the largest p^(2^k) dividing n, then strip those powers largest first."""
@@ -85,10 +93,7 @@ class FieldContext(Frozen):
     """The extension K_M of Q_p generated by an M-th root pi of p."""
 
     def __init__(self, p: int, M: int = 1):
-        if p >= 2**64:
-            raise FieldError(f"p = {p} is too large: need p < 2^64")
-        if not is_prime(p):
-            raise FieldError(f"p = {p} is not prime")
+        check_prime(p)
         if M < 1:
             raise FieldError(f"ramification index M = {M} must be >= 1")
         self.__dict__.update(p=p, M=M)

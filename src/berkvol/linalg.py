@@ -52,33 +52,19 @@ def copy_matrix(A: Matrix) -> Matrix:
     return [row[:] for row in A]
 
 
-def _pivot_min_val(B: Matrix, k: int, rows: int, cols: int):
-    """Position of a minimal-valuation entry of B[k:rows, k:cols], or None."""
-    best = None
-    best_v = INF
-    for i in range(k, rows):
-        for j in range(k, cols):
-            v = B[i][j].valuation()
-            if v < best_v:
-                best_v = v
-                best = (i, j)
-    return best
+def _pivot(W: Matrix, k: int, cols: int) -> Tuple:
+    """(v, i, j): the least valuation v in W[k:, k:cols] and the first entry
+    (i, j), row by row, that has it; v is INF when that block is zero."""
+    return min((W[i][j].valuation(), i, j) for i in range(k, len(W)) for j in range(k, cols))
 
 
 def solve(A: Matrix, B: Matrix) -> Matrix:
     """Solve A X = B for square invertible A."""
     n = len(A)
-    m = len(B[0])
     W = [A[i][:] + B[i][:] for i in range(n)]
     for k in range(n):
-        piv = None
-        piv_v = INF
-        for i in range(k, n):
-            v = W[i][k].valuation()
-            if v < piv_v:
-                piv_v = v
-                piv = i
-        if piv is None or piv_v == INF:
+        piv_v, piv, _ = _pivot(W, k, k + 1)
+        if piv_v == INF:
             raise SingularMatrixError("matrix is singular over the field")
         W[k], W[piv] = W[piv], W[k]
         inv = W[k][k].inverse()
@@ -105,14 +91,8 @@ def det_valuation(A: Matrix):
     W = copy_matrix(A)
     total = 0
     for k in range(n):
-        piv = None
-        piv_v = INF
-        for i in range(k, n):
-            v = W[i][k].valuation()
-            if v < piv_v:
-                piv_v = v
-                piv = i
-        if piv is None or piv_v == INF:
+        piv_v, piv, _ = _pivot(W, k, k + 1)
+        if piv_v == INF:
             return INF
         W[k], W[piv] = W[piv], W[k]
         total += piv_v
@@ -142,10 +122,9 @@ def smith(A: Matrix) -> Tuple[Matrix, list, Matrix]:
     V = identity(ctx, m)
     d = []
     for k in range(n):
-        piv = _pivot_min_val(B, k, n, m)
-        if piv is None or B[piv[0]][piv[1]].valuation() == INF:
+        v, i, j = _pivot(B, k, m)
+        if v == INF:
             raise SingularMatrixError("matrix does not have full row rank")
-        i, j = piv
         if i != k:
             B[k], B[i] = B[i], B[k]
             U[k], U[i] = U[i], U[k]
@@ -154,9 +133,8 @@ def smith(A: Matrix) -> Tuple[Matrix, list, Matrix]:
                 row[k], row[j] = row[j], row[k]
             for row in V:
                 row[k], row[j] = row[j], row[k]
-        pivot = B[k][k]
-        d.append(pivot.valuation())
-        inv = pivot.inverse()
+        d.append(v)
+        inv = B[k][k].inverse()
         for r in range(k + 1, n):
             if not B[r][k].is_zero():
                 f = B[r][k] * inv

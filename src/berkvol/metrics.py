@@ -40,6 +40,8 @@ class MetricError(BerkvolError):
 
 class Metric(Frozen):
     def __init__(self, d: int, g: PLFunction):
+        if not isinstance(d, int):
+            raise MetricError(f"degree must be an integer, got {d!r}")
         if d < 0:
             raise MetricError("degree must be nonnegative")
         self.__dict__.update(d=d, g=g)

@@ -265,8 +265,13 @@ def refine(tree: SkeletonTree, extra: Iterable[TreePoint]) -> SkeletonTree:
 
 
 def _exact(x) -> Fraction:
-    """x as a Fraction: x itself when it is one already."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as a Fraction: x itself when it is one already.  A float is refused,
+    since Fraction would take its binary expansion for the value meant."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise TreeError(f"{x!r} is a float, not an exact rational")
+    return Fraction(x)
 
 
 class PLFunction:
@@ -317,11 +322,11 @@ class PLFunction:
         return self._combine(other, -1)
 
     def scale(self, t: Fraction) -> "PLFunction":
-        t = Fraction(t)
+        t = _exact(t)
         return PLFunction(self.tree, {v: t * x for v, x in self.values.items()})
 
     def shift(self, c: Fraction) -> "PLFunction":
-        c = Fraction(c)
+        c = _exact(c)
         return PLFunction(self.tree, {v: x + c for v, x in self.values.items()})
 
     def min_value(self) -> Fraction:
@@ -332,12 +337,14 @@ class PLFunction:
 
 
 def constant_function(tree: SkeletonTree, c: Fraction) -> PLFunction:
-    return PLFunction(tree, {v: Fraction(c) for v in tree.vertices})
+    return PLFunction(tree, dict.fromkeys(tree.vertices, c))
 
 
 class DiscreteMeasure:
     def __init__(self, masses: Dict[TreePoint, Fraction]):
         self.masses = {k: _exact(v) for k, v in masses.items() if v != 0}
+        if len({x.p for x in self.masses}) > 1:
+            raise TreeError("atoms over different primes")
 
     def total_mass(self) -> Fraction:
         return sum(self.masses.values(), Fraction(0))
@@ -349,7 +356,7 @@ class DiscreteMeasure:
         return DiscreteMeasure(out)
 
     def scale(self, t: Fraction) -> "DiscreteMeasure":
-        t = Fraction(t)
+        t = _exact(t)
         return DiscreteMeasure({k: t * v for k, v in self.masses.items()})
 
     def integrate(self, f: PLFunction) -> Fraction:

@@ -68,20 +68,7 @@ def random_chain_tree(p: int, rng: random.Random, center: int = 0):
 
 def random_psh_chain_metric(p: int, d: int, rng: random.Random, center: int = 0) -> Metric:
     """Psh metric on a chain tree; these hit the diagonal single-center path."""
-    tree = random_chain_tree(p, rng, center)
-    verts = sorted(tree.vertices, key=lambda v: v.q)
-    weights = [Fraction(rng.randint(0, 4)) for _ in verts]
-    total = sum(weights) or Fraction(1)
-    if sum(weights) == 0:
-        weights[0] = Fraction(1)
-    masses = [d * w / total for w in weights]
-    values = {verts[0]: Fraction(0)}
-    for i in range(1, len(verts)):
-        below = sum(masses[i:], Fraction(0))
-        values[verts[i]] = values[verts[i - 1]] - below * (verts[i].q - verts[i - 1].q)
-    phi = Metric(d, PLFunction(tree, values))
-    assert is_psh(phi)
-    return phi
+    return random_psh_metric(p, d, rng, tree=random_chain_tree(p, rng, center))
 
 
 def random_pl_metric(p: int, d: int, rng: random.Random, tree=None) -> Metric:
@@ -93,6 +80,20 @@ def random_pl_metric(p: int, d: int, rng: random.Random, tree=None) -> Metric:
     }
     values[tree.root] = Fraction(0)
     return Metric(d, PLFunction(tree, values))
+
+
+def slope_metric(p: int, d: int, slope, depth=1, center=0) -> Metric:
+    """Degree-d metric on the one edge from the Gauss point down to
+    zeta(center, q=depth), with the given slope along it."""
+    x = TreePoint(p, Fraction(center), Fraction(depth))
+    tree = build_tree(p, [x])
+    return Metric(d, PLFunction(tree, {tree.root: Fraction(0), x: slope * depth}))
+
+
+def tent_function(p: int, height=1) -> PLFunction:
+    """The direction that rises by height from the Gauss point to zeta(0, q=1)."""
+    x = TreePoint(p, Fraction(0), Fraction(1))
+    return PLFunction(build_tree(p, [x]), {gauss_point(p): Fraction(0), x: height})
 
 
 @pytest.fixture

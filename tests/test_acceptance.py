@@ -20,7 +20,6 @@ from berkvol.field import FieldContext, padic_valuation
 from berkvol.metrics import (
     Metric,
     energy,
-    envelope,
     is_psh,
     ma_measure,
     trivial_metric,
@@ -29,25 +28,17 @@ from berkvol.sections import required_ramification, sup_norm_lattice, vol_m
 from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point
 from berkvol.volumes import check_vol_equals_energy, rr_content, rr_slope_experiment, vol_limit
 
-from conftest import random_pl_metric, random_psh_chain_metric, random_psh_metric
+from conftest import (
+    random_pl_metric,
+    random_psh_chain_metric,
+    random_psh_metric,
+    slope_metric,
+    tent_function,
+)
 
 
 def report(name, detail):
     print(f"[PASS] {name}: {detail}")
-
-
-def slope_metric(p, d, slope, depth=1):
-    g0 = gauss_point(p)
-    x = TreePoint(p, Fraction(0), Fraction(depth))
-    tree = build_tree(p, [g0, x])
-    return Metric(d, PLFunction(tree, {g0: Fraction(0), x: slope * depth}))
-
-
-def tent_function(p, height=Fraction(1)):
-    g0 = gauss_point(p)
-    x = TreePoint(p, Fraction(0), Fraction(1))
-    tree = build_tree(p, [g0, x])
-    return PLFunction(tree, {g0: Fraction(0), x: height})
 
 
 def test_acceptance_02_norm_level_identities():

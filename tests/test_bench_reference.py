@@ -1,5 +1,6 @@
 """Every benchmark pool config reproduces the exact fields of its stored
-reference, and its outputs do not depend on the order of its rows.
+reference, its outputs do not depend on the order of its rows, and its exact
+results do not change when an isometry of the disc moves its centers.
 
 The configs come from ``bench/corpus.py`` and the references from
 ``bench/reference/<workload>.json``; the exact fields of each report are
@@ -15,11 +16,13 @@ import random
 import re
 import shutil
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from berkvol.cli import main
+from berkvol.tree import TreePoint
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -89,3 +92,80 @@ def test_row_and_pool_order_do_not_reach_the_outputs(tmp_path, workload):
             moved += other != cfg
             assert run_outputs(tmp_path, other) == want, cfg["name"]
     assert moved >= corpus.pool_size(workload)
+
+
+def affine(a, u):
+    """z -> a + u z: for a p-adic integer a and unit u, an isometry of the
+    closed unit disc that fixes the Gauss point and keeps every radius."""
+    return lambda z: a + u * z
+
+
+def moved(cfg, gamma):
+    """cfg with every center moved by gamma: the rows of every metric tree,
+    the direction, the divisor, the dirac point and the Fekete pool."""
+    def row(r):
+        c = gamma(Fraction(r[0], r[1]))
+        return [c.numerator, c.denominator, *r[2:]]
+
+    out = copy.deepcopy(cfg)
+    for key, value in out.items():
+        if isinstance(value, dict) and "tree" in value:
+            value["tree"] = [row(r) for r in value["tree"]]
+        elif key in ("direction", "divisor"):
+            out[key] = [row(r) for r in value]
+        elif key == "point":
+            out[key] = row(value)
+        elif key == "pool":
+            out[key] = [str(gamma(Fraction(x))) for x in value]
+    return out
+
+
+def discs(entries, p, gamma=lambda z: z):
+    """{disc moved by gamma: mass or value} of the report entries of a measure
+    or of equilibrium values; a disc, not the center that names it."""
+    return {
+        TreePoint(p, gamma(Fraction(e["center"])), Fraction(e["q"])): (
+            Fraction((e["mass"] if "mass" in e else e["value"])["exact"])
+        )
+        for e in entries
+    }
+
+
+def test_isometries_of_the_disc_do_not_reach_the_exact_outputs(tmp_path):
+    """Every pool config, moved by z -> a + u z (a an integer, u a quotient of
+    two integers prime to p), keeps its exit status, assertion
+    verdicts and series bytes, every scalar result, and its measures and
+    equilibrium values as discs moved by the map.  The Fekete optimum's
+    valuation, count and target stay; its configuration and empirical
+    measure move with the map when the optimum is unique."""
+    rng = random.Random(11)
+    for workload in sorted(corpus.WORKLOADS):
+        for k in range(corpus.pool_size(workload)):
+            cfg = corpus.make_config(workload, k)
+            p = cfg["field"]["p"]
+            units = [n for n in range(1, 4 * p) if n % p]
+            a, u = rng.randrange(p**3), Fraction(rng.choice(units), rng.choice(units))
+            gamma = affine(a, u)
+            want, got = run_outputs(tmp_path, cfg), run_outputs(tmp_path, moved(cfg, gamma))
+            name = cfg["name"]
+            assert want[0] == got[0] == 0, name
+            series = f"{name}.series.csv"
+            assert want[3].get(series) == got[3].get(series), name
+            before, after = (json.loads(out[3][f"{name}.report.json"]) for out in (want, got))
+            verdicts = [[(x["name"], x["passed"]) for x in r["assertions"]] for r in (before, after)]
+            assert verdicts[0] == verdicts[1], name
+            before, after = before["results"], after["results"]
+            if cfg["kind"] == "dirac":
+                for key in ("measure", "equilibrium_values"):
+                    assert discs(before[key], p, gamma) == discs(after[key], p), (name, key)
+            elif cfg["kind"] == "fekete":
+                for key in ("best_valuation", "n_optima"):
+                    assert before[key] == after[key], (name, key)
+                assert discs(before["target"], p, gamma) == discs(after["target"], p), name
+                if before["n_optima"] == 1:
+                    assert discs(before["empirical"], p, gamma) == discs(after["empirical"], p), name
+                    assert {gamma(Fraction(x)) for x in before["best_config"]} == {
+                        Fraction(x) for x in after["best_config"]
+                    }, name
+            else:
+                assert before == after, name

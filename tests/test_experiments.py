@@ -27,27 +27,18 @@ from berkvol.tree import (
     PLFunction,
     SkeletonTree,
     TreePoint,
-    build_tree,
     gauss_point,
 )
 from berkvol.volumes import RRReport, VolEnergyReport
 
-from conftest import random_pl_metric, random_psh_chain_metric, random_psh_metric
+from conftest import (
+    random_pl_metric,
+    random_psh_chain_metric,
+    random_psh_metric,
+    slope_metric,
+    tent_function,
+)
 from fekete_oracle import tabulated_optima
-
-
-def slope_metric(p, d, slope):
-    g0 = gauss_point(p)
-    x = TreePoint(p, Fraction(0), Fraction(1))
-    tree = build_tree(p, [g0, x])
-    return Metric(d, PLFunction(tree, {g0: Fraction(0), x: slope}))
-
-
-def tent_direction(p, height=Fraction(1)):
-    g0 = gauss_point(p)
-    x = TreePoint(p, Fraction(0), Fraction(1))
-    tree = build_tree(p, [g0, x])
-    return PLFunction(tree, {g0: Fraction(0), x: height})
 
 
 def test_diff_symmetric_quotient_exact():
@@ -55,7 +46,7 @@ def test_diff_symmetric_quotient_exact():
     the derivative, and it is the pairing exactly."""
     p = 2
     phi = slope_metric(p, 1, Fraction(-1, 2))
-    f = tent_direction(p)
+    f = tent_function(p)
     rep = diff_experiment(phi, f, [Fraction(1, 8)], range(16, 81, 16))
     assert rep.target == Fraction(1, 2)
     assert rep.right_derivative == rep.left_derivative == Fraction(1, 2)
@@ -65,7 +56,7 @@ def test_diff_accepts_a_non_psh_base():
     """Past a base that is not psh, both derivatives are the pairing of f
     with MA(P(phi)), P the psh envelope: 0 here, where MA(phi) pairs to -1."""
     p = 2
-    bad, f = slope_metric(p, 1, Fraction(1)), tent_direction(p)
+    bad, f = slope_metric(p, 1, Fraction(1)), tent_function(p)
     rep = diff_experiment(bad, f, [Fraction(1, 8)], range(16, 81, 16))
     assert rep.target == ma_measure(envelope(bad)).integrate(f) == 0
     assert rep.right_derivative == rep.left_derivative == 0
@@ -126,7 +117,7 @@ def test_sandwich_mixed_center_case():
 
 def test_orthogonality_on_tent():
     p = 2
-    tent = Metric(1, tent_direction(p))
+    tent = Metric(1, tent_function(p))
     assert orthogonality_experiment(tent) == 0
 
 

@@ -17,15 +17,8 @@ from berkvol.metrics import (
 )
 from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point, meet, refine
 
-from conftest import random_pl_metric, random_psh_metric, random_tree
+from conftest import random_pl_metric, random_psh_metric, random_tree, slope_metric
 from envelope_oracle import _psh_rows, one_lp_max
-
-
-def slope_metric(p, d, slope, depth=1):
-    g0 = gauss_point(p)
-    x = TreePoint(p, Fraction(0), Fraction(depth))
-    tree = build_tree(p, [g0, x])
-    return Metric(d, PLFunction(tree, {g0: Fraction(0), x: slope * depth}))
 
 
 def test_trivial_metric_measure():

@@ -41,18 +41,10 @@ from conftest import (
     random_psh_chain_metric,
     random_psh_metric,
     random_tree,
+    slope_metric,
 )
 from fekete_oracle import pairwise_vandermonde_value
 from slice_oracle import _slice_integral
-
-
-def slope_metric(p, d, slope, depth=1, center=0):
-    g0 = gauss_point(p)
-    x = TreePoint(p, Fraction(center), Fraction(depth))
-    tree = build_tree(p, [g0, x])
-    vals = {v: Fraction(0) for v in tree.vertices}
-    vals[x] = slope * depth
-    return Metric(d, PLFunction(tree, vals))
 
 
 def test_section_recenter():
@@ -535,18 +527,6 @@ def test_diagonal_weights_guard_is_pairwise_nesting():
     assert seen == {True, False}
 
 
-def _rising_metric():
-    """Not psh: it rises by 1 from the Gauss point to zeta(0, 1) over Q_2."""
-    x = TreePoint(2, Fraction(0), Fraction(1))
-    return Metric(1, PLFunction(build_tree(2, [x]), {gauss_point(2): Fraction(0), x: Fraction(1)}))
-
-
-def _falling_metric(p):
-    """Psh: it falls by 1 from the Gauss point to zeta(0, 1), the same rows over any p."""
-    x = TreePoint(p, Fraction(0), Fraction(1))
-    return Metric(1, PLFunction(build_tree(p, [x]), {gauss_point(p): Fraction(0), x: Fraction(-1)}))
-
-
 # a call outside the domain of a library routine, with the error it raises
 LIBRARY_DOMAIN_ERRORS = {
     "energy-two-bundles": (
@@ -554,7 +534,7 @@ LIBRARY_DOMAIN_ERRORS = {
         MetricError, "metrics live on different line bundles",
     ),
     "energy-not-psh": (
-        lambda: energy(_rising_metric(), trivial_metric(2, 1)),
+        lambda: energy(slope_metric(2, 1, 1), trivial_metric(2, 1)),
         MetricError, "energy requires psh inputs",
     ),
     "vol-m-two-bundles": (
@@ -583,28 +563,49 @@ LIBRARY_DOMAIN_ERRORS = {
         TreeError, "center 1/2 lies outside the closed unit disc",
     ),
     "vol-limit-two-primes": (
-        lambda: vol_limit(_falling_metric(2), _falling_metric(3)),
+        lambda: vol_limit(slope_metric(2, 1, -1), slope_metric(3, 1, -1)),
         VolumeError, "metrics over different primes",
     ),
     "vol-m-two-primes": (
-        lambda: vol_m(_falling_metric(2), _falling_metric(3), 2),
+        lambda: vol_m(slope_metric(2, 1, -1), slope_metric(3, 1, -1), 2),
         SectionError, "metrics over different primes",
     ),
     "check-vol-equals-energy-two-primes": (
-        lambda: check_vol_equals_energy(_falling_metric(2), _falling_metric(3), [1, 2]),
+        lambda: check_vol_equals_energy(slope_metric(2, 1, -1), slope_metric(3, 1, -1), [1, 2]),
         VolumeError, "metrics over different primes",
     ),
     "energy-two-primes": (
-        lambda: energy(_falling_metric(2), _falling_metric(3)),
+        lambda: energy(slope_metric(2, 1, -1), slope_metric(3, 1, -1)),
         TreeError, "point over a different prime",
     ),
     "right-derivative-two-primes": (
-        lambda: right_derivative(_falling_metric(2), _falling_metric(3).g),
+        lambda: right_derivative(slope_metric(2, 1, -1), slope_metric(3, 1, -1).g),
         TreeError, "point over a different prime",
     ),
     "integrate-two-primes": (
-        lambda: ma_measure(_falling_metric(2)).integrate(_falling_metric(3).g),
+        lambda: ma_measure(slope_metric(2, 1, -1)).integrate(slope_metric(3, 1, -1).g),
         TreeError, "point over a different prime",
+    ),
+    "pl-function-float-value": (
+        lambda: PLFunction(build_tree(2, []), {gauss_point(2): 0.1}),
+        TreeError, "0.1 is a float, not an exact rational",
+    ),
+    "pl-function-float-scale": (
+        lambda: trivial_metric(2, 1).g.scale(0.5), TreeError, "0.5 is a float, not an exact rational",
+    ),
+    "metric-float-shift": (
+        lambda: trivial_metric(2, 1).shift(0.1), TreeError, "0.1 is a float, not an exact rational",
+    ),
+    "metric-float-degree": (
+        lambda: Metric(1.5, trivial_metric(2, 1).g), MetricError, "degree must be an integer, got 1.5",
+    ),
+    "measure-add-two-primes": (
+        lambda: ma_measure(trivial_metric(2, 1)).add(ma_measure(trivial_metric(3, 1))),
+        TreeError, "atoms over different primes",
+    ),
+    "tv-distance-two-primes": (
+        lambda: ma_measure(trivial_metric(2, 1)).tv_distance(ma_measure(trivial_metric(3, 1))),
+        TreeError, "atoms over different primes",
     ),
     "pl-function-missing-vertex": (
         lambda: PLFunction(

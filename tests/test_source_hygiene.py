@@ -232,6 +232,27 @@ def test_no_floats(path):
     assert lines == [], f"{path.name}: float at lines {lines}"
 
 
+def function_bodies(path):
+    """(name, body) of every function and method in path, docstring dropped."""
+    for node in parse(path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            has_doc = ast.get_docstring(node, clean=False) is not None
+            yield node.name, node.body[1:] if has_doc else node.body
+
+
+def test_no_function_body_is_written_twice():
+    # a helper is written once and imported: copies drift apart
+    tests = sorted(Path(__file__).resolve().parent.glob("*.py"))
+    seen = {}
+    for path in MODULES + tests:
+        for name, body in function_bodies(path):
+            if len(body) >= 3:
+                key = ast.dump(ast.Module(body=body, type_ignores=[]))
+                seen.setdefault(key, []).append(f"{path.name}:{name}")
+    copies = [names for names in seen.values() if len(names) > 1]
+    assert copies == []
+
+
 def tracer_targets():
     """(module, attribute) of each entry of TARGETS in bench/tracer.py, read
     from its syntax tree: the benchmark's file is neither imported nor run."""

@@ -16,21 +16,14 @@ from berkvol.volumes import (
     vol_limit,
 )
 
-from conftest import random_pl_metric, random_psh_chain_metric, random_psh_metric, random_tree
-
-
-def slope_metric(p, d, slope, depth=1):
-    g0 = gauss_point(p)
-    x = TreePoint(p, Fraction(0), Fraction(depth))
-    tree = build_tree(p, [g0, x])
-    return Metric(d, PLFunction(tree, {g0: Fraction(0), x: slope * depth}))
-
-
-def tent_function(p, height=Fraction(1)):
-    g0 = gauss_point(p)
-    x = TreePoint(p, Fraction(0), Fraction(1))
-    tree = build_tree(p, [g0, x])
-    return PLFunction(tree, {g0: Fraction(0), x: height})
+from conftest import (
+    random_pl_metric,
+    random_psh_chain_metric,
+    random_psh_metric,
+    random_tree,
+    slope_metric,
+    tent_function,
+)
 
 
 def test_affine_fit_exact():
