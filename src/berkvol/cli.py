@@ -44,7 +44,7 @@ from . import __version__
 from .errors import BerkvolError
 from .field import check_prime
 from .metrics import Metric
-from .tree import PLFunction, TreePoint, build_tree
+from .tree import PLFunction, TreeError, TreePoint, build_tree
 from . import experiments as ex
 from . import volumes as vo
 
@@ -373,7 +373,10 @@ def run_fekete(cfg: Dict[str, Any], p: int, m_max: Optional[int]) -> Tuple[Dict,
     if len(pool_raw) > MAX_POOL_POINTS:
         raise ConfigError(f"pool: {len(pool_raw)} points exceed {MAX_POOL_POINTS}")
     pool = [parse_rational(x, "pool") for x in pool_raw]
-    rep = ex.fekete_experiment(phi, m, pool)
+    try:
+        rep = ex.fekete_experiment(phi, m, pool)
+    except TreeError as e:  # a pool point off the closed unit disc
+        raise ConfigError(f"pool: {e}") from None
     results = fmt_results({
         "best_valuation": rep.best_valuation,
         "best_config": [f"{x.numerator}/{x.denominator}" for x in rep.best_config],

@@ -49,7 +49,7 @@ class Metric(Frozen):
     @cached_property
     def _measure(self) -> DiscreteMeasure:
         """The measure ma_measure returns, computed on first use."""
-        anchor = DiscreteMeasure({gauss_point(self.p): Fraction(self.d)})
+        anchor = DiscreteMeasure({gauss_point(self.p): self.d})
         return anchor.add(laplacian(self.g))
 
     @property
@@ -75,7 +75,7 @@ class Metric(Frozen):
 
 def trivial_metric(p: int, d: int) -> Metric:
     tree = build_tree(p, [])
-    return Metric(d, constant_function(tree, Fraction(0)))
+    return Metric(d, constant_function(tree, 0))
 
 
 def ma_measure(phi: Metric) -> DiscreteMeasure:
@@ -102,9 +102,8 @@ def energy(phi: Metric, psi: Metric) -> Fraction:
     # each measure sits on its own metric's vertices, where phi - psi is read
     # pointwise, so no common tree is built
     total = sum(
-        (m * (phi.value(x) - psi.value(x)) for mu in (ma_measure(phi), ma_measure(psi))
-         for x, m in mu.masses.items()),
-        Fraction(0),
+        m * (phi.value(x) - psi.value(x)) for mu in (ma_measure(phi), ma_measure(psi))
+        for x, m in mu.masses.items()
     )
     return total / 2
 
@@ -129,9 +128,7 @@ def _eval(W: _Knots, z: Fraction) -> Fraction:
     return ws[i] + (ws[i + 1] - ws[i]) / (zs[i + 1] - zs[i]) * (z - zs[i])
 
 
-def _leaf_to_root(
-    tree: SkeletonTree, obstacle: Dict[TreePoint, Any], zero
-) -> Dict[TreePoint, _Knots]:
+def _leaf_to_root(tree: SkeletonTree, obstacle: Dict[TreePoint, Any]) -> Dict[TreePoint, _Knots]:
     """W_v for every vertex v, the root included.
 
     With s_c = (h(parent) - h(c)) / L_c the slope into c and
@@ -142,8 +139,9 @@ def _leaf_to_root(
     itself, and W_root(d) is the root's value.  Every vertex has an
     obstacle g(v): the knots of W_v sit at the children's knots below it,
     then at g(v), where W_v turns flat.  Only field operations and
-    comparisons run, from zero, a Fraction or a dual.
+    comparisons run, in the obstacle's number type: a Fraction, or a dual.
     """
+    zero = obstacle[tree.root] * 0
     W: Dict[TreePoint, _Knots] = {}
     for v in reversed(tree.vertices):
         cap = obstacle[v]
@@ -160,23 +158,25 @@ def _leaf_to_root(
     return W
 
 
-def _integral(phi: Metric, obstacle: dict, zero):
+def _integral(phi: Metric, obstacle: dict):
     """The integral of G = W_root over [0, d], for an obstacle at every vertex
     of phi.tree: one trapezoid per knot piece, between the knots below d and
     the point (d, G(d))."""
-    W = _leaf_to_root(phi.tree, obstacle, zero)[phi.tree.root]
+    W = _leaf_to_root(phi.tree, obstacle)[phi.tree.root]
+    zero = obstacle[phi.tree.root] * 0
     d = zero + phi.d
     knots = [(t, g) for t, g in zip(W[0], W[1]) if t < d] + [(d, _eval(W, d))]
     return sum(((t1 - t0) * (g0 + g1) for (t0, g0), (t1, g1) in zip(knots, knots[1:])), zero) / 2
 
 
 def _componentwise_max(
-    tree: SkeletonTree, d: int, obstacle: Dict[TreePoint, Fraction]
-) -> Dict[TreePoint, Fraction]:
+    tree: SkeletonTree, d: int, obstacle: Dict[TreePoint, Any]
+) -> Dict[TreePoint, Any]:
     """Componentwise maximum of {h psh-feasible, h <= obstacle at every vertex}:
-    root to leaf, h(root) = W_root(d) and h(c) = W_c(h(parent))."""
-    W = _leaf_to_root(tree, obstacle, Fraction(0))
-    h = {tree.root: _eval(W[tree.root], d)}
+    root to leaf, h(root) = W_root(d) and h(c) = W_c(h(parent)).  Over duals
+    g + eps f the eps-part is the right derivative of P(g + t f) at t = 0."""
+    W = _leaf_to_root(tree, obstacle)
+    h = {tree.root: _eval(W[tree.root], obstacle[tree.root] * 0 + d)}
     for c in tree.vertices[1:]:
         h[c] = _eval(W[c], h[tree.parent[c]])
     return h
@@ -188,13 +188,22 @@ def envelope(phi: Metric) -> Metric:
 
     On each edge the obstacle is affine, so the solution is affine there
     and the problem is a finite obstacle problem in the vertex values.
+    The solve's answer is checked: psh, below phi, and equal to phi at every
+    atom of its measure and at one vertex at least.  That proves it greatest:
+    where a psh competitor below phi exceeds it most, the answer is below phi,
+    so it has no mass there and the excess is constant nearby; so the excess
+    is constant on the whole tree, leaving no vertex where the answer is phi.
     """
     if is_psh(phi):
         return phi
-    h = _componentwise_max(phi.tree, phi.d, phi.g.values)
+    g = phi.g.values
+    h = _componentwise_max(phi.tree, phi.d, g)
     out = Metric(phi.d, PLFunction(phi.tree, h))
-    if not is_psh(out) or any(h[v] > b for v, b in phi.g.values.items()):
+    if not is_psh(out) or any(h[v] > b for v, b in g.items()):
         raise MetricError("envelope solve returned an infeasible point")
+    contact = {v for v, b in g.items() if h[v] == b}
+    if not contact or not contact.issuperset(ma_measure(out).masses):
+        raise MetricError("envelope solve returned a point below the envelope")
     return out
 
 

@@ -82,7 +82,7 @@ def right_derivative(phi: Metric, f: PLFunction) -> Fraction:
     """d/dt at 0+ of the integral of G for phi + t f, f on any tree: f is
     read at phi's vertices, which hold every atom of MA(P(phi))."""
     obstacle = {v: _Dual((phi.g.values[v], f.evaluate(v))) for v in phi.tree.vertices}
-    return _integral(phi, obstacle, _Dual((Fraction(0), Fraction(0))))[1]
+    return _integral(phi, obstacle)[1]
 
 
 def vol_limit(phi: Metric, psi: Metric) -> Fraction:
@@ -91,7 +91,7 @@ def vol_limit(phi: Metric, psi: Metric) -> Fraction:
         raise VolumeError("metrics live on different line bundles")
     if phi.p != psi.p:
         raise VolumeError("metrics over different primes")
-    return _integral(phi, phi.g.values, Fraction(0)) - _integral(psi, psi.g.values, Fraction(0))
+    return _integral(phi, phi.g.values) - _integral(psi, psi.g.values)
 
 
 class VolEnergyReport(Frozen):

@@ -546,13 +546,6 @@ DOMAIN_ERROR_CFGS = {
         "ample": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]},
         "m_range": {"start": 2, "stop": 8, "step": 2},
     },
-    "fekete-pool-off-disc": {
-        "kind": "fekete",
-        "field": {"p": 2},
-        "metric": {"d": 1, "tree": [[0, 1, 0, 1, 0, 1]]},
-        "m": 1,
-        "pool": ["0", "1", "1/2"],
-    },
     "fekete-degree-zero": {
         "kind": "fekete",
         "field": {"p": 2},
@@ -660,6 +653,7 @@ DOMAIN_ERROR_CFGS = {
     "fekete-pool-not-a-list": dict(FEKETE_CFG, pool="0"),
     "fekete-pool-repeated": dict(FEKETE_CFG, pool=["0", "1", "2/2"]),
     "fekete-pool-too-small": dict(FEKETE_CFG, pool=["0"]),
+    "fekete-pool-off-disc": dict(FEKETE_CFG, pool=["0", "1", "1/2"]),
     "sandwich-two-bundles": dict(SANDWICH_CFG, psi2={"d": 2, "tree": [[0, 1, 0, 1, 0, 1]]}),
     "vol-energy-two-bundles": dict(VOL_ENERGY_CFG, metric2={"d": 2, "tree": [[0, 1, 0, 1, 0, 1]]}),
     "sandwich-not-psh": dict(SANDWICH_CFG, metric=NON_PSH_METRIC),
@@ -971,6 +965,7 @@ DOMAIN_ERROR_MESSAGES = {
     "fekete-pool-not-a-list": "pool: expected a list of rationals",
     "fekete-pool-repeated": "pool contains repeated points",
     "fekete-pool-too-small": "pool of 1 points cannot host 2-tuples",
+    "fekete-pool-off-disc": "pool: center 1/2 lies outside the closed unit disc",
     "sandwich-two-bundles": "auxiliary metrics live on different bundles",
     "vol-energy-two-bundles": "metrics live on different line bundles",
     "sandwich-not-psh": "all inputs must be psh",

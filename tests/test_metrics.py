@@ -16,6 +16,7 @@ from berkvol.metrics import (
     trivial_metric,
 )
 from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point, meet, refine
+from berkvol.volumes import _Dual
 
 from conftest import random_pl_metric, random_psh_metric, random_tree, slope_metric
 from envelope_oracle import _psh_rows, one_lp_max
@@ -192,6 +193,51 @@ def test_envelope_dominates_random_psh_minorants():
             shifted = psi.shift(gap)
             for v in set(phi.tree.vertices) | set(psi.tree.vertices):
                 assert shifted.g.evaluate(v) <= env.g.evaluate(v)
+
+
+def test_envelope_rejects_a_feasible_point_below_the_envelope(monkeypatch):
+    # P(phi) - 1/7 is psh and below phi, but touches phi nowhere: the contact
+    # check, not the psh and h <= g checks, turns it away
+    solve = metrics._componentwise_max
+
+    def lowered(*args):
+        return {v: x - Fraction(1, 7) for v, x in solve(*args).items()}
+
+    monkeypatch.setattr(metrics, "_componentwise_max", lowered)
+    rng = random.Random(41)
+    tried = 0
+    while tried < 40:
+        phi = random_pl_metric(rng.choice([2, 3, 5]), rng.randint(0, 3), rng)
+        if is_psh(phi):
+            continue
+        tried += 1
+        with pytest.raises(metrics.MetricError, match="below the envelope"):
+            envelope(phi)
+    # contact at the root is not enough when the mass sits at the leaf, below phi
+    phi = slope_metric(2, 1, 1)
+    root, leaf = phi.tree.vertices
+    h = {root: Fraction(0), leaf: Fraction(-1)}
+    monkeypatch.setattr(metrics, "_componentwise_max", lambda *args: h)
+    assert ma_measure(Metric(1, PLFunction(phi.tree, h))).masses == {leaf: 1}
+    with pytest.raises(metrics.MetricError, match="below the envelope"):
+        envelope(phi)
+
+
+def test_envelope_solve_over_duals_is_the_right_derivative():
+    # over obstacles g + eps f the unchanged solve returns P(g) + eps D, and
+    # D is the difference quotient of P(g + t f) at a t small enough that
+    # the contact set stays fixed, where P is affine in t
+    rng = random.Random(43)
+    t = Fraction(1, 10**6)
+    for _ in range(100):
+        phi = random_pl_metric(rng.choice([2, 3, 5]), rng.randint(0, 3), rng)
+        f = random_pl_metric(phi.p, phi.d, rng, tree=phi.tree).g.values
+        g = phi.g.values
+        duals = _componentwise_max(phi.tree, phi.d, {v: _Dual((g[v], f[v])) for v in g})
+        base = _componentwise_max(phi.tree, phi.d, g)
+        moved = _componentwise_max(phi.tree, phi.d, {v: g[v] + t * f[v] for v in g})
+        assert {v: a for v, (a, _) in duals.items()} == base
+        assert {v: b for v, (_, b) in duals.items()} == {v: (moved[v] - base[v]) / t for v in g}
 
 
 def test_envelope_degree_zero_is_constant_min():

@@ -191,6 +191,20 @@ def test_knot_lists_stay_in_metrics():
             assert named & {"_eval", "_leaf_to_root"} == set(), path.name
 
 
+def test_exact_passes_take_their_number_type_from_the_obstacle():
+    # the passes run in the obstacle's number type, a Fraction or a dual, and
+    # read their zero off it: metrics.py builds no Fraction, and no caller
+    # passes a zero in
+    assert [scope for module, scope in callers_of("Fraction") if module == "metrics.py"] == []
+    metrics_py = next(path for path in MODULES if path.name == "metrics.py")
+    params = {
+        node.name: [arg.arg for arg in node.args.args]
+        for node in parse(metrics_py)
+        if isinstance(node, ast.FunctionDef) and node.name in ("_leaf_to_root", "_integral")
+    }
+    assert params == {"_leaf_to_root": ["tree", "obstacle"], "_integral": ["phi", "obstacle"]}
+
+
 def test_tree_compares_no_infinity():
     # placement compares ints and Fractions only; the float INF stays out of tree.py
     tree_py = next(path for path in MODULES if path.name == "tree.py")
