@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import BerkvolError, Frozen
-from .field import padic_valuation
 from .metrics import Metric, envelope, equilibrium_metric, is_psh, ma_measure
 from .sections import _level_sums, _valuation_gaps, vandermonde_value
-from .tree import DiscreteMeasure, PLFunction, TreePoint, digit_order, refine
+from .tree import DiscreteMeasure, PLFunction, TreePoint, _exact, digit_sorted, refine
 from .volumes import right_derivative, vol_limit
 
 
@@ -61,7 +59,7 @@ def diff_experiment(
     ms = sorted(set(m_range))
     base = _level_sums(phi, ms)
     legs: List[DiffLeg] = []
-    for t in sorted({abs(Fraction(t)) for t in t_grid if t != 0}):
+    for t in sorted({abs(t) for t in map(_exact, t_grid) if t}):
         for s in (t, -t):
             series = _level_sums(_add_direction(phi_r, f_r, s), ms)
             legs.append(DiffLeg(t=s, samples=list(zip(ms, _valuation_gaps(series, base)))))
@@ -156,18 +154,17 @@ def fekete_experiment(phi: Metric, m: int, pool: Sequence[Fraction]) -> FeketeRe
     if phi.d < 1:
         raise ExperimentError("Fekete experiment needs d >= 1")
     N = m * phi.d + 1
-    pool = [Fraction(x) for x in pool]
+    pool = [_exact(x) for x in pool]
     if len(set(pool)) != len(pool):
         raise ExperimentError("pool contains repeated points")
     if len(pool) < N:
         raise ExperimentError(f"pool of {len(pool)} points cannot host {N}-tuples")
 
-    p, pts = phi.p, sorted(pool)
+    pts = sorted(pool)
     n = len(pts)
     weights = [m * phi.g.evaluate_center(x) for x in pts]  # raises off the closed disc
     D = math.lcm(*(w.denominator for w in weights))
-    order = sorted(range(n), key=cmp_to_key(lambda i, j: digit_order(pts[i], pts[j], p)))
-    depth = [int(padic_valuation(pts[j] - pts[i], p)) for i, j in zip(order, order[1:])]
+    order, depth = digit_sorted(pts, phi.p)
     # table[s] and level[s] belong to the segment whose first position is s;
     # start[s] is the first position of the segment that ends at s.  A single
     # point's level never counts, since C(k, 2) = 0 for k <= 1.

@@ -9,6 +9,7 @@ denominator dividing M.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Union
 
 from .errors import BerkvolError, Frozen
@@ -56,8 +57,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def check_prime(p: int) -> None:
-    """Raise FieldError unless p is a prime below 2^64, where is_prime is exact."""
+    """Raise FieldError unless p is a prime below 2^64, where is_prime is
+    exact.  Every TreePoint checks its prime, so a passed one is cached."""
     if p >= 2**64:
         raise FieldError(f"p = {p} is too large: need p < 2^64")
     if not is_prime(p):

@@ -25,11 +25,10 @@ from .tree import (
     PLFunction,
     SkeletonTree,
     TreePoint,
+    _slope_sums,
     build_tree,
     constant_function,
-    gauss_point,
-    laplacian,
-    meet,
+    meet_q,
     refine,
 )
 
@@ -48,9 +47,10 @@ class Metric(Frozen):
 
     @cached_property
     def _measure(self) -> DiscreteMeasure:
-        """The measure ma_measure returns, computed on first use."""
-        anchor = DiscreteMeasure({gauss_point(self.p): self.d})
-        return anchor.add(laplacian(self.g))
+        """The measure ma_measure returns, computed once: d at the root plus Laplacian(g)."""
+        masses = _slope_sums(self.g)
+        masses[self.tree.root] += self.d
+        return DiscreteMeasure(masses)
 
     @property
     def tree(self) -> SkeletonTree:
@@ -218,5 +218,5 @@ def equilibrium_metric(x: TreePoint, phi: Metric) -> Metric:
         raise MetricError("equilibrium metric needs d >= 1")
     tree = refine(phi.tree, [x])
     gx = phi.g.evaluate(x)
-    h = {v: gx + phi.d * (x.q - meet(v, x).q) for v in tree.vertices}
+    h = {v: gx + phi.d * (x.q - meet_q(v, x)) for v in tree.vertices}
     return Metric(phi.d, PLFunction(tree, h))

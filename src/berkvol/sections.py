@@ -32,15 +32,14 @@ scaling serves every level of a series.
 from __future__ import annotations
 
 import math
-from functools import cmp_to_key
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import BerkvolError
-from .field import INF, FieldContext, int_valuation, padic_valuation
+from .field import INF, FieldContext, padic_valuation
 from .lattices import Lattice, intersect
 from .metrics import Metric
-from .tree import PLFunction, SkeletonTree, TreePoint, digit_order
+from .tree import PLFunction, SkeletonTree, TreePoint, _exact, digit_sorted
 
 
 class SectionError(BerkvolError):
@@ -53,10 +52,7 @@ class Section:
 
     @property
     def degree(self) -> int:
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i] != 0:
-                return i
-        return -1
+        return max((i for i, c in enumerate(self.coeffs) if c), default=-1)
 
     def is_zero(self) -> bool:
         return self.degree < 0
@@ -79,13 +75,7 @@ def point_norm(s: Section, x: TreePoint, phi: Metric, m: int):
     if s.degree > m * phi.d:
         raise SectionError(f"degree {s.degree} exceeds m*d = {m * phi.d}")
     c = s.recenter(x.center)
-    best = INF
-    for i, ci in enumerate(c):
-        if ci == 0:
-            continue
-        v = padic_valuation(ci, phi.p) + i * x.q
-        if v < best:
-            best = v
+    best = min((padic_valuation(ci, phi.p) + i * x.q for i, ci in enumerate(c) if ci), default=INF)
     return best + m * phi.value(x) if best != INF else INF
 
 
@@ -352,17 +342,14 @@ def vandermonde_value(points: List[Fraction], phi: Metric, m: int):
     N = m * phi.d + 1
     if len(points) != N:
         raise SectionError(f"need exactly {N} points, got {len(points)}")
-    p, pts = phi.p, [Fraction(x) for x in points]
+    pts = [_exact(x) for x in points]
     weight = sum(m * phi.g.evaluate_center(x) for x in pts)  # raises off the closed disc
-    pts.sort(key=cmp_to_key(lambda x, y: digit_order(x, y, p)))
+    if len(set(pts)) < N:
+        return INF
     # (valuation, count) runs of v_p(y - x) over the x before y; they sum to `ending`
     total, ending, stack = 0, 0, []
-    for x, y in zip(pts, pts[1:]):
-        # denominators are p-adic units, so this numerator has v_p(y - x)
-        num = y.numerator * x.denominator - x.numerator * y.denominator
-        if num == 0:
-            return INF
-        v, count = int_valuation(num, p), 1
+    for v in digit_sorted(pts, phi.p)[1]:
+        count = 1
         while stack and stack[-1][0] >= v:
             w, k = stack.pop()
             ending -= w * k

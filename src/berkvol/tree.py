@@ -12,8 +12,8 @@ y's digits reduce to x's modulo p^k_x, and two points that are not
 comparable branch at the integer depth v_p of the difference of their
 digits.  So the depth-first preorder of the tree, ancestors first and the
 branches at a vertex in the order of their digit there, is one integer
-comparison (`_preorder`); `digit_order` is the same comparison on type-1
-points.  `build_tree` closes a vertex set under meets in one pass over
+comparison (`_preorder`); `digit_sorted` sorts type-1 points by the same
+comparison.  `build_tree` closes a vertex set under meets in one pass over
 that order, and `SkeletonTree.place` alone finds where a point retracts
 onto a tree, by one descent from the root.
 """
@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import BerkvolError, Frozen
-from .field import int_valuation
+from .field import check_prime, int_valuation
 
 
 class TreeError(BerkvolError):
@@ -52,6 +52,7 @@ def _center(a, p: int) -> Fraction:
 
 class TreePoint(Frozen):
     def __init__(self, p: int, center: Fraction, q: Fraction):
+        check_prime(p)
         q = _exact(q)
         if q.numerator < 0:
             raise TreeError(f"radius exponent {q} must be >= 0")
@@ -91,14 +92,18 @@ def _branch_depth(x: TreePoint, y: TreePoint) -> Optional[int]:
     return None
 
 
-def meet(x: TreePoint, y: TreePoint) -> TreePoint:
-    """Infimum of x and y in the tree order rooted at the Gauss point."""
+def meet_q(x: TreePoint, y: TreePoint):
+    """The radius exponent of meet(x, y), an int where they branch; no point is built."""
     if x.p != y.p:
         raise TreeError("points over different primes")
     v = _branch_depth(x, y)
-    if v is not None:
-        return TreePoint(x.p, x.center, Fraction(v))
-    return x if x.q <= y.q else y
+    return min(x.q, y.q) if v is None else v
+
+
+def meet(x: TreePoint, y: TreePoint) -> TreePoint:
+    """Infimum of x and y in the tree order rooted at the Gauss point."""
+    q = meet_q(x, y)
+    return x if q == x.q else y if q == y.q else TreePoint(x.p, x.center, q)
 
 
 def _digit_cmp(a: int, b: int, v: int, p: int) -> int:
@@ -117,16 +122,25 @@ def _preorder(x: TreePoint, y: TreePoint) -> int:
     return (x.q > y.q) - (x.q < y.q)
 
 
-def digit_order(x: Fraction, y: Fraction, p: int) -> int:
-    """-1, 0 or 1 as x comes before, with or after y in p-adic digit order,
-    least significant digit first (both in the closed unit disc).  Every
-    residue class mod p^k is a segment of this order."""
-    x, y = _center(x, p), _center(y, p)
-    if x == y:
-        return 0
-    # denominators are p-adic units, so this numerator has v_p(x - y)
-    v = int_valuation(x.numerator * y.denominator - y.numerator * x.denominator, p)
-    return _digit_cmp(_digits(x, v + 1, p), _digits(y, v + 1, p), v, p)
+def digit_sorted(points: Sequence[Fraction], p: int) -> Tuple[List[int], List[int]]:
+    """The positions of distinct points of the closed unit disc in p-adic digit
+    order, least significant digit first, and v_p of each adjacent difference.
+    Each class mod p^k is a segment, so v_p(x_j - x_i) is the least from i to j."""
+    xs = [_center(x, p) for x in points]
+
+    def gap(i: int, j: int) -> int:
+        # denominators are p-adic units, so this numerator has v_p(x_i - x_j)
+        d = xs[i].numerator * xs[j].denominator - xs[j].numerator * xs[i].denominator
+        if not d:
+            raise TreeError(f"point {xs[i]} is repeated")
+        return int_valuation(d, p)
+
+    def cmp(i: int, j: int) -> int:
+        v = gap(i, j)
+        return _digit_cmp(_digits(xs[i], v + 1, p), _digits(xs[j], v + 1, p), v, p)
+
+    order = sorted(range(len(xs)), key=cmp_to_key(cmp))
+    return order, [gap(i, j) for i, j in zip(order, order[1:])]
 
 
 class SkeletonTree(Frozen):
@@ -144,12 +158,6 @@ class SkeletonTree(Frozen):
         if par is None:
             raise TreeError("the Gauss point has no parent edge")
         return child.q - par.q
-
-    def edges(self) -> Iterable[Tuple[TreePoint, TreePoint, Fraction]]:
-        for v in self.vertices:
-            par = self.parent[v]
-            if par is not None:
-                yield par, v, v.q - par.q
 
     def neighbors(self, v: TreePoint) -> List[TreePoint]:
         out = list(self.children[v])
@@ -342,7 +350,7 @@ def constant_function(tree: SkeletonTree, c: Fraction) -> PLFunction:
 
 class DiscreteMeasure:
     def __init__(self, masses: Dict[TreePoint, Fraction]):
-        self.masses = {k: _exact(v) for k, v in masses.items() if v != 0}
+        self.masses = {k: m for k, v in masses.items() if (m := _exact(v))}
         if len({x.p for x in self.masses}) > 1:
             raise TreeError("atoms over different primes")
 
@@ -367,14 +375,17 @@ class DiscreteMeasure:
         return sum(map(abs, diff), Fraction(0)) / 2
 
 
-def laplacian(g: PLFunction) -> DiscreteMeasure:
-    """Sum of outgoing edge slopes at each vertex; total mass is zero.
-
-    Off-tree directions carry slope 0 by the constancy convention.
-    """
-    masses: Dict[TreePoint, Fraction] = dict.fromkeys(g.tree.vertices, Fraction(0))
-    for u, c, length in g.tree.edges():
-        slope = (g.values[c] - g.values[u]) / length
+def _slope_sums(g: PLFunction) -> Dict[TreePoint, Fraction]:
+    """Outgoing slope sum at each vertex, root first; off-tree slopes are 0."""
+    masses = dict.fromkeys(g.tree.vertices, Fraction(0))
+    for c in g.tree.vertices[1:]:
+        u = g.tree.parent[c]
+        slope = (g.values[c] - g.values[u]) / g.tree.edge_length(c)
         masses[u] += slope
         masses[c] -= slope
-    return DiscreteMeasure(masses)
+    return masses
+
+
+def laplacian(g: PLFunction) -> DiscreteMeasure:
+    """The tree Laplacian of g; total mass is zero."""
+    return DiscreteMeasure(_slope_sums(g))

@@ -10,6 +10,7 @@ written.
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import random
@@ -169,3 +170,21 @@ def test_isometries_of_the_disc_do_not_reach_the_exact_outputs(tmp_path):
                     }, name
             else:
                 assert before == after, name
+
+
+#: SHA-256 over the outputs of every pool config (see the test below).  A
+#: change that alters any output on purpose updates this constant and says so.
+POOL_OUTPUTS_SHA256 = "6a02a5fbb90260d845d804d79abfc31661c0852e9e58fb16600f5f7fda74cf09"
+
+
+def test_pool_outputs_match_the_recorded_digest(tmp_path):
+    """Exit status, stdout, stderr and every output file's bytes of each pool
+    config, in workload and pool order, hash to one recorded value: display
+    decimals, assertion details and messages are pinned too, not only the
+    exact fields.  The temporary directory is blanked wherever it appears."""
+    digest = hashlib.sha256()
+    for workload in sorted(corpus.WORKLOADS):
+        for k in range(corpus.pool_size(workload)):
+            out = repr(run_outputs(tmp_path, corpus.make_config(workload, k)))
+            digest.update(out.replace(str(tmp_path), "").encode())
+    assert digest.hexdigest() == POOL_OUTPUTS_SHA256

@@ -1338,7 +1338,7 @@ def test_each_kind_takes_one_measure_per_metric(tmp_path, monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(metrics, "laplacian", counted("laplacian", metrics.laplacian))
+    monkeypatch.setattr(metrics, "_slope_sums", counted("laplacian", metrics._slope_sums))
     monkeypatch.setattr(metrics, "_componentwise_max", counted("solve", metrics._componentwise_max))
     build = counted("build", tree_module.build_tree)
     monkeypatch.setattr(tree_module, "build_tree", build)

@@ -15,7 +15,16 @@ from berkvol.metrics import (
     ma_measure,
     trivial_metric,
 )
-from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point, meet, refine
+from berkvol.tree import (
+    DiscreteMeasure,
+    PLFunction,
+    TreePoint,
+    build_tree,
+    gauss_point,
+    laplacian,
+    meet,
+    refine,
+)
 from berkvol.volumes import _Dual
 
 from conftest import random_pl_metric, random_psh_metric, random_tree, slope_metric
@@ -29,6 +38,18 @@ def test_trivial_metric_measure():
             assert mu.masses == {}
         else:
             assert mu.masses == {gauss_point(2): Fraction(d)}
+
+
+def test_ma_measure_is_the_anchored_laplacian_in_vertex_order():
+    """The one-pass measure equals d delta_Gauss added to the Laplacian of g,
+    atoms in the same order: the root first, then the vertex list."""
+    rng = random.Random(67)
+    for _ in range(200):
+        p, d = rng.choice([2, 3, 5]), rng.randint(0, 3)
+        for phi in (random_pl_metric(p, d, rng), random_psh_metric(p, d, rng)):
+            old = DiscreteMeasure({gauss_point(p): d}).add(laplacian(phi.g)).masses
+            new = ma_measure(phi).masses
+            assert new == old and list(new.items()) == list(old.items())
 
 
 def test_ma_measure_half_half():
@@ -104,8 +125,8 @@ def test_envelope_of_psh_is_identity(monkeypatch):
 
 def test_metric_is_frozen_and_computes_its_measure_once(monkeypatch):
     calls = []
-    lap = metrics.laplacian
-    monkeypatch.setattr(metrics, "laplacian", lambda g: calls.append(g) or lap(g))
+    lap = metrics._slope_sums
+    monkeypatch.setattr(metrics, "_slope_sums", lambda g: calls.append(g) or lap(g))
     phi = slope_metric(2, 1, Fraction(-1, 2))
     g = phi.g
     with pytest.raises(AttributeError, match="'d' of a frozen Metric"):

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from berkvol.field import INF, FieldContext
+from berkvol.experiments import diff_experiment, fekete_experiment
+from berkvol.field import INF, FieldContext, FieldError
 from berkvol.metrics import Metric, MetricError, energy, ma_measure, trivial_metric
 from berkvol.sections import (
     Section,
@@ -25,7 +26,16 @@ from berkvol.sections import (
     vandermonde_value,
     vol_m,
 )
-from berkvol.tree import PLFunction, TreeError, TreePoint, build_tree, digit_order, gauss_point, meet
+from berkvol.tree import (
+    DiscreteMeasure,
+    PLFunction,
+    TreeError,
+    TreePoint,
+    build_tree,
+    digit_sorted,
+    gauss_point,
+    meet,
+)
 from berkvol.volumes import (
     VolumeError,
     _rr_refine,
@@ -559,7 +569,7 @@ LIBRARY_DOMAIN_ERRORS = {
         lambda: Metric(-1, trivial_metric(2, 1).g), MetricError, "degree must be nonnegative",
     ),
     "digit-order-off-disc": (
-        lambda: digit_order(Fraction(1, 2), Fraction(1), 2),
+        lambda: digit_sorted([Fraction(1, 2), Fraction(1)], 2),
         TreeError, "center 1/2 lies outside the closed unit disc",
     ),
     "vol-limit-two-primes": (
@@ -596,6 +606,28 @@ LIBRARY_DOMAIN_ERRORS = {
     "metric-float-shift": (
         lambda: trivial_metric(2, 1).shift(0.1), TreeError, "0.1 is a float, not an exact rational",
     ),
+    "fekete-float-pool": (
+        lambda: fekete_experiment(trivial_metric(3, 1), 1, [0.5, 1.0, 2.0, 0.1]),
+        TreeError, "0.5 is a float, not an exact rational",
+    ),
+    "vandermonde-float-point": (
+        lambda: vandermonde_value([Fraction(1), 0.1], trivial_metric(3, 1), 1),
+        TreeError, "0.1 is a float, not an exact rational",
+    ),
+    "diff-float-t": (
+        lambda: diff_experiment(slope_metric(2, 1, -1), slope_metric(2, 1, 1).g, [0.1], [1]),
+        TreeError, "0.1 is a float, not an exact rational",
+    ),
+    "measure-float-zero-mass": (
+        lambda: DiscreteMeasure({gauss_point(2): 0.0}), TreeError, "0.0 is a float, not an exact rational",
+    ),
+    **{
+        f"tree-point-prime-{p}": (
+            lambda p=p: TreePoint(p, Fraction(1), Fraction(2)), FieldError, f"p = {p} is not prime",
+        )
+        for p in (0, 1, 4, -3)
+    },
+    "build-tree-prime-4": (lambda: build_tree(4, []), FieldError, "p = 4 is not prime"),
     "metric-float-degree": (
         lambda: Metric(1.5, trivial_metric(2, 1).g), MetricError, "degree must be an integer, got 1.5",
     ),

@@ -205,6 +205,22 @@ def test_exact_passes_take_their_number_type_from_the_obstacle():
     assert params == {"_leaf_to_root": ["tree", "obstacle"], "_integral": ["phi", "obstacle"]}
 
 
+def test_digit_order_is_decided_in_tree():
+    # the p-adic digit order and the valuations of adjacent points come from
+    # tree.digit_sorted alone: no other module sorts by a comparator or names
+    # a digit order, experiments.py calls no valuation function, and
+    # metrics.py builds no Gauss point (a measure puts d at its tree's root)
+    for path in MODULES:
+        named = {getattr(node, attr, None) for node in parse(path) for attr in ("id", "attr", "name")}
+        if path.name != "tree.py":
+            assert "functools.cmp_to_key" not in imported_modules(path), path.name
+            assert named & {"cmp_to_key", "digit_order"} == set(), path.name
+        if path.name == "experiments.py":
+            assert named & {"padic_valuation", "int_valuation"} == set()
+        if path.name == "metrics.py":
+            assert "gauss_point" not in named
+
+
 def test_tree_compares_no_infinity():
     # placement compares ints and Fractions only; the float INF stays out of tree.py
     tree_py = next(path for path in MODULES if path.name == "tree.py")

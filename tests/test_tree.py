@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,19 +15,20 @@ from berkvol.tree import (
     TreePoint,
     build_tree,
     constant_function,
-    digit_order,
+    digit_sorted,
     gauss_point,
     laplacian,
     meet,
+    meet_q,
     refine,
 )
 
 from conftest import is_below
 from tree_oracle import all_pairs_build_tree, descend
 
+RADII = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
 centers = st.integers(min_value=0, max_value=31).map(Fraction)
-radii = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)])
-points = st.builds(lambda c, q: TreePoint(2, c, q), centers, radii)
+points = st.builds(lambda c, q: TreePoint(2, c, q), centers, st.sampled_from(RADII))
 
 
 def test_point_equality_is_disc_equality():
@@ -104,6 +104,16 @@ def test_point_reads_int_fraction_and_unreduced_inputs():
     assert hash(x) == hash((3, Fraction(2), Fraction(7)))
 
 
+def _meet_pair(rng):
+    """Two points over one p in {2, 3, 5}, often close together."""
+    p = rng.choice([2, 3, 5])
+    a = Fraction(rng.randint(-(p**5), p**5), rng.choice([1, p + 1, 2 * p + 1]))
+    x = TreePoint(p, a, Fraction(rng.randint(0, 12), rng.choice([1, 2, 3])))
+    b = a + p ** rng.randint(0, 5) * Fraction(rng.randint(-p, p), rng.choice([1, p + 1]))
+    y = TreePoint(p, b, Fraction(rng.randint(0, 12), rng.choice([1, 2, 3])))
+    return x, y
+
+
 def test_meet_matches_the_valuation_formula():
     """meet(x, y) has depth min(q_x, q_y, v_p(a_x - a_y)); it is x or y
     itself when that is their depth, and otherwise a new point at that
@@ -111,11 +121,8 @@ def test_meet_matches_the_valuation_formula():
     rng = random.Random(53)
     made = 0
     for _ in range(3000):
-        p = rng.choice([2, 3, 5])
-        a = Fraction(rng.randint(-(p**5), p**5), rng.choice([1, p + 1, 2 * p + 1]))
-        x = TreePoint(p, a, Fraction(rng.randint(0, 12), rng.choice([1, 2, 3])))
-        b = a + p ** rng.randint(0, 5) * Fraction(rng.randint(-p, p), rng.choice([1, p + 1]))
-        y = TreePoint(p, b, Fraction(rng.randint(0, 12), rng.choice([1, 2, 3])))
+        x, y = _meet_pair(rng)
+        p = x.p
         q = min(x.q, y.q, padic_valuation(x.center - y.center, p))
         z = meet(x, y)
         if q == x.q:
@@ -150,6 +157,17 @@ def test_meet_associative(x, y, z):
 def test_meet_idempotent(x):
     assert meet(x, x) == x
     assert meet(x, gauss_point(2)) == gauss_point(2)
+
+
+def test_meet_q_is_the_depth_of_the_meet():
+    """meet_q(x, y) == meet(x, y).q on the pairs of the valuation-formula
+    test and on every pair of the points the property tests draw from."""
+    rng = random.Random(59)
+    pairs = [_meet_pair(rng) for _ in range(3000)]
+    small = [TreePoint(2, Fraction(c), q) for c in range(32) for q in RADII]
+    pairs += itertools.product(small, repeat=2)
+    for x, y in pairs:
+        assert meet_q(x, y) == meet(x, y).q == meet_q(y, x)
 
 
 def _old_meet(x, y):
@@ -271,25 +289,60 @@ def test_place_matches_scanning_oracle():
 
 
 def test_digit_order_makes_residue_classes_segments():
-    """digit_order is a total order (0 only on equal points), and every
-    residue class mod p^k is a run of the sorted points."""
+    """digit_sorted puts distinct points in one order however they are
+    given, and every residue class mod p^k is a run of the sorted points."""
     rng = random.Random(47)
     for _ in range(300):
         p = rng.choice([2, 3, 5])
-        pts = [
-            Fraction(rng.randint(0, p**5 - 1), rng.choice([1, p + 1]))
-            for _ in range(rng.randint(1, 12))
-        ]
-        pts += rng.sample(pts, rng.randint(0, len(pts)))
-        for x, y in itertools.combinations(pts, 2):
-            assert digit_order(x, y, p) == -digit_order(y, x, p)
-            assert (digit_order(x, y, p) == 0) == (x == y)
-        pts.sort(key=cmp_to_key(lambda x, y: digit_order(x, y, p)))
+        pool = sorted({Fraction(rng.randint(0, p**5 - 1), rng.choice([1, p + 1])) for _ in range(12)})
+        runs = []
+        for _ in range(2):
+            rng.shuffle(pool)
+            runs.append([pool[i] for i in digit_sorted(pool, p)[0]])
+        assert runs[0] == runs[1]
         for k in range(1, 6):
             mod = p**k
-            classes = [x.numerator * pow(x.denominator, -1, mod) % mod for x in pts]
-            runs = [key for key, _ in itertools.groupby(classes)]
-            assert len(runs) == len(set(runs))
+            classes = [x.numerator * pow(x.denominator, -1, mod) % mod for x in runs[0]]
+            starts = [key for key, _ in itertools.groupby(classes)]
+            assert len(starts) == len(set(starts))
+
+
+def _brute_digits(x, p, k):
+    """The first k p-adic digits of x, least significant first, one at a time."""
+    out = []
+    for _ in range(k):
+        digit = x.numerator * pow(x.denominator, -1, p) % p
+        out.append(digit)
+        x = (x - digit) / p
+    return tuple(out)
+
+
+def test_digit_sorted_matches_the_digit_expansions():
+    """digit_sorted lists distinct points in the lexicographic order of their
+    digit expansions, read one place past every pairwise valuation, and
+    gives v_p of each adjacent difference."""
+    rng = random.Random(61)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7])
+        pool = {
+            Fraction(rng.randint(-(p**6), p**6), rng.choice([1, 1, p - 1, p + 1, 2 * p + 1]))
+            for _ in range(rng.randint(1, 14))
+        }
+        pts = rng.sample(sorted(pool), len(pool))
+        k = 1 + int(max((padic_valuation(x - y, p) for x, y in itertools.combinations(pts, 2)), default=0))
+        order, gaps = digit_sorted(pts, p)
+        assert order == sorted(range(len(pts)), key=lambda i: _brute_digits(pts[i], p, k))
+        assert gaps == [padic_valuation(pts[j] - pts[i], p) for i, j in zip(order, order[1:])]
+        assert all(type(v) is int for v in gaps)
+
+
+def test_digit_sorted_refuses_repeats_floats_and_points_off_the_disc():
+    with pytest.raises(TreeError, match="^point 1/3 is repeated$"):
+        digit_sorted([Fraction(1, 3), Fraction(0), Fraction(2, 6)], 2)
+    with pytest.raises(TreeError, match="^0.5 is a float, not an exact rational$"):
+        digit_sorted([Fraction(0), 0.5], 3)
+    with pytest.raises(TreeError, match="^center 1/3 lies outside the closed unit disc$"):
+        digit_sorted([Fraction(1, 3)], 3)
 
 
 def test_retract_rejects_centers_off_the_closed_disc():
