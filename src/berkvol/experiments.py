@@ -17,7 +17,7 @@ from typing import Iterable, List, Sequence, Tuple
 from .errors import BerkvolError, Frozen
 from .metrics import Metric, envelope, equilibrium_metric, is_psh, ma_measure
 from .sections import _level_sums, _valuation_gaps, vandermonde_value
-from .tree import DiscreteMeasure, PLFunction, TreePoint, _exact, digit_sorted, refine
+from .tree import DiscreteMeasure, PLFunction, TreePoint, _rational, digit_sorted, refine
 from .volumes import right_derivative, vol_limit
 
 
@@ -59,7 +59,7 @@ def diff_experiment(
     ms = sorted(set(m_range))
     base = _level_sums(phi, ms)
     legs: List[DiffLeg] = []
-    for t in sorted({abs(t) for t in map(_exact, t_grid) if t}):
+    for t in sorted({abs(t) for t in map(_rational, t_grid) if t}):
         for s in (t, -t):
             series = _level_sums(_add_direction(phi_r, f_r, s), ms)
             legs.append(DiffLeg(t=s, samples=list(zip(ms, _valuation_gaps(series, base)))))
@@ -154,7 +154,7 @@ def fekete_experiment(phi: Metric, m: int, pool: Sequence[Fraction]) -> FeketeRe
     if phi.d < 1:
         raise ExperimentError("Fekete experiment needs d >= 1")
     N = m * phi.d + 1
-    pool = [_exact(x) for x in pool]
+    pool = [_rational(x) for x in pool]
     if len(set(pool)) != len(pool):
         raise ExperimentError("pool contains repeated points")
     if len(pool) < N:

@@ -59,8 +59,11 @@ def is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def check_prime(p: int) -> None:
-    """Raise FieldError unless p is a prime below 2^64, where is_prime is
-    exact.  Every TreePoint checks its prime, so a passed one is cached."""
+    """Raise FieldError unless p is an int prime below 2^64, where is_prime
+    is exact.  Every TreePoint checks its prime, so a passed one is cached;
+    the cache keys 3 and 3.0 apart, so 3.0 reaches the type check."""
+    if type(p) is not int:
+        raise FieldError(f"p = {p!r} is not an integer")
     if p >= 2**64:
         raise FieldError(f"p = {p} is too large: need p < 2^64")
     if not is_prime(p):
@@ -69,7 +72,10 @@ def check_prime(p: int) -> None:
 
 def int_valuation(n: int, p: int) -> int:
     """v_p of a nonzero integer, in O(log v_p(n)) divisions: square p up to
-    the largest p^(2^k) dividing n, then strip those powers largest first."""
+    the largest p^(2^k) dividing n, then strip those powers largest first.
+    Every power of p divides 0, so 0 is refused."""
+    if n == 0:
+        raise FieldError("v_p(0) is infinite: int_valuation needs a nonzero integer")
     if n % p:
         return 0
     powers = [p]

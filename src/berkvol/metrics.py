@@ -8,8 +8,9 @@ is_psh, energy, envelope and equilibrium_metric all read the same one.
 Envelopes are found exactly by one leaf-to-root and one root-to-leaf pass
 over the tree; the envelope of a psh metric is the metric itself.  The
 Gauss point is a vertex of that pass like any other: its knot list is the
-G whose integral over [0, d] (_integral) is the exact volume limit.  Knot
-lists are read only here.
+G whose integral over [0, d] is the exact volume limit.  One solve (_solve)
+returns both that integral and the envelope's values, and a Metric runs it
+at most once.  Knot lists are read only here.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class MetricError(BerkvolError):
 
 class Metric(Frozen):
     def __init__(self, d: int, g: PLFunction):
-        if not isinstance(d, int):
+        if type(d) is not int:  # a bool is no degree
             raise MetricError(f"degree must be an integer, got {d!r}")
         if d < 0:
             raise MetricError("degree must be nonnegative")
@@ -51,6 +52,11 @@ class Metric(Frozen):
         masses = _slope_sums(self.g)
         masses[self.tree.root] += self.d
         return DiscreteMeasure(masses)
+
+    @cached_property
+    def _solved(self) -> Tuple[Fraction, Dict[TreePoint, Fraction]]:
+        """_solve with obstacle g, run once: the integral of G and P(phi)'s values."""
+        return _solve(self.tree, self.d, self.g.values)
 
     @property
     def tree(self) -> SkeletonTree:
@@ -113,8 +119,8 @@ def energy(phi: Metric, psi: Metric) -> Fraction:
 #: them.  Left of the first knot W is the identity (the root's W is read
 #: only from its first knot, t = 0, on); the last knot's value is the
 #: vertex's obstacle, and W is flat right of it.  No slope is stored:
-#: _eval divides only between two knots, on the piece it reads, and the
-#: root-to-leaf walk and _integral read each W at one point.
+#: _eval divides only between two knots, on the piece it reads, and _solve
+#: reads each W at one point.
 _Knots = Tuple[List[Fraction], List[Fraction]]
 
 
@@ -143,43 +149,39 @@ def _leaf_to_root(tree: SkeletonTree, obstacle: Dict[TreePoint, Any]) -> Dict[Tr
     """
     zero = obstacle[tree.root] * 0
     W: Dict[TreePoint, _Knots] = {}
+    L: Dict[TreePoint, Any] = {}  # each edge length, read once per pass
     for v in reversed(tree.vertices):
         cap = obstacle[v]
-        kids = [(W[c], tree.edge_length(c)) for c in tree.children[v]]
+        kids = [(W[c], L[c]) for c in tree.children[v]]
         xs = sorted({z for Wc, _ in kids for z in Wc[0] if z < cap}) + [cap]
         # W_c is the identity up to its first knot, where c adds no deficit
-        fs = [sum(((x - _eval(Wc, x)) / L for Wc, L in kids if Wc[0][0] < x), zero) for x in xs]
+        fs = [sum(((x - _eval(Wc, x)) / Lc for Wc, Lc in kids if Wc[0][0] < x), zero) for x in xs]
         if v == tree.root:
             zs = fs
         else:
-            Lv = tree.edge_length(v)
-            zs = [x + Lv * f for x, f in zip(xs, fs)]
+            L[v] = Lv = tree.edge_length(v)
+            zs = [x + Lv * f for x, f in zip(xs, fs)] if kids else xs  # a leaf's T is the identity
         W[v] = (zs, xs)
     return W
 
 
-def _integral(phi: Metric, obstacle: dict):
-    """The integral of G = W_root over [0, d], for an obstacle at every vertex
-    of phi.tree: one trapezoid per knot piece, between the knots below d and
-    the point (d, G(d))."""
-    W = _leaf_to_root(phi.tree, obstacle)[phi.tree.root]
-    zero = obstacle[phi.tree.root] * 0
-    d = zero + phi.d
-    knots = [(t, g) for t, g in zip(W[0], W[1]) if t < d] + [(d, _eval(W, d))]
-    return sum(((t1 - t0) * (g0 + g1) for (t0, g0), (t1, g1) in zip(knots, knots[1:])), zero) / 2
-
-
-def _componentwise_max(
-    tree: SkeletonTree, d: int, obstacle: Dict[TreePoint, Any]
-) -> Dict[TreePoint, Any]:
-    """Componentwise maximum of {h psh-feasible, h <= obstacle at every vertex}:
-    root to leaf, h(root) = W_root(d) and h(c) = W_c(h(parent)).  Over duals
-    g + eps f the eps-part is the right derivative of P(g + t f) at t = 0."""
+def _solve(tree: SkeletonTree, d: int, obstacle: Dict[TreePoint, Any]) -> Tuple[Any, dict]:
+    """One leaf-to-root pass, read two ways: the integral of G = W_root over
+    [0, d], one trapezoid per knot piece between the knots below d and the
+    point (d, G(d)); and the componentwise maximum h of {h psh-feasible,
+    h <= obstacle at every vertex}, root to leaf from h(root) = G(d) by
+    h(c) = W_c(h(parent)).  Over duals g + eps f the eps-parts are the right
+    derivatives at t = 0 of the integral and of P(g + t f)."""
     W = _leaf_to_root(tree, obstacle)
-    h = {tree.root: _eval(W[tree.root], obstacle[tree.root] * 0 + d)}
+    zero = obstacle[tree.root] * 0
+    d = zero + d
+    h = {tree.root: _eval(W[tree.root], d)}
+    knots = [(t, g) for t, g in zip(*W[tree.root]) if t < d] + [(d, h[tree.root])]
+    pieces = zip(knots, knots[1:])
+    integral = sum(((t1 - t0) * (g0 + g1) for (t0, g0), (t1, g1) in pieces), zero) / 2
     for c in tree.vertices[1:]:
         h[c] = _eval(W[c], h[tree.parent[c]])
-    return h
+    return integral, h
 
 
 def envelope(phi: Metric) -> Metric:
@@ -197,7 +199,7 @@ def envelope(phi: Metric) -> Metric:
     if is_psh(phi):
         return phi
     g = phi.g.values
-    h = _componentwise_max(phi.tree, phi.d, g)
+    h = phi._solved[1]
     out = Metric(phi.d, PLFunction(phi.tree, h))
     if not is_psh(out) or any(h[v] > b for v, b in g.items()):
         raise MetricError("envelope solve returned an infeasible point")

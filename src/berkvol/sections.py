@@ -39,7 +39,7 @@ from .errors import BerkvolError
 from .field import INF, FieldContext, padic_valuation
 from .lattices import Lattice, intersect
 from .metrics import Metric
-from .tree import PLFunction, SkeletonTree, TreePoint, _exact, digit_sorted
+from .tree import PLFunction, SkeletonTree, TreePoint, _rational, digit_sorted
 
 
 class SectionError(BerkvolError):
@@ -265,7 +265,10 @@ def _level_sums(
     ]
     # A list, not a generator: a tuple built from a generator is resized,
     # and CPython's free list then keeps up to 2000 of them per length.
-    D = math.lcm(*[c.denominator for row in rows for c in row])
+    try:
+        D = math.lcm(*[c.denominator for row in rows for c in row])
+    except AttributeError:  # a value of another exact field has no denominator
+        raise SectionError("level series need rational values") from None
 
     def scale(c: Fraction) -> int:
         return c.numerator * (D // c.denominator)
@@ -342,7 +345,7 @@ def vandermonde_value(points: List[Fraction], phi: Metric, m: int):
     N = m * phi.d + 1
     if len(points) != N:
         raise SectionError(f"need exactly {N} points, got {len(points)}")
-    pts = [_exact(x) for x in points]
+    pts = [_rational(x) for x in points]
     weight = sum(m * phi.g.evaluate_center(x) for x in pts)  # raises off the closed disc
     if len(set(pts)) < N:
         return INF

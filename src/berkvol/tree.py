@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
+from numbers import Number
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import BerkvolError, Frozen
@@ -44,7 +45,7 @@ def _digits(a: Fraction, k: int, p: int) -> int:
 
 def _center(a, p: int) -> Fraction:
     """a as a Fraction, checked to lie in the closed unit disc."""
-    a = _exact(a)
+    a = _rational(a)
     if a.denominator % p == 0:
         raise TreeError(f"center {a} lies outside the closed unit disc")
     return a
@@ -53,7 +54,7 @@ def _center(a, p: int) -> Fraction:
 class TreePoint(Frozen):
     def __init__(self, p: int, center: Fraction, q: Fraction):
         check_prime(p)
-        q = _exact(q)
+        q = _rational(q)
         if q.numerator < 0:
             raise TreeError(f"radius exponent {q} must be >= 0")
         center = _center(center, p)
@@ -272,14 +273,30 @@ def refine(tree: SkeletonTree, extra: Iterable[TreePoint]) -> SkeletonTree:
     return build_tree(tree.p, list(tree.vertices) + extra)
 
 
-def _exact(x) -> Fraction:
+def _exact(x):
     """x as a Fraction: x itself when it is one already.  A float is refused,
-    since Fraction would take its binary expansion for the value meant."""
+    since Fraction would take its binary expansion for the value meant, and
+    so is a complex, a pair of floats.  A numbers.Number that Fraction
+    refuses by type, such as an element of another exact field, is kept as
+    given; any other object is refused."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, float):
-        raise TreeError(f"{x!r} is a float, not an exact rational")
-    return Fraction(x)
+    if isinstance(x, (float, complex)):
+        raise TreeError(f"{x!r} is a {type(x).__name__}, not an exact rational")
+    try:
+        return Fraction(x)
+    except TypeError:
+        if isinstance(x, Number):
+            return x
+        raise TreeError(f"{x!r} is not a number") from None
+
+
+def _rational(x) -> Fraction:
+    """x as a Fraction, for a center, a radius exponent, a point or a t."""
+    x = _exact(x)
+    if not isinstance(x, Fraction):
+        raise TreeError(f"{x!r} is not a rational")
+    return x
 
 
 class PLFunction:

@@ -4,8 +4,9 @@ Riemann-Roch slope experiment.
 With u_m(phi) = v(det U_m(phi)) (sections.unit_ball_valuations), -u_m / m^2
 tends to the integral over [0, d] of G(t) = min(g(root), max{z : F(z) <= t}),
 F the root deficit: G is the root's knot list in the envelope's pass with
-obstacle g at every vertex, and metrics._integral integrates it, so knot
-lists never leave metrics.  vol_limit is exact; nothing is fitted.  Over dual
+obstacle g at every vertex, and metrics._solve integrates it, so knot lists
+never leave metrics.  A metric runs that solve once, for its volume limit
+and its envelope both.  vol_limit is exact; nothing is fitted.  Over dual
 numbers a + b eps, obstacle g + eps f gives the right derivative of
 t -> vol(L, phi + t f, phi) at 0 as the eps-part.  Level series are data only.
 """
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, List, Tuple
 
 from .errors import BerkvolError, Frozen
-from .metrics import Metric, _integral, envelope, energy, is_psh, ma_measure
+from .metrics import Metric, _solve, envelope, energy, is_psh, ma_measure
 from .sections import _level_sums, _valuation_gaps
 from .tree import PLFunction, refine
 
@@ -82,7 +83,7 @@ def right_derivative(phi: Metric, f: PLFunction) -> Fraction:
     """d/dt at 0+ of the integral of G for phi + t f, f on any tree: f is
     read at phi's vertices, which hold every atom of MA(P(phi))."""
     obstacle = {v: _Dual((phi.g.values[v], f.evaluate(v))) for v in phi.tree.vertices}
-    return _integral(phi, obstacle)[1]
+    return _solve(phi.tree, phi.d, obstacle)[0][1]
 
 
 def vol_limit(phi: Metric, psi: Metric) -> Fraction:
@@ -91,7 +92,7 @@ def vol_limit(phi: Metric, psi: Metric) -> Fraction:
         raise VolumeError("metrics live on different line bundles")
     if phi.p != psi.p:
         raise VolumeError("metrics over different primes")
-    return _integral(phi, phi.g.values) - _integral(psi, psi.g.values)
+    return phi._solved[0] - psi._solved[0]
 
 
 class VolEnergyReport(Frozen):

@@ -1,7 +1,7 @@
 """Psh envelopes as one exact LP: a test oracle.
 
-Before the leaf-to-root recursion over knot lists, metrics._componentwise_max
-solved every envelope and equilibrium metric as one dense simplex in the
+Before the leaf-to-root recursion over knot lists, metrics solved every
+envelope and equilibrium metric as one dense simplex in the
 vertex values.  The two functions below are that path, kept verbatim apart
 from their names, so that the tests can hold the recursion against it.
 """

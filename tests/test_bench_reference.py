@@ -22,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from berkvol.cli import main
+from berkvol.cli import main, parse_metric
+from berkvol.metrics import is_psh
 from berkvol.tree import TreePoint
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -188,3 +189,43 @@ def test_pool_outputs_match_the_recorded_digest(tmp_path):
             out = repr(run_outputs(tmp_path, corpus.make_config(workload, k)))
             digest.update(out.replace(str(tmp_path), "").encode())
     assert digest.hexdigest() == POOL_OUTPUTS_SHA256
+
+
+#: SHA-256 over the outputs of the pool's vol-energy and diff configs with
+#: every metric made non-psh (see the test below), recorded like the one above.
+NON_PSH_OUTPUTS_SHA256 = "a9165004b302b9aecf9d75f15b5dadd6a3905c56953c619e12cb2228f7ae7146"
+
+
+def raised_leaf(metric):
+    """The config metric with its deepest vertex, a leaf, set to the root's
+    value + 1: its value rises along the edge into it, so it carries negative
+    mass and the metric is not psh."""
+    out = copy.deepcopy(metric)
+    rows = out["tree"]
+    root = next((Fraction(r[4], r[5]) for r in rows if r[2] == 0), Fraction(0))
+    deepest = max(rows, key=lambda r: Fraction(r[2], r[3]))
+    deepest[4:6] = [(root + 1).numerator, (root + 1).denominator]
+    return out
+
+
+def test_non_psh_outputs_match_the_recorded_digest(tmp_path):
+    """The pool's metrics are all psh, so POOL_OUTPUTS_SHA256 runs no obstacle
+    solve in vol-energy or diff.  Each of those configs, with every metric
+    given a raised leaf, runs it on every metric; outputs are hashed as above."""
+    digest = hashlib.sha256()
+    runs = 0
+    for workload in sorted(corpus.WORKLOADS):
+        for k in range(corpus.pool_size(workload)):
+            cfg = corpus.make_config(workload, k)
+            if cfg["kind"] not in ("vol-energy", "diff"):
+                continue
+            for key in ("metric", "metric2"):
+                if key in cfg:
+                    cfg[key] = raised_leaf(cfg[key])
+                    assert not is_psh(parse_metric(cfg[key], cfg["field"]["p"], key))
+            out = run_outputs(tmp_path, cfg)
+            assert out[0] == 0, cfg["name"]
+            digest.update(repr(out).replace(str(tmp_path), "").encode())
+            runs += 1
+    assert runs == 85
+    assert digest.hexdigest() == NON_PSH_OUTPUTS_SHA256

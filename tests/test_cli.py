@@ -1321,16 +1321,17 @@ def test_fuzz_run_never_crashes(cfg):
 
 def test_each_kind_takes_one_measure_per_metric(tmp_path, monkeypatch):
     """Bench pool configs whose metrics share one vertex set take one
-    Laplacian per metric that needs a measure, no envelope solve whose answer
-    is the input, none for an equilibrium metric, which is a closed form, and
-    no tree build past parsing (plus the refinement by a dirac point that is
+    Laplacian per metric that needs a measure, one leaf-to-root pass per
+    volume limit or derivative and none for an envelope whose answer is the
+    input, none for an equilibrium metric, which is a closed form, and no
+    tree build past parsing (plus the refinement by a dirac point that is
     not a vertex)."""
     import berkvol.cli as cli_module
     import berkvol.metrics as metrics
     import berkvol.tree as tree_module
     from test_bench_reference import corpus  # bench/ read without writing bytecode
 
-    counts = {"laplacian": 0, "solve": 0, "build": 0}
+    counts = {"laplacian": 0, "pass": 0, "build": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -1339,20 +1340,20 @@ def test_each_kind_takes_one_measure_per_metric(tmp_path, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(metrics, "_slope_sums", counted("laplacian", metrics._slope_sums))
-    monkeypatch.setattr(metrics, "_componentwise_max", counted("solve", metrics._componentwise_max))
+    monkeypatch.setattr(metrics, "_leaf_to_root", counted("pass", metrics._leaf_to_root))
     build = counted("build", tree_module.build_tree)
     monkeypatch.setattr(tree_module, "build_tree", build)
     monkeypatch.setattr(cli_module, "build_tree", build)
-    # kind: (workload, pool indices, Laplacians, solves, trees parsed)
+    # kind: (workload, pool indices, Laplacians, passes, trees parsed)
     expected = {
-        "vol-energy": ("lattice-ramified", [0, 3], 2, 0, 2),
-        "sandwich": ("lattice-ramified", [1, 4], 3, 0, 3),
-        "rr": ("lattice-ramified", [2, 5], 1, 0, 2),
-        "diff": ("lattice-wide", [2, 5], 1, 0, 2),
+        "vol-energy": ("lattice-ramified", [0, 3], 2, 2, 2),
+        "sandwich": ("lattice-ramified", [1, 4], 3, 2, 3),
+        "rr": ("lattice-ramified", [2, 5], 1, 1, 2),
+        "diff": ("lattice-wide", [2, 5], 1, 2, 2),
         "dirac": ("envelope-points", [1, 4, 52], 1, 0, 1),  # the point of 52 is a vertex
         "fekete": ("envelope-points", [2, 5], 1, 0, 1),
     }
-    for kind, (workload, ks, laplacians, solves, trees) in expected.items():
+    for kind, (workload, ks, laplacians, passes, trees) in expected.items():
         for k in ks:
             cfg = corpus.make_config(workload, k)
             assert cfg["kind"] == kind
@@ -1366,4 +1367,4 @@ def test_each_kind_takes_one_measure_per_metric(tmp_path, monkeypatch):
                 counts[key] = 0
             with redirect_stdout(io.StringIO()):
                 assert main(["run", path, "--out-dir", str(tmp_path)]) == 0
-            assert counts == {"laplacian": laplacians, "solve": solves, "build": built}, (kind, k)
+            assert counts == {"laplacian": laplacians, "pass": passes, "build": built}, (kind, k)

@@ -1,6 +1,9 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,7 @@ from berkvol.field import (
     DivisionByZero,
     FieldContext,
     FieldError,
+    check_prime,
     int_valuation,
     is_prime,
     padic_valuation,
@@ -53,6 +57,35 @@ def test_field_context_rejects_large_p():
     with pytest.raises(FieldError, match="2\\^64"):
         FieldContext(2**64)
     assert FieldContext(2**64 - 59).p == 2**64 - 59  # the largest prime below 2^64
+
+
+@pytest.mark.parametrize("int_first", [True, False])
+def test_a_prime_must_be_an_int_in_either_call_order(int_first):
+    # the cache keys 3 and 3.0 apart: a cached int prime lets no equal float
+    # through, and a refused float leaves the int prime passing
+    check_prime.cache_clear()
+    if int_first:
+        check_prime(3)
+    for p in (3.0, True):
+        with pytest.raises(FieldError, match=f"^p = {p!r} is not an integer$"):
+            check_prime(p)
+    check_prime(3)
+
+
+def test_int_valuation_of_zero_raises():
+    # every power of p divides 0, so squaring p while the power divides
+    # would never end: run in a subprocess, with a timeout
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "from berkvol.field import FieldError, int_valuation\n"
+        "try:\n    int_valuation(0, 2)\nexcept FieldError as e:\n    print(e)\n"
+    )
+    try:
+        out = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True, timeout=10)
+    except subprocess.TimeoutExpired:
+        pytest.fail("int_valuation(0, 2) did not return within 10 s")
+    assert out.stdout == "v_p(0) is infinite: int_valuation needs a nonzero integer\n", out.stderr
 
 
 def test_field_context_and_elements_are_frozen_values():

@@ -7,7 +7,7 @@ import berkvol.metrics as metrics
 from berkvol import simplex
 from berkvol.metrics import (
     Metric,
-    _componentwise_max,
+    _solve,
     energy,
     envelope,
     equilibrium_metric,
@@ -112,8 +112,8 @@ def test_energy_shift():
 def test_envelope_of_psh_is_identity(monkeypatch):
     # the greatest psh minorant of a psh metric is the metric: no solve runs
     calls = []
-    solve = metrics._componentwise_max
-    monkeypatch.setattr(metrics, "_componentwise_max", lambda *a: calls.append(a) or solve(*a))
+    solve = metrics._solve
+    monkeypatch.setattr(metrics, "_solve", lambda *a: calls.append(a) or solve(*a))
     rng = random.Random(23)
     for _ in range(8):
         phi = random_psh_metric(2, 1, rng)
@@ -219,12 +219,13 @@ def test_envelope_dominates_random_psh_minorants():
 def test_envelope_rejects_a_feasible_point_below_the_envelope(monkeypatch):
     # P(phi) - 1/7 is psh and below phi, but touches phi nowhere: the contact
     # check, not the psh and h <= g checks, turns it away
-    solve = metrics._componentwise_max
+    solve = metrics._solve
 
     def lowered(*args):
-        return {v: x - Fraction(1, 7) for v, x in solve(*args).items()}
+        integral, h = solve(*args)
+        return integral, {v: x - Fraction(1, 7) for v, x in h.items()}
 
-    monkeypatch.setattr(metrics, "_componentwise_max", lowered)
+    monkeypatch.setattr(metrics, "_solve", lowered)
     rng = random.Random(41)
     tried = 0
     while tried < 40:
@@ -238,7 +239,7 @@ def test_envelope_rejects_a_feasible_point_below_the_envelope(monkeypatch):
     phi = slope_metric(2, 1, 1)
     root, leaf = phi.tree.vertices
     h = {root: Fraction(0), leaf: Fraction(-1)}
-    monkeypatch.setattr(metrics, "_componentwise_max", lambda *args: h)
+    monkeypatch.setattr(metrics, "_solve", lambda *args: (Fraction(0), h))
     assert ma_measure(Metric(1, PLFunction(phi.tree, h))).masses == {leaf: 1}
     with pytest.raises(metrics.MetricError, match="below the envelope"):
         envelope(phi)
@@ -247,18 +248,23 @@ def test_envelope_rejects_a_feasible_point_below_the_envelope(monkeypatch):
 def test_envelope_solve_over_duals_is_the_right_derivative():
     # over obstacles g + eps f the unchanged solve returns P(g) + eps D, and
     # D is the difference quotient of P(g + t f) at a t small enough that
-    # the contact set stays fixed, where P is affine in t
+    # the contact set stays fixed, where P is affine in t.  The integral of G
+    # is then quadratic in t (an energy of P), so its eps-part is the
+    # derivative that the values at t and 2t give exactly
     rng = random.Random(43)
     t = Fraction(1, 10**6)
     for _ in range(100):
         phi = random_pl_metric(rng.choice([2, 3, 5]), rng.randint(0, 3), rng)
         f = random_pl_metric(phi.p, phi.d, rng, tree=phi.tree).g.values
         g = phi.g.values
-        duals = _componentwise_max(phi.tree, phi.d, {v: _Dual((g[v], f[v])) for v in g})
-        base = _componentwise_max(phi.tree, phi.d, g)
-        moved = _componentwise_max(phi.tree, phi.d, {v: g[v] + t * f[v] for v in g})
-        assert {v: a for v, (a, _) in duals.items()} == base
-        assert {v: b for v, (_, b) in duals.items()} == {v: (moved[v] - base[v]) / t for v in g}
+        (limit, slope), duals = _solve(phi.tree, phi.d, {v: _Dual((g[v], f[v])) for v in g})
+        base, h = _solve(phi.tree, phi.d, g)
+        (once, moved), (twice, _) = (
+            _solve(phi.tree, phi.d, {v: g[v] + s * f[v] for v in g}) for s in (t, 2 * t)
+        )
+        assert {v: a for v, (a, _) in duals.items()} == h
+        assert {v: b for v, (_, b) in duals.items()} == {v: (moved[v] - h[v]) / t for v in g}
+        assert limit == base and slope == (4 * once - twice - 3 * base) / (2 * t)
 
 
 def test_envelope_degree_zero_is_constant_min():
@@ -371,7 +377,7 @@ def test_envelope_recursion_matches_lp_oracle():
         big += len(tree.vertices) >= 10
         want = one_lp_max(tree, d, g.values, g.min_value())
         # envelope skips the recursion on a psh phi, so it is also run directly
-        assert _componentwise_max(tree, d, g.values) == want
+        assert _solve(tree, d, g.values)[1] == want
         assert envelope(phi).g.values == want
 
         kind = list(kinds)[i % 4]
@@ -393,7 +399,7 @@ def test_envelope_recursion_matches_lp_oracle():
         some = some or {tree.vertices[-1]: g.values[tree.vertices[-1]]}
         cap = min(b + d * s.q for s, b in some.items())
         full = {**dict.fromkeys(tree.vertices, cap), **some}
-        assert _componentwise_max(tree, d, full) == one_lp_max(tree, d, some, min(some.values()))
+        assert _solve(tree, d, full)[1] == one_lp_max(tree, d, some, min(some.values()))
     assert big >= 10
 
 

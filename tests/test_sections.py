@@ -628,6 +628,20 @@ LIBRARY_DOMAIN_ERRORS = {
         for p in (0, 1, 4, -3)
     },
     "build-tree-prime-4": (lambda: build_tree(4, []), FieldError, "p = 4 is not prime"),
+    "tree-point-float-prime": (
+        lambda: TreePoint(2.0, Fraction(1), Fraction(2)), FieldError, "p = 2.0 is not an integer",
+    ),
+    "tree-point-bool-prime": (
+        lambda: TreePoint(True, Fraction(1), Fraction(2)), FieldError, "p = True is not an integer",
+    ),
+    "build-tree-float-prime": (
+        lambda: build_tree(2.0, [TreePoint(2, Fraction(1), Fraction(2))]),
+        FieldError, "p = 2.0 is not an integer",
+    ),
+    "field-context-float-prime": (lambda: FieldContext(3.0), FieldError, "p = 3.0 is not an integer"),
+    "metric-bool-degree": (
+        lambda: Metric(True, trivial_metric(2, 1).g), MetricError, "degree must be an integer, got True",
+    ),
     "metric-float-degree": (
         lambda: Metric(1.5, trivial_metric(2, 1).g), MetricError, "degree must be an integer, got 1.5",
     ),

@@ -147,12 +147,12 @@ def test_km_oracle_is_test_only():
 
 
 def callers_of(name):
-    """(module, top-level function or None) of every call to name, by a
-    bare name or as an attribute."""
+    """(module, top-level function or class, or None) of every call to name,
+    by a bare name or as an attribute."""
     found = []
     for path in MODULES:
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            scope = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+            scope = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
             found += [
                 (path.name, scope)
                 for node in ast.walk(stmt)
@@ -170,15 +170,14 @@ def test_one_fit_routine():
 
 def test_one_minorant_solve():
     # the Gauss point is a vertex of the leaf-to-root pass like any other:
-    # its knot list serves envelopes, limits and derivatives, and only the
-    # knot-list evaluation searches a list; equilibrium metrics are a closed
-    # form, so envelope alone runs the obstacle solve
+    # one solve reads its knot list for limits and derivatives and walks the
+    # pass for envelopes, and only the knot-list evaluation searches a list;
+    # equilibrium metrics are a closed form.  A Metric runs the solve on its
+    # own obstacle once, for vol_limit and envelope both; right_derivative
+    # runs it on a dual obstacle
     assert callers_of("bisect_right") == [("metrics.py", "_eval")]
-    assert sorted(callers_of("_leaf_to_root")) == [
-        ("metrics.py", "_componentwise_max"),
-        ("metrics.py", "_integral"),
-    ]
-    assert callers_of("_componentwise_max") == [("metrics.py", "envelope")]
+    assert callers_of("_leaf_to_root") == [("metrics.py", "_solve")]
+    assert sorted(callers_of("_solve")) == [("metrics.py", "Metric"), ("volumes.py", "right_derivative")]
 
 
 def test_knot_lists_stay_in_metrics():
@@ -200,9 +199,9 @@ def test_exact_passes_take_their_number_type_from_the_obstacle():
     params = {
         node.name: [arg.arg for arg in node.args.args]
         for node in parse(metrics_py)
-        if isinstance(node, ast.FunctionDef) and node.name in ("_leaf_to_root", "_integral")
+        if isinstance(node, ast.FunctionDef) and node.name in ("_leaf_to_root", "_solve")
     }
-    assert params == {"_leaf_to_root": ["tree", "obstacle"], "_integral": ["phi", "obstacle"]}
+    assert params == {"_leaf_to_root": ["tree", "obstacle"], "_solve": ["tree", "d", "obstacle"]}
 
 
 def test_digit_order_is_decided_in_tree():

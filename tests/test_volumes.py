@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from berkvol import experiments, sections, volumes
+from berkvol import experiments, metrics, sections, volumes
 from berkvol.errors import BerkvolError
 from berkvol.experiments import diff_experiment
 from berkvol.metrics import Metric, energy, envelope, is_psh, ma_measure, trivial_metric
@@ -63,6 +63,42 @@ def test_vol_uses_envelopes_for_non_psh_input():
     assert rep.energy == 0
     assert rep.limit == 0
     assert rep.gap == 0
+
+
+def count_passes(monkeypatch):
+    """The list of the trees that metrics._leaf_to_root runs on, from now on."""
+    trees = []
+    run = metrics._leaf_to_root
+    monkeypatch.setattr(metrics, "_leaf_to_root", lambda tree, obs: trees.append(tree) or run(tree, obs))
+    return trees
+
+
+def test_a_metric_runs_one_pass_for_its_limit_and_its_envelope(monkeypatch):
+    """vol_limit and envelope read one solve per metric: on a non-psh pair
+    check_vol_equals_energy runs one leaf-to-root pass per metric, and a
+    metric keeps only the pass's integral and its envelope values."""
+    passes = count_passes(monkeypatch)
+    rng = random.Random(26)
+    pairs = 0
+    while pairs < 20:
+        p, d = rng.choice([2, 3, 5]), rng.choice([1, 2, 3])
+        phi, psi = random_pl_metric(p, d, rng), random_pl_metric(p, d, rng)
+        if is_psh(phi) or is_psh(psi):
+            continue
+        pairs += 1
+        passes.clear()
+        rep = check_vol_equals_energy(phi, psi, [1, 2])
+        assert passes == [phi.tree, psi.tree] and rep.gap == 0
+        for metric in (phi, psi):
+            assert set(vars(metric)) == {"d", "g", "_measure", "_solved"}
+            integral, h = metric._solved
+            assert not isinstance(integral, (list, tuple)) and set(h) == set(metric.tree.vertices)
+            assert not any(isinstance(x, (list, tuple)) for x in h.values())
+        # vol_limit then envelope on one fresh metric: one pass
+        passes.clear()
+        twin = Metric(phi.d, phi.g)
+        assert vol_limit(twin, twin) == 0 and envelope(twin).g.values == envelope(phi).g.values
+        assert passes == [phi.tree]
 
 
 def test_rr_content_constant_divisor():
