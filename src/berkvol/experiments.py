@@ -16,7 +16,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 from .errors import BerkvolError, Frozen
 from .metrics import Metric, envelope, equilibrium_metric, is_psh, ma_measure
-from .sections import _level_sums, _valuation_gaps, vandermonde_value
+from .sections import _level_dimension, _level_sums, _valuation_gaps, vandermonde_value
 from .tree import DiscreteMeasure, PLFunction, TreePoint, _rational, digit_sorted, refine
 from .volumes import right_derivative, vol_limit
 
@@ -48,10 +48,10 @@ def diff_experiment(
     the pairing of f with MA(P(phi)), P(phi) the psh envelope: phi itself
     when phi is psh.  As data, each leg t of t_grid records
     vol_m(phi + t f, phi) = u_m(phi) - u_m(phi + t f); u_m(phi) is shared."""
-    # The common tree stays: on phi's own tree right_derivative would read f
-    # at phi's vertices only, so it would differentiate along f interpolated
-    # there, and the check would hold only for directions whose kinks lie on
-    # phi's tree.  That the two values agree is the theorem, not the code.
+    # The common tree is kept so that the dual pass differentiates along f
+    # itself, kinks off phi's tree included.  On phi's own tree the check
+    # would hold too, for every direction, since the pairing reads f only at
+    # phi's vertices.  That the two values agree is the theorem, not the code.
     tree = refine(phi.tree, f.tree.vertices)
     phi_r, f_r = phi.on_tree(tree), f.on_tree(tree)
     right = right_derivative(phi_r, f_r)
@@ -153,7 +153,7 @@ def fekete_experiment(phi: Metric, m: int, pool: Sequence[Fraction]) -> FeketeRe
         raise ExperimentError("Fekete experiment needs a psh metric")
     if phi.d < 1:
         raise ExperimentError("Fekete experiment needs d >= 1")
-    N = m * phi.d + 1
+    N = _level_dimension(m, phi.d)
     pool = [_rational(x) for x in pool]
     if len(set(pool)) != len(pool):
         raise ExperimentError("pool contains repeated points")

@@ -236,6 +236,16 @@ def _root_count_norms(
     return h[tree.vertices[0]]
 
 
+def _level_dimension(m: int, d: int) -> int:
+    """N = m d + 1, the dimension of the sections of O(md), for a level m
+    that is an int >= 1: a float, a Fraction or a bool is no level."""
+    if type(m) is not int:
+        raise SectionError(f"m must be an integer, got {m!r}")
+    if m < 1:
+        raise SectionError("m must be >= 1")
+    return m * d + 1
+
+
 def _level_sums(
     phi: Metric, ms: Iterable[int], extra: Optional[PLFunction] = None
 ) -> Tuple[int, List[int]]:
@@ -256,8 +266,7 @@ def _level_sums(
     that phi's lacks is not seen (volumes._rr_refine refines phi first).
     """
     ms = list(ms)
-    if any(m < 1 for m in ms):
-        raise SectionError("m must be >= 1")
+    ns = [_level_dimension(m, phi.d) for m in ms]
     tree = phi.tree
     rows = [
         (x.q, phi.g.values[x], Fraction(0) if extra is None else extra.evaluate(x))
@@ -276,9 +285,8 @@ def _level_sums(
     scaled = [(scale(q), scale(g), scale(e)) for q, g, e in rows]
     chain = _is_chain(tree)
     out = []
-    for m in ms:
+    for m, n in zip(ms, ns):
         lines = [(q, m * g + e) for q, g, e in scaled]
-        n = m * phi.d + 1
         if chain:
             out.append(_envelope_sum(lines, n))
         else:
@@ -323,7 +331,7 @@ def vol_m(phi: Metric, psi: Metric, m: int) -> Fraction:
     """Exact relative volume of the level-m sup norms of phi and psi.
 
     v(det U_psi) - v(det U_phi), each from unit_ball_valuations, which
-    rejects m < 1.
+    rejects a level that is not an int >= 1.
     """
     if phi.d != psi.d:
         raise SectionError("metrics live on different line bundles")
@@ -342,7 +350,7 @@ def vandermonde_value(points: List[Fraction], phi: Metric, m: int):
     valuation of an adjacent pair from i to j, so the pair sum is a sum of
     range minima, taken with one monotone stack.
     """
-    N = m * phi.d + 1
+    N = _level_dimension(m, phi.d)
     if len(points) != N:
         raise SectionError(f"need exactly {N} points, got {len(points)}")
     pts = [_rational(x) for x in points]

@@ -15,7 +15,8 @@ branches at a vertex in the order of their digit there, is one integer
 comparison (`_preorder`); `digit_sorted` sorts type-1 points by the same
 comparison.  `build_tree` closes a vertex set under meets in one pass over
 that order, and `SkeletonTree.place` alone finds where a point retracts
-onto a tree, by one descent from the root.
+onto a tree, by one descent from the root that reads `meet_q`; a type-1
+point descends as its disc at the deepest vertex's radius.
 """
 
 from __future__ import annotations
@@ -145,9 +146,7 @@ def digit_sorted(points: Sequence[Fraction], p: int) -> Tuple[List[int], List[in
 
 
 class SkeletonTree(Frozen):
-    """p; vertices, sorted by q; the parent and children of each vertex;
-    depth, the largest k of a vertex: digits modulo p^depth decide every
-    place."""
+    """p; vertices, sorted by q; the parent and children of each vertex."""
 
     @property
     def root(self) -> TreePoint:
@@ -170,21 +169,15 @@ class SkeletonTree(Frozen):
         self, center: Fraction, q: Optional[Fraction] = None
     ) -> Tuple[TreePoint, Optional[TreePoint], Fraction]:
         """The edge (u, c) holding the retraction of zeta_{center, p^-q} and
-        its depth t past u, with c = None at a vertex (q = None: type 1).
-
-        Descends from the root: at each vertex u at most one child shares
-        more than q_u with the point."""
-        p = self.p
-        digits = _digits(_center(center, p), self.depth, p)
+        its depth t past u, with c = None at a vertex.  For q = None (type 1)
+        it places the disc at the deepest vertex's radius, which leaves the
+        tree at the same place.  Descends from the root by meet_q: at each
+        vertex u at most one child meets the point above u."""
+        x = TreePoint(self.p, center, self.vertices[-1].q if q is None else q)
         u = self.root
         while True:
             for c in self.children[u]:
-                d = digits - c.digits
-                # the point and c share min(q, q_c, v), v < q_c iff v < k_c; equal digits: v = k_c
-                v = int_valuation(d, p) if d else c.k
-                shared = v if v < c.k else c.q
-                if q is not None and q < shared:
-                    shared = q
+                shared = meet_q(x, c)
                 if shared > u.q:
                     if shared < c.q:
                         return u, c, shared - u.q
@@ -237,8 +230,7 @@ def build_tree(p: int, points: Iterable[TreePoint]) -> SkeletonTree:
     for v in vertices[1:]:
         children[parent[v]].append(v)
     return SkeletonTree(
-        p=p, vertices=vertices, parent={v: parent[v] for v in vertices}, children=children,
-        depth=max(v.k for v in vertices),
+        p=p, vertices=vertices, parent={v: parent[v] for v in vertices}, children=children
     )
 
 
@@ -308,6 +300,9 @@ class PLFunction:
             self.values = {v: _exact(values[v]) for v in tree.vertices}
         except KeyError as e:
             raise TreeError(f"no value given at vertex {e.args[0]}") from None
+        if len(values) != len(tree.vertices):  # every vertex is a key: the rest are off the tree
+            off = next(x for x in values if x not in tree.parent)
+            raise TreeError(f"value given at {off}, which is not a vertex")
 
     def evaluate(self, x: TreePoint) -> Fraction:
         value = self.values.get(x)

@@ -311,7 +311,7 @@ KEYWORD_FIELDS = {
     ),
     VolEnergyReport: ("samples", "limit", "energy", "gap"),
     RRReport: ("samples", "slope", "target"),
-    SkeletonTree: ("p", "vertices", "parent", "children", "depth"),
+    SkeletonTree: ("p", "vertices", "parent", "children"),
 }
 
 

@@ -41,6 +41,7 @@ from berkvol.volumes import (
     _rr_refine,
     check_vol_equals_energy,
     right_derivative,
+    rr_content,
     vol_limit,
 )
 
@@ -659,6 +660,58 @@ LIBRARY_DOMAIN_ERRORS = {
         ),
         TreeError, "no value given at vertex zeta(0, q=1)",
     ),
+    "pl-function-value-off-the-tree": (
+        lambda: PLFunction(
+            build_tree(2, []), {gauss_point(2): Fraction(0), TreePoint(2, Fraction(0), Fraction(1)): 5}
+        ),
+        TreeError, "value given at zeta(0, q=1), which is not a vertex",
+    ),
+    "place-float-radius": (
+        lambda: build_tree(2, []).place(Fraction(0), 0.5), TreeError, "0.5 is a float, not an exact rational",
+    ),
+    "place-negative-radius": (
+        lambda: build_tree(2, []).place(Fraction(0), -1), TreeError, "radius exponent -1 must be >= 0",
+    ),
+    "retract-negative-radius": (
+        lambda: build_tree(2, []).retract(Fraction(0), -1), TreeError, "radius exponent -1 must be >= 0",
+    ),
+    "unit-ball-valuations-fraction-level": (
+        lambda: unit_ball_valuations(slope_metric(2, 1, -1), [Fraction(3, 2)]),
+        SectionError, "m must be an integer, got Fraction(3, 2)",
+    ),
+    "unit-ball-valuations-bool-level": (
+        lambda: unit_ball_valuations(slope_metric(2, 1, -1), [True]),
+        SectionError, "m must be an integer, got True",
+    ),
+    "vol-m-float-level": (
+        lambda: vol_m(slope_metric(2, 1, -1), trivial_metric(2, 1), 2.0),
+        SectionError, "m must be an integer, got 2.0",
+    ),
+    "check-vol-equals-energy-float-level": (
+        lambda: check_vol_equals_energy(slope_metric(2, 1, -1), trivial_metric(2, 1), [2.0]),
+        SectionError, "m must be an integer, got 2.0",
+    ),
+    "rr-content-float-level": (
+        lambda: rr_content(slope_metric(2, 1, 1).g, slope_metric(2, 1, -1), 1.5),
+        SectionError, "m must be an integer, got 1.5",
+    ),
+    "vandermonde-float-level": (
+        lambda: vandermonde_value([Fraction(0), Fraction(1)], trivial_metric(3, 1), 1.5),
+        SectionError, "m must be an integer, got 1.5",
+    ),
+    **{
+        f"fekete-level-{m}": (
+            lambda m=m: fekete_experiment(trivial_metric(3, 1), m, [Fraction(x) for x in range(4)]),
+            SectionError, message,
+        )
+        for m, message in [
+            (0, "m must be >= 1"),
+            (-1, "m must be >= 1"),
+            (-2, "m must be >= 1"),
+            (1.5, "m must be an integer, got 1.5"),
+            (Fraction(3, 2), "m must be an integer, got Fraction(3, 2)"),
+        ]
+    },
 }
 
 

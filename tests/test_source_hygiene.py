@@ -220,6 +220,15 @@ def test_digit_order_is_decided_in_tree():
             assert "gauss_point" not in named
 
 
+def test_tree_decides_where_discs_part_in_one_place():
+    # _branch_depth, behind meet_q, is the one rule for where two discs part;
+    # digit_sorted applies it to type-1 points, and placement descends by
+    # meet_q with no valuation of its own
+    assert [scope for module, scope in callers_of("int_valuation") if module == "tree.py"] == [
+        "_branch_depth", "digit_sorted",
+    ]
+
+
 def test_tree_compares_no_infinity():
     # placement compares ints and Fractions only; the float INF stays out of tree.py
     tree_py = next(path for path in MODULES if path.name == "tree.py")

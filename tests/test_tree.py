@@ -471,7 +471,6 @@ def test_build_tree_matches_the_all_pairs_builder():
         for v, w in zip(new.vertices, old.vertices):
             assert _shape(new.parent[v]) == _shape(old.parent[w])
             assert [_shape(c) for c in new.children[v]] == [_shape(c) for c in old.children[w]]
-        assert new.depth == max(math.ceil(v.q) for v in new.vertices)
         for x in _draw_points(rng, p)[:3]:
             for q in (x.q, None):
                 assert new.place(x.center, q) == descend(old, x.center, q)

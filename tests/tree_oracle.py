@@ -10,7 +10,6 @@ builder against it.
 """
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -64,8 +63,7 @@ def all_pairs_build_tree(p: int, points) -> SkeletonTree:
     # onto the tree built so far at a vertex: its parent.
     ordered = sorted(verts, key=lambda v: (v.q, v.key))
     root = ordered[0]
-    depth = max(math.ceil(v.q) for v in ordered)
-    tree = SkeletonTree(p=p, vertices=[root], parent={root: None}, children={root: []}, depth=depth)
+    tree = SkeletonTree(p=p, vertices=[root], parent={root: None}, children={root: []})
     for v in ordered[1:]:
         par = descend(tree, v.center, v.q)[0]
         tree.vertices.append(v)
