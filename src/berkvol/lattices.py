@@ -49,8 +49,8 @@ class Lattice:
 
 def lattice_norm(L: Lattice, v: List[FieldElement]):
     """Valuation form of ||v||_L: min_i v(c_i) for c = basis^{-1} v."""
-    c = linalg.solve_vector(L.basis, v)
-    return min(x.valuation() for x in c)
+    c = linalg.solve(L.basis, [[x] for x in v])
+    return min(row[0].valuation() for row in c)
 
 
 def contains(outer: Lattice, inner: Lattice) -> bool:

@@ -37,21 +37,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(A: Matrix, v: List[FieldElement]) -> List[FieldElement]:
-    return [sum_elems([A[i][j] * v[j] for j in range(len(v))]) for i in range(len(A))]
-
-
-def sum_elems(elems: List[FieldElement]) -> FieldElement:
-    acc = elems[0]
-    for e in elems[1:]:
-        acc = acc + e
-    return acc
-
-
-def copy_matrix(A: Matrix) -> Matrix:
-    return [row[:] for row in A]
-
-
 def _pivot(W: Matrix, k: int, cols: int) -> Tuple:
     """(v, i, j): the least valuation v in W[k:, k:cols] and the first entry
     (i, j), row by row, that has it; v is INF when that block is zero."""
@@ -76,11 +61,6 @@ def solve(A: Matrix, B: Matrix) -> Matrix:
     return [row[n:] for row in W]
 
 
-def solve_vector(A: Matrix, b: List[FieldElement]) -> List[FieldElement]:
-    X = solve(A, [[x] for x in b])
-    return [row[0] for row in X]
-
-
 def det_valuation(A: Matrix):
     """Valuation of det(A); INF if A is singular.
 
@@ -88,7 +68,7 @@ def det_valuation(A: Matrix):
     change the determinant and swaps only flip its sign.
     """
     n = len(A)
-    W = copy_matrix(A)
+    W = [row[:] for row in A]
     total = 0
     for k in range(n):
         piv_v, piv, _ = _pivot(W, k, k + 1)
@@ -117,7 +97,7 @@ def smith(A: Matrix) -> Tuple[Matrix, list, Matrix]:
     if n > m:
         raise SingularMatrixError("smith() expects nrows <= ncols")
     ctx = A[0][0].ctx
-    B = copy_matrix(A)
+    B = [row[:] for row in A]
     U = identity(ctx, n)
     V = identity(ctx, m)
     d = []

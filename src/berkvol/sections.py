@@ -48,7 +48,7 @@ class SectionError(BerkvolError):
 
 class Section:
     def __init__(self, coeffs: Tuple[Fraction, ...]):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(_rational(c) for c in coeffs)
 
     @property
     def degree(self) -> int:
@@ -59,7 +59,7 @@ class Section:
 
     def recenter(self, a: Fraction) -> Tuple[Fraction, ...]:
         """Coefficients of s(z + a), by exact Horner shifts."""
-        a = Fraction(a)
+        a = _rational(a)
         out = list(self.coeffs)
         n = len(out)
         if a == 0:
@@ -72,7 +72,7 @@ class Section:
 
 def point_norm(s: Section, x: TreePoint, phi: Metric, m: int):
     """Valuation of |s(x)| e^{-m phi(x)} for x in the unit-disc region."""
-    if s.degree > m * phi.d:
+    if s.degree >= _level_dimension(m, phi.d):
         raise SectionError(f"degree {s.degree} exceeds m*d = {m * phi.d}")
     c = s.recenter(x.center)
     best = min((padic_valuation(ci, phi.p) + i * x.q for i, ci in enumerate(c) if ci), default=INF)
@@ -89,19 +89,19 @@ def sup_norm(s: Section, phi: Metric, m: int):
 def _vertex_weights(
     phi: Metric, m: int, x: TreePoint, extra: Optional[PLFunction]
 ) -> List[Fraction]:
+    """[i q_x + m g(x) + extra(x) for i < N] at the vertex x, the weights of
+    the basis (z - a_x)^i; N comes from _level_dimension, the one level rule."""
     base = m * phi.g.values[x]
     if extra is not None:
         base += extra.evaluate(x)
-    return [i * x.q + base for i in range(m * phi.d + 1)]
+    return [i * x.q + base for i in range(_level_dimension(m, phi.d))]
 
 
 def required_ramification(phi: Metric, m: int, extra: Optional[PLFunction] = None) -> int:
-    """Smallest M making every diagonal weight lie in (1/M)Z."""
-    dens = [1]
-    for x in phi.tree.vertices:
-        for w in _vertex_weights(phi, m, x, extra):
-            dens.append(w.denominator)
-    return math.lcm(*dens)
+    """Smallest M making every vertex weight lie in (1/M)Z: the lcm of the
+    denominators of the weights of _vertex_weights at every vertex."""
+    weights = [w for x in phi.tree.vertices for w in _vertex_weights(phi, m, x, extra)]
+    return math.lcm(*[w.denominator for w in weights])
 
 
 def diagonal_weights(phi: Metric, m: int, extra: Optional[PLFunction] = None) -> List[Fraction]:
@@ -114,9 +114,8 @@ def diagonal_weights(phi: Metric, m: int, extra: Optional[PLFunction] = None) ->
     """
     if not _is_chain(phi.tree):
         raise SectionError("diagonal weights need a single-center tree")
-    N = m * phi.d + 1
     per_vertex = [_vertex_weights(phi, m, x, extra) for x in phi.tree.vertices]
-    return [min(w[i] for w in per_vertex) for i in range(N)]
+    return [min(w) for w in zip(*per_vertex)]
 
 
 def sup_norm_lattice(
@@ -128,9 +127,11 @@ def sup_norm_lattice(
     recentered monomial bases {(z - a_x)^i} with weights i q_x + m g(x).
     This is the K_M oracle for unit_ball_valuations, which computes the
     same determinant valuation from root counts on the tree; only tests
-    call it.
+    call it.  ctx must lie over phi's prime.
     """
-    N = m * phi.d + 1
+    if ctx.p != phi.p:
+        raise SectionError(f"field context over p = {ctx.p}, metric over p = {phi.p}")
+    N = _level_dimension(m, phi.d)
     result: Optional[Lattice] = None
     for x in phi.tree.vertices:
         weights = _vertex_weights(phi, m, x, extra)

@@ -93,8 +93,8 @@ def test_intersection_agrees_with_containment():
         assert contains(L2, L)
         # maximality: any vector in both lattices lies in the intersection
         for _ in range(5):
-            coeffs = [ctx.from_rational(Fraction(rng.randint(-2, 2))) for _ in range(3)]
-            v = linalg.mat_vec(L1.basis, coeffs)
+            coeffs = [[ctx.from_rational(Fraction(rng.randint(-2, 2)))] for _ in range(3)]
+            v = [row[0] for row in linalg.mat_mul(L1.basis, coeffs)]
             if lattice_norm(L2, v) >= 0:
                 assert lattice_norm(L, v) >= 0
 

@@ -699,6 +699,34 @@ LIBRARY_DOMAIN_ERRORS = {
         lambda: vandermonde_value([Fraction(0), Fraction(1)], trivial_metric(3, 1), 1.5),
         SectionError, "m must be an integer, got 1.5",
     ),
+    "section-float-coefficient": (
+        lambda: Section((0.1, 1)), TreeError, "0.1 is a float, not an exact rational",
+    ),
+    "sup-norm-lattice-two-primes": (
+        lambda: sup_norm_lattice(slope_metric(2, 1, -1), 1, FieldContext(3, 6)),
+        SectionError, "field context over p = 3, metric over p = 2",
+    ),
+    "point-norm-level-0": (
+        lambda: point_norm(Section((1,)), TreePoint(2, 0, 1), slope_metric(2, 1, -1), 0),
+        SectionError, "m must be >= 1",
+    ),
+    "sup-norm-level-0": (
+        lambda: sup_norm(Section((1,)), slope_metric(2, 1, -1), 0), SectionError, "m must be >= 1",
+    ),
+    "diagonal-weights-level-0": (
+        lambda: diagonal_weights(slope_metric(2, 1, -1), 0), SectionError, "m must be >= 1",
+    ),
+    "required-ramification-level-0": (
+        lambda: required_ramification(slope_metric(2, 1, -1), 0), SectionError, "m must be >= 1",
+    ),
+    "required-ramification-float-level": (
+        lambda: required_ramification(slope_metric(2, 1, -1), 1.5),
+        SectionError, "m must be an integer, got 1.5",
+    ),
+    "sup-norm-lattice-level-0": (
+        lambda: sup_norm_lattice(slope_metric(2, 1, -1), 0, FieldContext(2, 1)),
+        SectionError, "m must be >= 1",
+    ),
     **{
         f"fekete-level-{m}": (
             lambda m=m: fekete_experiment(trivial_metric(3, 1), m, [Fraction(x) for x in range(4)]),

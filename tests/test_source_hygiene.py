@@ -146,20 +146,38 @@ def test_km_oracle_is_test_only():
     assert users == []
 
 
-def callers_of(name):
-    """(module, top-level function or class, or None) of every call to name,
-    by a bare name or as an attribute."""
+def sites(match):
+    """(module, top-level function or class, or None) of every node for
+    which match is true."""
     found = []
     for path in MODULES:
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
             scope = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
-            found += [
-                (path.name, scope)
-                for node in ast.walk(stmt)
-                if isinstance(node, ast.Call)
-                and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-            ]
+            found += [(path.name, scope) for node in ast.walk(stmt) if match(node)]
     return found
+
+
+def callers_of(name):
+    """sites of every call to name, by a bare name or as an attribute."""
+    return sites(
+        lambda node: isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
+def test_one_level_rule():
+    # N = m d + 1 is computed in sections._level_dimension alone, which
+    # refuses a level that is not an int >= 1; every other function that
+    # needs N takes it from there, so none accepts a level the others refuse
+    def m_times_d_plus_1(node):
+        return (
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Mult)
+            and getattr(node.left.left, "id", None) == "m"
+            and getattr(node.right, "value", None) == 1
+        )
+
+    assert sites(m_times_d_plus_1) == [("sections.py", "_level_dimension")]
 
 
 def test_one_fit_routine():
