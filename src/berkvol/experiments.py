@@ -10,13 +10,13 @@ equality or inequality; a level series, where kept, is data only.
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import BerkvolError, Frozen
 from .metrics import Metric, envelope, equilibrium_metric, is_psh, ma_measure
-from .sections import _level_dimension, _level_sums, _valuation_gaps, vandermonde_value
+from .sections import _integers, _level_dimension, _level_sums, _valuation_gaps, vandermonde_value
 from .tree import DiscreteMeasure, PLFunction, TreePoint, _rational, digit_sorted, refine
 from .volumes import right_derivative, vol_limit
 
@@ -120,13 +120,14 @@ class FeketeReport(Frozen):
     and tv_distance."""
 
 
-def _merge(a: List[Tuple[int, int, int]], b: List[Tuple[int, int, int]], N: int):
-    """Min-plus product of two (total, count, key) tables, cut at N points:
-    counts multiply, and add over the splits that tie for the least total."""
+def _merge(a: List[Tuple[int, int, int]], b: List[Tuple[int, int, int]], N: int, cross: int):
+    """Min-plus product of two (total, count, key) tables, cut at N points,
+    each of the i * j pairs across the split charged cross: counts
+    multiply, and add over the splits that tie for the least total."""
     out: List = [None] * min(len(a) + len(b) - 1, N + 1)
     for i, (ta, ca, ka) in enumerate(a):
         for j, (tb, cb, kb) in enumerate(b[: N + 1 - i]):
-            t, cur = ta + tb, out[i + j]
+            t, cur = ta + tb + i * j * cross, out[i + j]
             if cur is None or t < cur[0]:
                 out[i + j] = (t, ca * cb, ka | kb)
             elif t == cur[0]:
@@ -138,16 +139,17 @@ def fekete_experiment(phi: Metric, m: int, pool: Sequence[Fraction]) -> FeketeRe
     """Best Vandermonde configurations from a pool of rational points.
 
     Minimizes the valuation sum_{x<y} v_p(y - x) + m sum_x g(x) of the
-    metrized determinant exactly.  In the closed unit disc v_p(y - x)
-    counts the classes mod p^k (k >= 1) holding both points, so the pair
-    sum is sum_c C(n_c, 2) over a laminar family of classes c.  In p-adic
-    digit order each class is a segment, and segments merge from the
-    deepest adjacent pair up.  A segment keeps, per subset size k, the
-    least total over a common denominator D, the number of k-subsets
-    reaching it, and the largest key sum 2^(n-1-i) over the numeric ranks
-    i of one of them, which marks the lexicographically least.  A class
-    dq levels below its parent charges each k-subset C(k, 2) dq D.  The
-    winner is re-verified with `vandermonde_value`.
+    metrized determinant exactly.  In p-adic digit order v_p(y - x) is
+    the least adjacent gap from x to y.  One stack walk in that order
+    keeps segments whose right gaps rise up the stack; a segment keeps,
+    per subset size k, the least total over a common denominator D, the
+    number of k-subsets reaching it, and the largest key sum 2^(n-1-i)
+    over the numeric ranks i of one of them, which marks the
+    lexicographically least.  A gap v pops every segment whose right gap
+    is v or more and joins it to the segments after it: no gap inside
+    either side is below v, so each of the i * j pairs across the join
+    has v_p = v and is charged v D.  The winner is re-verified with
+    `vandermonde_value`.
     """
     if not is_psh(phi):
         raise ExperimentError("Fekete experiment needs a psh metric")
@@ -162,40 +164,23 @@ def fekete_experiment(phi: Metric, m: int, pool: Sequence[Fraction]) -> FeketeRe
 
     pts = sorted(pool)
     n = len(pts)
-    weights = [m * phi.g.evaluate_center(x) for x in pts]  # raises off the closed disc
-    D = math.lcm(*(w.denominator for w in weights))
+    D, weights = _integers([m * phi.g.evaluate_center(x) for x in pts])  # raises off the disc
     order, depth = digit_sorted(pts, phi.p)
-    # table[s] and level[s] belong to the segment whose first position is s;
-    # start[s] is the first position of the segment that ends at s.  A single
-    # point's level never counts, since C(k, 2) = 0 for k <= 1.
-    table = [
-        [(0, 1, 0), (weights[i].numerator * (D // weights[i].denominator), 1, 1 << (n - 1 - i))]
-        for i in order
-    ]
-    level = [0] * n
-    start, end = list(range(n)), list(range(n))
-
-    def lifted(c: int, q: int) -> List[Tuple[int, int, int]]:
-        # the classes from depth q down to segment c's level hold every pair
-        dq = (level[c] - q) * D
-        return [(t + k * (k - 1) // 2 * dq, cnt, key) for k, (t, cnt, key) in enumerate(table[c])]
-
-    for s in sorted(range(n - 1), key=lambda s: -depth[s]):
-        a, b, q = start[s], s + 1, depth[s]
-        table[a], level[a] = _merge(lifted(a, q), lifted(b, q), N), q
-        end[a] = end[b]
-        start[end[a]] = a
-    best_total, n_optima, key = lifted(0, 0)[N]
+    segments: List = []  # (right gap, table), right gaps rising up the stack
+    for i, q in zip(order, depth + [0]):
+        table = [(0, 1, 0), (weights[i], 1, 1 << (n - 1 - i))]
+        while segments and segments[-1][0] >= q:
+            v, left = segments.pop()
+            table = _merge(left, table, N, v * D)
+        segments.append((q, table))
+    best_total, n_optima, key = segments[0][1][N]
     winner = tuple(x for i, x in enumerate(pts) if key >> (n - 1 - i) & 1)
     best_val = Fraction(best_total, D)
     if vandermonde_value(list(winner), phi, m) != best_val:
         raise ExperimentError(f"Fekete objective {best_val} disagrees at {winner}")
 
-    emp: dict = {}
-    for x in winner:
-        r = phi.tree.retract(x, None)
-        emp[r] = emp.get(r, Fraction(0)) + Fraction(1, N)
-    empirical = DiscreteMeasure(emp)
+    counts = Counter(phi.tree.retract(x, None) for x in winner)
+    empirical = DiscreteMeasure(counts).scale(Fraction(1, N))
     target = ma_measure(phi).scale(Fraction(1, phi.d))
     return FeketeReport(
         m=m, n_points=N, best_config=winner, n_optima=n_optima, best_valuation=best_val,

@@ -98,10 +98,9 @@ def _vertex_weights(
 
 
 def required_ramification(phi: Metric, m: int, extra: Optional[PLFunction] = None) -> int:
-    """Smallest M making every vertex weight lie in (1/M)Z: the lcm of the
-    denominators of the weights of _vertex_weights at every vertex."""
-    weights = [w for x in phi.tree.vertices for w in _vertex_weights(phi, m, x, extra)]
-    return math.lcm(*[w.denominator for w in weights])
+    """Smallest M making every vertex weight lie in (1/M)Z: the common
+    denominator of the weights of _vertex_weights at every vertex."""
+    return _integers([w for x in phi.tree.vertices for w in _vertex_weights(phi, m, x, extra)])[0]
 
 
 def diagonal_weights(phi: Metric, m: int, extra: Optional[PLFunction] = None) -> List[Fraction]:
@@ -247,6 +246,19 @@ def _level_dimension(m: int, d: int) -> int:
     return m * d + 1
 
 
+def _integers(values: List[Fraction]) -> Tuple[int, List[int]]:
+    """(D, [v D for v in values]) for the lcm D of the denominators: the one
+    rule that scales exact rationals to integers.  A value of another exact
+    field has no denominator and is refused."""
+    # A list, not a generator: a tuple built from a generator is resized,
+    # and CPython's free list then keeps up to 2000 of them per length.
+    try:
+        D = math.lcm(*[v.denominator for v in values])
+    except AttributeError:
+        raise SectionError("exact integer scaling needs rational values") from None
+    return D, [v.numerator * (D // v.denominator) for v in values]
+
+
 def _level_sums(
     phi: Metric, ms: Iterable[int], extra: Optional[PLFunction] = None
 ) -> Tuple[int, List[int]]:
@@ -256,15 +268,16 @@ def _level_sums(
     norm over root counts on the tree (module docstring).  It involves
     only the vertex lines j -> j q_x + m g(x) + extra(x), so no
     ramification index is chosen.  q_x, g(x) and extra(x) are read once
-    and scaled to integers Q_x, G_x, E_x by the lcm D of all their
-    denominators; level m runs on the integer lines j -> j Q_x + m G_x
-    + E_x.  Both kernels are homogeneous under a common positive
-    scaling, so every level is exact.  On a chain of discs the max-min
-    is the lower envelope of the lines, summed by _envelope_sum over one
-    sorted hull per level; on any other tree _root_count_norms runs the
-    tree recursion in O(V (md + 1)).  extra may live on any tree: it is
-    read at phi's vertices by interpolation, so a vertex of its own tree
-    that phi's lacks is not seen (volumes._rr_refine refines phi first).
+    and scaled to integers Q_x, G_x, E_x by _integers, over the lcm D of
+    all their denominators; level m runs on the integer lines
+    j -> j Q_x + m G_x + E_x.  Both kernels are homogeneous under a
+    common positive scaling, so every level is exact.  On a chain of
+    discs the max-min is the lower envelope of the lines, summed by
+    _envelope_sum over one sorted hull per level; on any other tree
+    _root_count_norms runs the tree recursion in O(V (md + 1)).  extra
+    may live on any tree: it is read at phi's vertices by interpolation,
+    so a vertex of its own tree that phi's lacks is not seen
+    (volumes._rr_refine refines phi first).
     """
     ms = list(ms)
     ns = [_level_dimension(m, phi.d) for m in ms]
@@ -273,17 +286,8 @@ def _level_sums(
         (x.q, phi.g.values[x], Fraction(0) if extra is None else extra.evaluate(x))
         for x in tree.vertices
     ]
-    # A list, not a generator: a tuple built from a generator is resized,
-    # and CPython's free list then keeps up to 2000 of them per length.
-    try:
-        D = math.lcm(*[c.denominator for row in rows for c in row])
-    except AttributeError:  # a value of another exact field has no denominator
-        raise SectionError("level series need rational values") from None
-
-    def scale(c: Fraction) -> int:
-        return c.numerator * (D // c.denominator)
-
-    scaled = [(scale(q), scale(g), scale(e)) for q, g, e in rows]
+    D, flat = _integers([c for row in rows for c in row])
+    scaled = list(zip(*[iter(flat)] * 3))  # back into rows (Q_x, G_x, E_x)
     chain = _is_chain(tree)
     out = []
     for m, n in zip(ms, ns):

@@ -270,7 +270,8 @@ def _exact(x):
     since Fraction would take its binary expansion for the value meant, and
     so is a complex, a pair of floats.  A numbers.Number that Fraction
     refuses by type, such as an element of another exact field, is kept as
-    given; any other object is refused."""
+    given; any other object is refused, and so is a value Fraction cannot
+    read: a malformed string, a zero denominator or a non-finite Decimal."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (float, complex)):
@@ -281,6 +282,8 @@ def _exact(x):
         if isinstance(x, Number):
             return x
         raise TreeError(f"{x!r} is not a number") from None
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise TreeError(f"{x!r} is not an exact rational") from None
 
 
 def _rational(x) -> Fraction:

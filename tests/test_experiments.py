@@ -197,7 +197,8 @@ def fekete_draws():
 
     Pools hold 5-9 distinct points of the closed unit disc, integers and
     fractions with denominators prime to p, so equal pair valuations (and
-    tied optima) are common.
+    tied optima) are common.  Five more pools of 4-9 points are runs of
+    residue classes, where many adjacent gaps share one depth.
     """
     rng = random.Random(4242)
     draws = []
@@ -212,6 +213,18 @@ def fekete_draws():
             den = rng.choice([1, 1, p + 1, 2 * p + 1])
             pool.add(Fraction(rng.randint(0, p**3 - 1), den))
         draws.append((phi, m, sorted(pool, key=lambda x: rng.random())))
+    # in digit order, the points of range(p^2) and of {a + p^k j} sit in runs
+    # of equal adjacent gaps, so the DP's stack joins many segments at one depth
+    for k, (p, pool) in enumerate([
+        (2, range(4)),
+        (3, range(9)),
+        (2, [1 + 4 * j for j in range(8)]),
+        (3, [Fraction(2, 5) + 9 * j for j in range(7)]),
+        (5, [3 + 5 * j for j in range(5)] + [Fraction(1, 2) + 25 * j for j in range(4)]),
+    ]):
+        d, m = (1, 2) if k % 2 else (2, 1)
+        phi = random_psh_metric(p, d, rng) if k % 3 else trivial_metric(p, d)
+        draws.append((phi, m, sorted(map(Fraction, pool), key=lambda x: rng.random())))
     return draws
 
 

@@ -117,13 +117,14 @@ def test_values_keep_an_exact_type_and_points_stay_rational():
 
 
 def test_level_series_stay_rational():
-    # the level sums scale every value by a common denominator
+    # the level sums and the Fekete DP scale every value by a common denominator
     phi = trivial_metric(2, 1).shift(Surd(0, 1))
     for call in (
         lambda: check_vol_equals_energy(phi, trivial_metric(2, 1), [1, 2]),
         lambda: vol_m(trivial_metric(2, 1), phi, 1),
+        lambda: fekete_experiment(phi, 1, [Fraction(0), Fraction(1), Fraction(2)]),
     ):
-        with pytest.raises(SectionError, match="^level series need rational values$"):
+        with pytest.raises(SectionError, match="^exact integer scaling needs rational values$"):
             call()
 
 

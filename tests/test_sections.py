@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -621,6 +622,22 @@ LIBRARY_DOMAIN_ERRORS = {
     ),
     "measure-float-zero-mass": (
         lambda: DiscreteMeasure({gauss_point(2): 0.0}), TreeError, "0.0 is a float, not an exact rational",
+    ),
+    "tree-point-malformed-center": (
+        lambda: TreePoint(2, "abc", 1), TreeError, "'abc' is not an exact rational",
+    ),
+    "metric-malformed-shift": (
+        lambda: trivial_metric(2, 1).shift("x"), TreeError, "'x' is not an exact rational",
+    ),
+    "tree-point-nan-center": (
+        lambda: TreePoint(2, Decimal("NaN"), 1), TreeError, "Decimal('NaN') is not an exact rational",
+    ),
+    "tree-point-infinite-radius": (
+        lambda: TreePoint(2, 0, Decimal("Infinity")),
+        TreeError, "Decimal('Infinity') is not an exact rational",
+    ),
+    "measure-zero-denominator-mass": (
+        lambda: DiscreteMeasure({gauss_point(2): "1/0"}), TreeError, "'1/0' is not an exact rational",
     ),
     **{
         f"tree-point-prime-{p}": (

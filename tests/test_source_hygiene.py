@@ -180,6 +180,20 @@ def test_one_level_rule():
     assert sites(m_times_d_plus_1) == [("sections.py", "_level_dimension")]
 
 
+def test_one_integer_scaling_rule():
+    # rationals are scaled to integers by the lcm of their denominators in
+    # sections._integers alone, which refuses values of another field, so
+    # the level series, the Fekete DP and the ramification index share it
+    def lcm_of_denominators(node):
+        return (
+            isinstance(node, ast.Call)
+            and "lcm" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            and any(getattr(arg, "attr", None) == "denominator" for arg in ast.walk(node))
+        )
+
+    assert sites(lcm_of_denominators) == [("sections.py", "_integers")]
+
+
 def test_one_fit_routine():
     # no verdict rests on a fit: limits and derivatives are exact, and
     # volumes.affine_fit stays only as a name the benchmark's tracer patches
