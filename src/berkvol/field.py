@@ -73,9 +73,12 @@ def check_prime(p: int) -> None:
 def int_valuation(n: int, p: int) -> int:
     """v_p of a nonzero integer, in O(log v_p(n)) divisions: square p up to
     the largest p^(2^k) dividing n, then strip those powers largest first.
-    Every power of p divides 0, so 0 is refused."""
+    Every power of p divides 0, so 0 is refused, and the squares of p = 1
+    or -1 never grow, so p < 2 is refused too."""
     if n == 0:
         raise FieldError("v_p(0) is infinite: int_valuation needs a nonzero integer")
+    if p < 2:
+        raise FieldError(f"p = {p} is below 2: int_valuation needs p >= 2")
     if n % p:
         return 0
     powers = [p]
@@ -103,6 +106,8 @@ class FieldContext(Frozen):
 
     def __init__(self, p: int, M: int = 1):
         check_prime(p)
+        if type(M) is not int:  # a bool is no ramification index
+            raise FieldError(f"ramification index must be an integer, got {M!r}")
         if M < 1:
             raise FieldError(f"ramification index M = {M} must be >= 1")
         self.__dict__.update(p=p, M=M)

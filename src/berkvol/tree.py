@@ -127,7 +127,9 @@ def _preorder(x: TreePoint, y: TreePoint) -> int:
 def digit_sorted(points: Sequence[Fraction], p: int) -> Tuple[List[int], List[int]]:
     """The positions of distinct points of the closed unit disc in p-adic digit
     order, least significant digit first, and v_p of each adjacent difference.
-    Each class mod p^k is a segment, so v_p(x_j - x_i) is the least from i to j."""
+    Each class mod p^k is a segment, so v_p(x_j - x_i) is the least from i to j.
+    p must be a prime, the rule every TreePoint keeps."""
+    check_prime(p)
     xs = [_center(x, p) for x in points]
 
     def gap(i: int, j: int) -> int:
@@ -198,10 +200,11 @@ def build_tree(p: int, points: Iterable[TreePoint]) -> SkeletonTree:
     In depth-first preorder the meet closure of a set is the set and the
     meets of its adjacent pairs, so one walk with a stack holding the path
     to the last point takes V - 1 meets and finds every parent.  A vertex
-    the input does not name is named by the center of the first input
-    point below it, in the iteration order of the set {Gauss point} and
-    the points: the point whose first pairwise meet with a later point
-    makes it.  Vertices are listed by (q, key), and children in that order.
+    the input does not name is named by the center of the input point of
+    least rank below it, ranked in the iteration order of the set {Gauss
+    point} and the points; one leaf-to-root pass carries each least rank
+    up to its parent.  Vertices are listed by (q, digits), and children in
+    that order.
     """
     verts = {gauss_point(p)}
     for pt in points:
@@ -211,7 +214,6 @@ def build_tree(p: int, points: Iterable[TreePoint]) -> SkeletonTree:
     given = list(verts)
     order = sorted(given, key=cmp_to_key(_preorder))
     parent: Dict[TreePoint, Optional[TreePoint]] = {order[0]: None}
-    made: List[TreePoint] = []
     stack = order[:1]  # the path from the root to the last point, each below the previous
     for x in order[1:]:
         m = meet(stack[-1], x)
@@ -220,39 +222,19 @@ def build_tree(p: int, points: Iterable[TreePoint]) -> SkeletonTree:
             if stack[-1].q < m.q:  # m lies inside the edge above top
                 parent[m], parent[top] = stack[-1], m
                 stack.append(m)
-                made.append(m)
         parent[x] = stack[-1]
         stack.append(x)
-    if made:
-        parent = _name_made_vertices(p, given, parent, made)
     vertices = sorted(parent, key=lambda v: (v.q, v.digits))
+    rank = {x: i for i, x in enumerate(given)}
+    for v in reversed(vertices[1:]):  # children are deeper, so each rank is final
+        rank[parent[v]] = min(rank.get(parent[v], len(given)), rank[v])
+    name = {v: TreePoint(p, given[rank[v]].center, v.q) for v in vertices if v not in verts}
+    parent = {name.get(v, v): name.get(parent[v], parent[v]) for v in vertices}
+    vertices = list(parent)
     children: Dict[TreePoint, List[TreePoint]] = {v: [] for v in vertices}
     for v in vertices[1:]:
         children[parent[v]].append(v)
-    return SkeletonTree(
-        p=p, vertices=vertices, parent={v: parent[v] for v in vertices}, children=children
-    )
-
-
-def _name_made_vertices(
-    p: int,
-    given: List[TreePoint],
-    parent: Dict[TreePoint, Optional[TreePoint]],
-    made: List[TreePoint],
-) -> Dict[TreePoint, Optional[TreePoint]]:
-    """parent, with each made vertex renamed by the first given point below it."""
-    made = set(made)
-    names: Dict[TreePoint, TreePoint] = {}
-    seen = set()
-    for x in given:
-        # every vertex above a seen one is seen, and named if made
-        u = x
-        while u is not None and u not in seen:
-            seen.add(u)
-            if u in made:
-                names[u] = u if u.center == x.center else TreePoint(p, x.center, u.q)
-            u = parent[u]
-    return {names.get(v, v): (None if u is None else names.get(u, u)) for v, u in parent.items()}
+    return SkeletonTree(p=p, vertices=vertices, parent=parent, children=children)
 
 
 def refine(tree: SkeletonTree, extra: Iterable[TreePoint]) -> SkeletonTree:

@@ -72,20 +72,39 @@ def test_a_prime_must_be_an_int_in_either_call_order(int_first):
     check_prime(3)
 
 
-def test_int_valuation_of_zero_raises():
-    # every power of p divides 0, so squaring p while the power divides
-    # would never end: run in a subprocess, with a timeout
+def _int_valuation_errors(calls):
+    """What int_valuation raises on each call, printed by a child process
+    capped at 512 MB of address space and given 10 s, so that a squaring
+    loop that never ends fails the test fast and leaves the machine's
+    memory alone."""
     src = Path(__file__).resolve().parent.parent / "src"
     script = (
-        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        f"import resource, sys; sys.path.insert(0, {str(src)!r})\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
         "from berkvol.field import FieldError, int_valuation\n"
-        "try:\n    int_valuation(0, 2)\nexcept FieldError as e:\n    print(e)\n"
+        f"for n, p in {calls!r}:\n"
+        "    try:\n        int_valuation(n, p)\n    except FieldError as e:\n        print(e)\n"
     )
     try:
         out = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True, timeout=10)
     except subprocess.TimeoutExpired:
-        pytest.fail("int_valuation(0, 2) did not return within 10 s")
+        pytest.fail(f"int_valuation on {calls} did not return within 10 s")
+    return out
+
+
+def test_int_valuation_of_zero_raises():
+    # every power of p divides 0, so squaring p while the power divides
+    # would never end
+    out = _int_valuation_errors([(0, 2)])
     assert out.stdout == "v_p(0) is infinite: int_valuation needs a nonzero integer\n", out.stderr
+
+
+def test_int_valuation_below_two_raises():
+    # the squares of 1 and -1 never grow, p = 0 divides by zero and -2 is no prime
+    out = _int_valuation_errors([(8, 1), (8, -1), (8, 0), (8, -2)])
+    assert out.stdout == "".join(
+        f"p = {p} is below 2: int_valuation needs p >= 2\n" for p in (1, -1, 0, -2)
+    ), out.stderr
 
 
 def test_field_context_and_elements_are_frozen_values():

@@ -574,6 +574,17 @@ LIBRARY_DOMAIN_ERRORS = {
         lambda: digit_sorted([Fraction(1, 2), Fraction(1)], 2),
         TreeError, "center 1/2 lies outside the closed unit disc",
     ),
+    **{
+        f"digit-order-prime-{p}": (
+            lambda p=p: digit_sorted([Fraction(x) for x in (0, 1, 2, 3, 8)], p), FieldError, message,
+        )
+        for p, message in [
+            (4, "p = 4 is not prime"),
+            (2.0, "p = 2.0 is not an integer"),
+            (0, "p = 0 is not prime"),
+            (1, "p = 1 is not prime"),
+        ]
+    },
     "vol-limit-two-primes": (
         lambda: vol_limit(slope_metric(2, 1, -1), slope_metric(3, 1, -1)),
         VolumeError, "metrics over different primes",
@@ -657,6 +668,12 @@ LIBRARY_DOMAIN_ERRORS = {
         FieldError, "p = 2.0 is not an integer",
     ),
     "field-context-float-prime": (lambda: FieldContext(3.0), FieldError, "p = 3.0 is not an integer"),
+    **{
+        f"field-context-{name}-ramification": (
+            lambda M=M: FieldContext(2, M), FieldError, f"ramification index must be an integer, got {M!r}",
+        )
+        for name, M in [("float", 1.5), ("bool", True), ("string", "2")]
+    },
     "metric-bool-degree": (
         lambda: Metric(True, trivial_metric(2, 1).g), MetricError, "degree must be an integer, got True",
     ),
