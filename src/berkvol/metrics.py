@@ -4,7 +4,9 @@ A metric is the trivial model metric of O(d) twisted by a PL function g.
 Its Monge-Ampere measure is d times the Dirac mass at the Gauss point
 plus the tree Laplacian of g; psh means that measure is nonnegative.
 A Metric is immutable and computes that measure at most once: ma_measure,
-is_psh, energy, envelope and equilibrium_metric all read the same one.
+is_psh, energy and envelope all read the same one.  ma_solution turns a
+measure of mass d back into its potential by integrating subtree masses;
+equilibrium_metric is its Dirac case.
 Envelopes are found exactly by one leaf-to-root and one root-to-leaf pass
 over the tree; the envelope of a psh metric is the metric itself.  The
 Gauss point is a vertex of that pass like any other: its knot list is the
@@ -29,7 +31,6 @@ from .tree import (
     _slope_sums,
     build_tree,
     constant_function,
-    meet_q,
     refine,
 )
 
@@ -209,16 +210,44 @@ def envelope(phi: Metric) -> Metric:
     return out
 
 
-def equilibrium_metric(x: TreePoint, phi: Metric) -> Metric:
-    """Greatest psh metric h with h(x) <= phi(x): the Green function
-    h(v) = phi(x) + d (q_x - q(v meet x)) of x, on phi's tree refined by x.
+def ma_solution(tree: SkeletonTree, mu: DiscreteMeasure, d: int) -> Metric:
+    """The psh metric phi of degree d with MA(phi) = mu and value 0 at the
+    Gauss point, on tree refined by mu's atoms.
 
-    A psh h does not increase away from the root, and its slope is at most
-    d, so h(v) <= h(v meet x) <= h(x) + d (q_x - q(v meet x)).  The formula
-    reaches that bound, and its measure is d delta_x."""
+    The slope on the edge above v is minus mu of the subtree of v: then the
+    outgoing slopes at each vertex sum to its mass, and at the root to its
+    mass less d.  So one leaf-to-root pass sums the subtree masses and one
+    root-to-leaf pass integrates; a vertex whose subtree holds no mass takes
+    its parent's value.  Its value at v is -sum_y mu(y) q(v meet y).
+    """
+    for x, m in mu.masses.items():
+        if m < 0:
+            raise MetricError(f"mass {m} at {x} is negative")
+    total = mu.total_mass()
+    if total != d:
+        raise MetricError(f"total mass {total} is not the degree {d}")
+    tree = refine(tree, mu.masses)
+    below = dict(mu.masses)  # the mass of each subtree that holds some
+    for v in reversed(tree.vertices[1:]):
+        if v in below:
+            u = tree.parent[v]
+            below[u] = below.get(u, 0) + below[v]
+    h = {tree.root: 0}
+    for v in tree.vertices[1:]:
+        u = h[tree.parent[v]]
+        h[v] = u - below[v] * tree.edge_length(v) if v in below else u
+    return Metric(d, PLFunction(tree, h))
+
+
+def equilibrium_metric(x: TreePoint, phi: Metric) -> Metric:
+    """Greatest psh metric h with h(x) <= phi(x): the solution of
+    MA(h) = d delta_x with h(x) = phi(x), on phi's tree refined by x.
+
+    Its values are the Green function h(v) = phi(x) + d (q_x - q(v meet x))
+    of x.  A psh h does not increase away from the root, and its slope is at
+    most d, so h(v) <= h(v meet x) <= h(x) + d (q_x - q(v meet x)).  The
+    Green function reaches that bound."""
     if phi.d < 1:
         raise MetricError("equilibrium metric needs d >= 1")
-    tree = refine(phi.tree, [x])
-    gx = phi.g.evaluate(x)
-    h = {v: gx + phi.d * (x.q - meet_q(v, x)) for v in tree.vertices}
-    return Metric(phi.d, PLFunction(tree, h))
+    dirac = DiscreteMeasure({x: phi.d})
+    return ma_solution(phi.tree, dirac, phi.d).shift(phi.g.evaluate(x) + phi.d * x.q)

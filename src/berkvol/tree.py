@@ -156,16 +156,20 @@ class SkeletonTree(Frozen):
         return self.vertices[0]
 
     def edge_length(self, child: TreePoint) -> Fraction:
-        par = self.parent[child]
+        try:
+            par = self.parent[child]
+        except KeyError:
+            raise TreeError(f"{child} is not a vertex") from None
         if par is None:
             raise TreeError("the Gauss point has no parent edge")
         return child.q - par.q
 
     def neighbors(self, v: TreePoint) -> List[TreePoint]:
-        out = list(self.children[v])
-        if self.parent[v] is not None:
-            out.append(self.parent[v])
-        return out
+        try:
+            par = self.parent[v]
+        except KeyError:
+            raise TreeError(f"{v} is not a vertex") from None
+        return self.children[v] + ([] if par is None else [par])
 
     def place(
         self, center: Fraction, q: Optional[Fraction] = None
@@ -347,6 +351,9 @@ def constant_function(tree: SkeletonTree, c: Fraction) -> PLFunction:
 
 class DiscreteMeasure:
     def __init__(self, masses: Dict[TreePoint, Fraction]):
+        for x in masses:
+            if not isinstance(x, TreePoint):
+                raise TreeError(f"atom {x!r} is not a TreePoint")
         self.masses = {k: m for k, v in masses.items() if (m := _exact(v))}
         if len({x.p for x in self.masses}) > 1:
             raise TreeError("atoms over different primes")

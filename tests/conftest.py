@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from berkvol.field import padic_valuation
-from berkvol.metrics import Metric, is_psh
-from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point
+from berkvol.metrics import Metric, ma_solution
+from berkvol.tree import DiscreteMeasure, PLFunction, TreePoint, build_tree, gauss_point
 
 
 def is_below(x: TreePoint, y: TreePoint) -> bool:
@@ -25,12 +25,9 @@ def random_tree(p: int, rng: random.Random, max_extra: int = 4, digits: int = 2)
 
 
 def random_psh_metric(p: int, d: int, rng: random.Random, tree=None) -> Metric:
-    """Draw a psh metric by distributing the total mass d over the vertices.
-
-    Assign each vertex a nonnegative rational mass summing to d, then
-    integrate: the slope on the edge above v is minus the mass in the
-    subtree of v, which makes every Monge-Ampere mass land where chosen.
-    """
+    """Draw a psh metric by distributing the total mass d over the vertices:
+    each vertex gets a nonnegative rational mass summing to d, and the
+    metric is ma_solution of that measure on the tree."""
     tree = tree if tree is not None else random_tree(p, rng)
     verts = tree.vertices
     weights = [Fraction(rng.randint(0, 4)) for _ in verts]
@@ -38,18 +35,23 @@ def random_psh_metric(p: int, d: int, rng: random.Random, tree=None) -> Metric:
     if total == 0:
         weights[0] = Fraction(1)
         total = Fraction(1)
-    masses = {v: d * w / total for v, w in zip(verts, weights)}
-    # vertices are sorted by q, so one pass from the leaves up sums each subtree
-    subtree_mass = dict(masses)
-    for v in reversed(verts[1:]):
-        subtree_mass[tree.parent[v]] += subtree_mass[v]
+    return ma_solution(tree, DiscreteMeasure({v: d * w / total for v, w in zip(verts, weights)}), d)
 
-    values = {tree.root: Fraction(0)}
-    for v in verts[1:]:
-        values[v] = values[tree.parent[v]] - subtree_mass[v] * tree.edge_length(v)
-    phi = Metric(d, PLFunction(tree, values))
-    assert is_psh(phi)
-    return phi
+
+def random_measure(p: int, d: int, rng: random.Random, tree=None) -> DiscreteMeasure:
+    """A measure of total mass d on one to four atoms, each with a positive
+    rational mass.  Each atom is a vertex of tree, or (by a coin, and always
+    without a tree) a random point of the closed unit disc."""
+    weights = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+    masses = {}
+    for w in weights:
+        if tree is not None and rng.random() < 0.5:
+            x = rng.choice(tree.vertices)
+        else:
+            q = Fraction(rng.randint(0, 8), rng.choice([1, 2, 3]))
+            x = TreePoint(p, Fraction(rng.randint(0, p**3 - 1)), q)
+        masses[x] = masses.get(x, 0) + Fraction(d * w, sum(weights))
+    return DiscreteMeasure(masses)
 
 
 def random_chain_tree(p: int, rng: random.Random, center: int = 0):

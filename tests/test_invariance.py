@@ -21,10 +21,11 @@ from berkvol.metrics import (
     envelope,
     equilibrium_metric,
     ma_measure,
+    ma_solution,
     trivial_metric,
 )
 from berkvol.sections import unit_ball_valuations
-from berkvol.tree import PLFunction, TreePoint, build_tree, gauss_point, refine
+from berkvol.tree import DiscreteMeasure, PLFunction, TreePoint, build_tree, gauss_point, refine
 from berkvol.volumes import right_derivative, rr_slope_experiment, vol_limit
 
 from conftest import random_pl_metric, random_psh_metric, random_tree
@@ -126,7 +127,9 @@ def test_isometries_move_the_equilibrium_metric():
     point that is a vertex, or lies on or off the tree.  Under z -> a + u z
     and z -> z / (1 + p z) the equilibrium metric of the moved point for the
     moved metric takes the same values at the moved vertices, and its
-    measure is d times the Dirac mass at the moved point."""
+    measure is d times the Dirac mass at the moved point.  So does ma_solution
+    of the measure with mass d/2 at that point and d/2 at the last vertex, on
+    the moved tree."""
     rng = random.Random(5)
     for i in range(200):
         p, d = rng.choice([2, 3, 5]), rng.choice([1, 2, 3])
@@ -136,12 +139,21 @@ def test_isometries_move_the_equilibrium_metric():
         else:
             x = rng.choice(phi.tree.vertices)
         eq = equilibrium_metric(x, phi)
+        y = phi.tree.vertices[-1]
+        sol = ma_solution(phi.tree, half_each(x, y, d), d)
 
         a, u = rng.randint(0, p**3), rng.choice([u for u in range(1, 4 * p) if u % p])
         for gamma in (lambda z: a + u * z, lambda z: z / (1 + p * z)):
             moved = equilibrium_metric(move(x, gamma), push(phi, gamma))
             assert moved.g.values == {move(v, gamma): h for v, h in eq.g.values.items()}, i
             assert ma_measure(moved).masses == {move(x, gamma): d}, i
+            moved = ma_solution(push(phi, gamma).tree, half_each(move(x, gamma), move(y, gamma), d), d)
+            assert moved.g.values == {move(v, gamma): h for v, h in sol.g.values.items()}, i
+
+
+def half_each(x, y, d):
+    """The measure with mass d/2 at x and at y: d at x when they agree."""
+    return DiscreteMeasure({x: Fraction(d, 2)}).add(DiscreteMeasure({y: Fraction(d, 2)}))
 
 
 def unit_tree(p, rng):

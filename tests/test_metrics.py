@@ -13,6 +13,7 @@ from berkvol.metrics import (
     equilibrium_metric,
     is_psh,
     ma_measure,
+    ma_solution,
     trivial_metric,
 )
 from berkvol.tree import (
@@ -23,11 +24,12 @@ from berkvol.tree import (
     gauss_point,
     laplacian,
     meet,
+    meet_q,
     refine,
 )
 from berkvol.volumes import _Dual
 
-from conftest import random_pl_metric, random_psh_metric, random_tree, slope_metric
+from conftest import random_measure, random_pl_metric, random_psh_metric, random_tree, slope_metric
 from envelope_oracle import _psh_rows, one_lp_max
 
 
@@ -71,13 +73,34 @@ def test_total_mass_equals_degree_randomized():
         assert ma_measure(phi2).total_mass() == d
 
 
-def test_random_psh_metric_on_a_deep_chain():
-    """The generator sums each subtree in one pass from the leaves up, so it
-    draws a psh metric on a 2000-vertex chain without a recursion per level."""
+def test_ma_solution_on_a_deep_chain():
+    """ma_solution sums each subtree in one pass from the leaves up, so it
+    solves on a 2000-vertex chain without a recursion per level."""
     chain = build_tree(2, [TreePoint(2, Fraction(0), Fraction(k)) for k in range(2000)])
-    phi = random_psh_metric(2, 3, random.Random(7), tree=chain)
-    assert len(phi.tree.vertices) == 2000
-    assert ma_measure(phi).total_mass() == 3
+    rng = random.Random(7)
+    weights = [rng.randint(0, 4) for _ in chain.vertices]
+    mu = DiscreteMeasure({v: Fraction(3 * w, sum(weights)) for v, w in zip(chain.vertices, weights)})
+    phi = ma_solution(chain, mu, 3)
+    assert phi.tree is chain
+    assert ma_measure(phi).masses == mu.masses
+
+
+def test_ma_solution_solves_the_monge_ampere_equation():
+    """400 draws, p in {2, 3, 5}, d in {1, 2, 3}, one to four atoms on or
+    off a random tree: the solution's measure is mu, and its value at each
+    vertex v is the kernel form -sum_y mu(y) q(v meet y)."""
+    rng = random.Random(41)
+    off_tree = 0
+    for i in range(400):
+        p, d = rng.choice([2, 3, 5]), rng.choice([1, 2, 3])
+        tree = random_tree(p, rng)
+        mu = random_measure(p, d, rng, tree)
+        off_tree += any(x not in tree.parent for x in mu.masses)
+        phi = ma_solution(tree, mu, d)
+        assert ma_measure(phi).masses == mu.masses, i
+        for v, h in phi.g.values.items():
+            assert h == -sum(m * meet_q(v, y) for y, m in mu.masses.items()), i
+    assert off_tree >= 200
 
 
 def test_is_psh_detects_negative_mass():

@@ -9,7 +9,7 @@ import pytest
 
 from berkvol.experiments import diff_experiment, fekete_experiment
 from berkvol.field import INF, FieldContext, FieldError
-from berkvol.metrics import Metric, MetricError, energy, ma_measure, trivial_metric
+from berkvol.metrics import Metric, MetricError, energy, ma_measure, ma_solution, trivial_metric
 from berkvol.sections import (
     Section,
     SectionError,
@@ -566,6 +566,31 @@ LIBRARY_DOMAIN_ERRORS = {
     "gauss-point-edge": (
         lambda: build_tree(2, []).edge_length(gauss_point(2)),
         TreeError, "the Gauss point has no parent edge",
+    ),
+    "edge-length-off-the-tree": (
+        lambda: build_tree(2, [TreePoint(2, 0, 1)]).edge_length(TreePoint(2, 1, 1)),
+        TreeError, "zeta(1, q=1) is not a vertex",
+    ),
+    "neighbors-off-the-tree": (
+        lambda: build_tree(2, [TreePoint(2, 0, 1)]).neighbors(TreePoint(2, 1, 1)),
+        TreeError, "zeta(1, q=1) is not a vertex",
+    ),
+    "measure-atom-not-a-point": (
+        lambda: DiscreteMeasure({"a": 1}), TreeError, "atom 'a' is not a TreePoint",
+    ),
+    "ma-solution-negative-mass": (
+        lambda: ma_solution(
+            build_tree(2, []), DiscreteMeasure({gauss_point(2): 2, TreePoint(2, 0, 1): -1}), 1
+        ),
+        MetricError, "mass -1 at zeta(0, q=1) is negative",
+    ),
+    "ma-solution-total-mass": (
+        lambda: ma_solution(build_tree(2, []), DiscreteMeasure({TreePoint(2, 0, 1): 1}), 2),
+        MetricError, "total mass 1 is not the degree 2",
+    ),
+    "ma-solution-two-primes": (
+        lambda: ma_solution(build_tree(2, []), DiscreteMeasure({TreePoint(3, 0, 1): 1}), 1),
+        TreeError, "point over a different prime",
     ),
     "metric-negative-degree": (
         lambda: Metric(-1, trivial_metric(2, 1).g), MetricError, "degree must be nonnegative",

@@ -204,12 +204,22 @@ def test_one_minorant_solve():
     # the Gauss point is a vertex of the leaf-to-root pass like any other:
     # one solve reads its knot list for limits and derivatives and walks the
     # pass for envelopes, and only the knot-list evaluation searches a list;
-    # equilibrium metrics are a closed form.  A Metric runs the solve on its
-    # own obstacle once, for vol_limit and envelope both; right_derivative
-    # runs it on a dual obstacle
+    # equilibrium metrics are the Dirac case of ma_solution.  A Metric runs
+    # the solve on its own obstacle once, for vol_limit and envelope both;
+    # right_derivative runs it on a dual obstacle
     assert callers_of("bisect_right") == [("metrics.py", "_eval")]
     assert callers_of("_leaf_to_root") == [("metrics.py", "_solve")]
     assert sorted(callers_of("_solve")) == [("metrics.py", "Metric"), ("volumes.py", "right_derivative")]
+
+
+def test_one_potential_rule():
+    # MA(phi) = mu is solved in metrics.ma_solution alone, by integrating
+    # subtree masses; the equilibrium metric is its Dirac case and the
+    # package's one caller, so metrics.py reads no meet
+    metrics_py = next(path for path in MODULES if path.name == "metrics.py")
+    named = {getattr(node, attr, None) for node in parse(metrics_py) for attr in ("id", "attr", "name")}
+    assert "meet_q" not in named
+    assert callers_of("ma_solution") == [("metrics.py", "equilibrium_metric")]
 
 
 def test_knot_lists_stay_in_metrics():

@@ -1,18 +1,21 @@
 """The variational principle behind the paper's Monge-Ampere solutions.
 
-For a measure mu = MA(phi_mu), F_mu(phi) = vol(L, phi, phi_triv) - int phi dmu
-is largest at phi_mu over all continuous metrics, psh or not, and its one-sided
-derivatives at phi_mu vanish: the derivative of the volume is int f dmu.
-Everything is exact; the draws are seeded.
+For a measure mu of mass d and its potential phi_mu, with MA(phi_mu) = mu,
+F_mu(phi) = vol(L, phi, phi_triv) - int phi dmu is largest at phi_mu over all
+continuous metrics, psh or not, and its one-sided derivatives at phi_mu
+vanish: the derivative of the volume is int f dmu.  The atoms of mu lie
+anywhere in the closed unit disc, and phi_mu is ma_solution of mu on the
+tree they span.  Everything is exact; the draws are seeded.
 """
 
 import random
 from fractions import Fraction
 
-from berkvol.metrics import envelope, ma_measure, trivial_metric
+from berkvol.metrics import envelope, ma_solution, trivial_metric
+from berkvol.tree import build_tree
 from berkvol.volumes import right_derivative, vol_limit
 
-from conftest import random_pl_metric, random_psh_metric
+from conftest import random_measure, random_pl_metric, random_psh_metric
 
 DRAWS = 100
 COMPETITORS = 5
@@ -24,11 +27,12 @@ def functional(mu, phi):
 
 
 def draws(seed):
-    """(rng, phi_mu, mu): a random psh metric and its Monge-Ampere measure."""
+    """(rng, phi_mu, mu): a random measure of mass d and its potential."""
     rng = random.Random(seed)
     for _ in range(DRAWS):
-        phi_mu = random_psh_metric(rng.choice([2, 3, 5]), rng.randint(1, 3), rng)
-        yield rng, phi_mu, ma_measure(phi_mu)
+        p, d = rng.choice([2, 3, 5]), rng.randint(1, 3)
+        mu = random_measure(p, d, rng)
+        yield rng, ma_solution(build_tree(p, mu.masses), mu, d), mu
 
 
 def competitors(rng, phi_mu):
