@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Union
 
 from .errors import BerkvolError, Frozen
 
@@ -93,9 +93,18 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
+def _fraction(r: Rational) -> Fraction:
+    """An int or a Fraction as a Fraction.  Any other type is refused: a
+    float would be read as its binary expansion, so 0.1 would become
+    3602879701896397/36028797018963968."""
+    if not isinstance(r, (int, Fraction)):
+        raise FieldError(f"{r!r} is a {type(r).__name__}, not an int or a Fraction")
+    return Fraction(r)
+
+
 def padic_valuation(r: Rational, p: int):
-    """v_p of a rational, with v_p(0) = INF."""
-    r = Fraction(r)
+    """v_p of an int or a Fraction, with v_p(0) = INF."""
+    r = _fraction(r)
     if r == 0:
         return INF
     return Fraction(int_valuation(r.numerator, p) - int_valuation(r.denominator, p))
@@ -118,13 +127,8 @@ class FieldContext(Frozen):
     def __hash__(self) -> int:
         return hash((self.p, self.M))
 
-    def element(self, coeffs: Sequence[Rational]) -> "FieldElement":
-        if len(coeffs) != self.M:
-            raise FieldError(f"expected {self.M} coefficients, got {len(coeffs)}")
-        return FieldElement(self, tuple(Fraction(c) for c in coeffs))
-
     def from_rational(self, r: Rational) -> "FieldElement":
-        coeffs = [Fraction(r)] + [Fraction(0)] * (self.M - 1)
+        coeffs = [_fraction(r)] + [Fraction(0)] * (self.M - 1)
         return FieldElement(self, tuple(coeffs))
 
     def zero(self) -> "FieldElement":
@@ -135,6 +139,8 @@ class FieldContext(Frozen):
 
     def pi_power(self, k: int) -> "FieldElement":
         """pi^k for any integer k (negative powers use pi^M = p)."""
+        if not isinstance(k, int):
+            raise FieldError(f"exponent must be an integer, got {k!r}")
         q, r = divmod(k, self.M)
         coeffs = [Fraction(0)] * self.M
         coeffs[r] = Fraction(self.p) ** q

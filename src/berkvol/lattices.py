@@ -4,19 +4,15 @@ sections.sup_norm_lattice builds the unit ball of a sup norm as the
 intersection of diagonal vertex lattices, and the tests compare its
 determinant valuation with unit_ball_valuations.  A lattice is stored
 through a basis matrix whose columns span it over the valuation ring.
-lattice_norm, contains and lattices_equal let the tests check intersect
-itself; lattice norms are in valuation form: the value attached to a
-vector v is -log_p ||v||, an element of (1/M)Z or INF.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List
 
 from . import linalg
 from .errors import BerkvolError
-from .field import INF, FieldContext, FieldElement
+from .field import INF, FieldContext
 from .linalg import Matrix
 
 
@@ -45,22 +41,6 @@ class Lattice:
 
     def det_valuation(self) -> Fraction:
         return linalg.det_valuation(self.basis)
-
-
-def lattice_norm(L: Lattice, v: List[FieldElement]):
-    """Valuation form of ||v||_L: min_i v(c_i) for c = basis^{-1} v."""
-    c = linalg.solve(L.basis, [[x] for x in v])
-    return min(row[0].valuation() for row in c)
-
-
-def contains(outer: Lattice, inner: Lattice) -> bool:
-    """inner is a sublattice of outer iff the transition matrix is integral."""
-    T = linalg.solve(outer.basis, inner.basis)
-    return all(x.valuation() >= 0 for row in T for x in row)
-
-
-def lattices_equal(L1: Lattice, L2: Lattice) -> bool:
-    return contains(L1, L2) and contains(L2, L1)
 
 
 def intersect(L1: Lattice, L2: Lattice) -> Lattice:

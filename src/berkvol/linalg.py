@@ -43,24 +43,6 @@ def _pivot(W: Matrix, k: int, cols: int) -> Tuple:
     return min((W[i][j].valuation(), i, j) for i in range(k, len(W)) for j in range(k, cols))
 
 
-def solve(A: Matrix, B: Matrix) -> Matrix:
-    """Solve A X = B for square invertible A."""
-    n = len(A)
-    W = [A[i][:] + B[i][:] for i in range(n)]
-    for k in range(n):
-        piv_v, piv, _ = _pivot(W, k, k + 1)
-        if piv_v == INF:
-            raise SingularMatrixError("matrix is singular over the field")
-        W[k], W[piv] = W[piv], W[k]
-        inv = W[k][k].inverse()
-        W[k] = [x * inv for x in W[k]]
-        for i in range(n):
-            if i != k and not W[i][k].is_zero():
-                f = W[i][k]
-                W[i] = [x - f * y for x, y in zip(W[i], W[k])]
-    return [row[n:] for row in W]
-
-
 def det_valuation(A: Matrix):
     """Valuation of det(A); INF if A is singular.
 

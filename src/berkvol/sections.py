@@ -1,4 +1,4 @@
-"""Polynomial sections of O(md): pointwise and sup norms, unit-ball lattices.
+"""Polynomial sections of O(md): the determinant valuations of sup-norm unit balls.
 
 A section is a rational polynomial of degree <= md in the affine chart.
 All norm values are reported in valuation form (-log_p of the norm).  On
@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import BerkvolError
-from .field import INF, FieldContext, padic_valuation
+from .field import INF, FieldContext
 from .lattices import Lattice, intersect
 from .metrics import Metric
 from .tree import PLFunction, SkeletonTree, TreePoint, _rational, digit_sorted
@@ -44,46 +44,6 @@ from .tree import PLFunction, SkeletonTree, TreePoint, _rational, digit_sorted
 
 class SectionError(BerkvolError):
     pass
-
-
-class Section:
-    def __init__(self, coeffs: Tuple[Fraction, ...]):
-        self.coeffs = tuple(_rational(c) for c in coeffs)
-
-    @property
-    def degree(self) -> int:
-        return max((i for i, c in enumerate(self.coeffs) if c), default=-1)
-
-    def is_zero(self) -> bool:
-        return self.degree < 0
-
-    def recenter(self, a: Fraction) -> Tuple[Fraction, ...]:
-        """Coefficients of s(z + a), by exact Horner shifts."""
-        a = _rational(a)
-        out = list(self.coeffs)
-        n = len(out)
-        if a == 0:
-            return tuple(out)
-        for k in range(n):
-            for i in range(n - 2, k - 1, -1):
-                out[i] += a * out[i + 1]
-        return tuple(out)
-
-
-def point_norm(s: Section, x: TreePoint, phi: Metric, m: int):
-    """Valuation of |s(x)| e^{-m phi(x)} for x in the unit-disc region."""
-    if s.degree >= _level_dimension(m, phi.d):
-        raise SectionError(f"degree {s.degree} exceeds m*d = {m * phi.d}")
-    c = s.recenter(x.center)
-    best = min((padic_valuation(ci, phi.p) + i * x.q for i, ci in enumerate(c) if ci), default=INF)
-    return best + m * phi.value(x) if best != INF else INF
-
-
-def sup_norm(s: Section, phi: Metric, m: int):
-    """Valuation form of the sup norm: min of point_norm over the vertices."""
-    if s.is_zero():
-        raise SectionError("sup norm of the zero section")
-    return min(point_norm(s, x, phi, m) for x in phi.tree.vertices)
 
 
 def _vertex_weights(

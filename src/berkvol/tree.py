@@ -164,13 +164,6 @@ class SkeletonTree(Frozen):
             raise TreeError("the Gauss point has no parent edge")
         return child.q - par.q
 
-    def neighbors(self, v: TreePoint) -> List[TreePoint]:
-        try:
-            par = self.parent[v]
-        except KeyError:
-            raise TreeError(f"{v} is not a vertex") from None
-        return self.children[v] + ([] if par is None else [par])
-
     def place(
         self, center: Fraction, q: Optional[Fraction] = None
     ) -> Tuple[TreePoint, Optional[TreePoint], Fraction]:
@@ -212,6 +205,8 @@ def build_tree(p: int, points: Iterable[TreePoint]) -> SkeletonTree:
     """
     verts = {gauss_point(p)}
     for pt in points:
+        if not isinstance(pt, TreePoint):
+            raise TreeError(f"{pt!r} is not a TreePoint")
         if pt.p != p:
             raise TreeError("point over a different prime")
         verts.add(pt)
@@ -297,6 +292,8 @@ class PLFunction:
         value = self.values.get(x)
         if value is not None:  # x is a vertex
             return value
+        if not isinstance(x, TreePoint):
+            raise TreeError(f"{x!r} is not a TreePoint")
         if x.p != self.tree.p:
             raise TreeError("point over a different prime")
         return self._at(*self.tree.place(x.center, x.q))
@@ -388,8 +385,3 @@ def _slope_sums(g: PLFunction) -> Dict[TreePoint, Fraction]:
         masses[u] += slope
         masses[c] -= slope
     return masses
-
-
-def laplacian(g: PLFunction) -> DiscreteMeasure:
-    """The tree Laplacian of g; total mass is zero."""
-    return DiscreteMeasure(_slope_sums(g))

@@ -6,7 +6,7 @@ import pytest
 
 from berkvol.field import padic_valuation
 from berkvol.metrics import Metric, ma_solution
-from berkvol.tree import DiscreteMeasure, PLFunction, TreePoint, build_tree, gauss_point
+from berkvol.tree import DiscreteMeasure, PLFunction, TreePoint, _slope_sums, build_tree, gauss_point
 
 
 def is_below(x: TreePoint, y: TreePoint) -> bool:
@@ -90,6 +90,11 @@ def slope_metric(p: int, d: int, slope, depth=1, center=0) -> Metric:
     x = TreePoint(p, Fraction(center), Fraction(depth))
     tree = build_tree(p, [x])
     return Metric(d, PLFunction(tree, {tree.root: Fraction(0), x: slope * depth}))
+
+
+def laplacian(g: PLFunction) -> DiscreteMeasure:
+    """The tree Laplacian of g; total mass is zero."""
+    return DiscreteMeasure(_slope_sums(g))
 
 
 def tent_function(p: int, height=1) -> PLFunction:

@@ -3,7 +3,8 @@
 Before the leaf-to-root recursion over knot lists, metrics solved every
 envelope and equilibrium metric as one dense simplex in the
 vertex values.  The two functions below are that path, kept verbatim apart
-from their names, so that the tests can hold the recursion against it.
+from their names and the neighbor list written out in _psh_rows, so that
+the tests can hold the recursion against it.
 """
 
 from fractions import Fraction
@@ -27,9 +28,9 @@ def _psh_rows(
     rows, rhs = [], []
     for v in verts:
         row = [Fraction(0)] * len(verts)
-        for u in tree.neighbors(v):
-            length = v.q - u.q if tree.parent[v] == u else u.q - v.q
-            length = abs(length)
+        par = tree.parent[v]
+        for u in tree.children[v] + ([] if par is None else [par]):
+            length = abs(v.q - u.q)
             row[idx[v]] += Fraction(1) / length
             row[idx[u]] -= Fraction(1) / length
         rows.append(row)

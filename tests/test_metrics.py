@@ -22,14 +22,20 @@ from berkvol.tree import (
     TreePoint,
     build_tree,
     gauss_point,
-    laplacian,
     meet,
     meet_q,
     refine,
 )
 from berkvol.volumes import _Dual
 
-from conftest import random_measure, random_pl_metric, random_psh_metric, random_tree, slope_metric
+from conftest import (
+    laplacian,
+    random_measure,
+    random_pl_metric,
+    random_psh_metric,
+    random_tree,
+    slope_metric,
+)
 from envelope_oracle import _psh_rows, one_lp_max
 
 

@@ -8,19 +8,16 @@ from fractions import Fraction
 import pytest
 
 from berkvol.experiments import diff_experiment, fekete_experiment
-from berkvol.field import INF, FieldContext, FieldError
+from berkvol.field import INF, FieldContext, FieldError, padic_valuation
 from berkvol.metrics import Metric, MetricError, energy, ma_measure, ma_solution, trivial_metric
 from berkvol.sections import (
-    Section,
     SectionError,
     _envelope_sum,
     _is_chain,
     _maxmin_merge,
     _root_count_norms,
     diagonal_weights,
-    point_norm,
     required_ramification,
-    sup_norm,
     sup_norm_lattice,
     unit_ball_valuation,
     unit_ball_valuations,
@@ -36,6 +33,7 @@ from berkvol.tree import (
     digit_sorted,
     gauss_point,
     meet,
+    refine,
 )
 from berkvol.volumes import (
     VolumeError,
@@ -56,6 +54,7 @@ from conftest import (
     slope_metric,
 )
 from fekete_oracle import pairwise_vandermonde_value
+from lattice_oracle import Section, lattice_norm, point_norm, sup_norm
 from slice_oracle import _slice_integral
 
 
@@ -117,8 +116,6 @@ def test_sup_norm_lattice_consistency():
     M = required_ramification(phi, m)
     ctx = FieldContext(p, M)
     L = sup_norm_lattice(phi, m, ctx)
-    from berkvol.lattices import lattice_norm
-
     rng = random.Random(2)
     for _ in range(20):
         coeffs = [Fraction(rng.randint(-8, 8)) for _ in range(m * phi.d + 1)]
@@ -571,9 +568,10 @@ LIBRARY_DOMAIN_ERRORS = {
         lambda: build_tree(2, [TreePoint(2, 0, 1)]).edge_length(TreePoint(2, 1, 1)),
         TreeError, "zeta(1, q=1) is not a vertex",
     ),
-    "neighbors-off-the-tree": (
-        lambda: build_tree(2, [TreePoint(2, 0, 1)]).neighbors(TreePoint(2, 1, 1)),
-        TreeError, "zeta(1, q=1) is not a vertex",
+    "build-tree-int-point": (lambda: build_tree(2, [1]), TreeError, "1 is not a TreePoint"),
+    "refine-int-point": (lambda: refine(build_tree(2, []), [1]), TreeError, "1 is not a TreePoint"),
+    "evaluate-int-point": (
+        lambda: trivial_metric(2, 1).g.evaluate(1), TreeError, "1 is not a TreePoint",
     ),
     "measure-atom-not-a-point": (
         lambda: DiscreteMeasure({"a": 1}), TreeError, "atom 'a' is not a TreePoint",
@@ -691,6 +689,15 @@ LIBRARY_DOMAIN_ERRORS = {
     "build-tree-float-prime": (
         lambda: build_tree(2.0, [TreePoint(2, Fraction(1), Fraction(2))]),
         FieldError, "p = 2.0 is not an integer",
+    ),
+    "padic-valuation-float": (
+        lambda: padic_valuation(0.1, 2), FieldError, "0.1 is a float, not an int or a Fraction",
+    ),
+    "from-rational-float": (
+        lambda: FieldContext(2, 2).from_rational(0.1), FieldError, "0.1 is a float, not an int or a Fraction",
+    ),
+    "pi-power-float-exponent": (
+        lambda: FieldContext(2, 2).pi_power(1.5), FieldError, "exponent must be an integer, got 1.5",
     ),
     "field-context-float-prime": (lambda: FieldContext(3.0), FieldError, "p = 3.0 is not an integer"),
     **{

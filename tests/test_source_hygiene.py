@@ -343,6 +343,54 @@ def tracer_targets():
     raise AssertionError("bench/tracer.py defines no TARGETS list")
 
 
+#: Names kept with no use in the package and no tracer target, each for a reader outside it.
+KEPT_FOR_OUTSIDE_READERS = {
+    ("metrics", "trivial_metric"),  # README's Library block calls it
+    ("sections", "required_ramification"),  # bench/tracer.py's _vol_m_attrs reads it
+}
+
+
+def is_dunder(name):
+    """A special method, which Python calls by its name.  __post_init__ counts
+    as a plain method: no dataclass calls it here."""
+    return name.startswith("__") and name.endswith("__") and name != "__post_init__"
+
+
+def test_every_package_name_has_a_use():
+    # the package holds only what runs: each top-level function or class, and
+    # each method but the dunders (__post_init__ is a method like any other),
+    # is named in package code outside its own definition, is a benchmark
+    # tracer target, or is kept above for a reader outside the package.
+    # A helper only tests call lives in tests/
+    definitions, uses = [], {}  # uses: name -> the nodes that name it
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((path.stem, stmt.name, stmt))
+            if isinstance(stmt, ast.ClassDef):
+                definitions += [
+                    (path.stem, f"{stmt.name}.{node.name}", node)
+                    for node in stmt.body
+                    if isinstance(node, ast.FunctionDef) and not is_dunder(node.name)
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):
+                name = node.asname or node.name
+            else:
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name is not None:
+                uses.setdefault(name, []).append(node)
+    kept = set(tracer_targets()) | KEPT_FOR_OUTSIDE_READERS
+    unused = []
+    for module, name, definition in definitions:
+        inside = {id(node) for node in ast.walk(definition)}
+        uses_outside = [node for node in uses.get(name.rpartition(".")[2], []) if id(node) not in inside]
+        if (module, name) not in kept and not uses_outside:
+            unused.append(f"{module}.{name}")
+    assert unused == []
+
+
 @pytest.mark.parametrize("module, attr", tracer_targets(), ids=lambda t: t)
 def test_tracer_target_resolves(module, attr):
     # the benchmark's tracer patches these names; a missing one is skipped there

@@ -17,13 +17,12 @@ from berkvol.tree import (
     constant_function,
     digit_sorted,
     gauss_point,
-    laplacian,
     meet,
     meet_q,
     refine,
 )
 
-from conftest import is_below
+from conftest import is_below, laplacian
 from tree_oracle import all_pairs_build_tree, descend
 
 RADII = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
